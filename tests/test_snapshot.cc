@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.hh"
@@ -42,13 +43,14 @@ struct Scenario
     Asid parent;
     Tick t = 0;
 
-    Scenario() : sys((SystemConfig())), parent(sys.createProcess())
+    explicit Scenario(ForkMode mode = ForkMode::CopyOnWrite)
+        : sys((SystemConfig())), parent(sys.createProcess())
     {
         sys.mapAnon(parent, kBase, 64 * kPageSize);
         for (unsigned p = 0; p < 64; ++p)
             t = sys.access(parent, kBase + p * kPageSize, true, t);
         Tick done = t;
-        sys.fork(parent, ForkMode::CopyOnWrite, t, &done);
+        sys.fork(parent, mode, t, &done);
         t = done;
         // Dirty a few pages so CoW state, MRU caches and the DRAM
         // controller all hold non-trivial state at snapshot time.
@@ -277,6 +279,51 @@ makeCheckpointFile()
         p, ForkMode::OverlayOnWrite, SystemConfig{}, ckpt);
     EXPECT_FALSE(r.has_value());
     return path;
+}
+
+// ----- format pin ---------------------------------------------------------
+
+/** 64-bit FNV-1a over a byte buffer. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(SnapshotFormat, BytesArePinned)
+{
+    // The serialized layout is an on-disk format (kFormatVersion 1):
+    // any change to the byte stream, however innocent, must bump the
+    // version instead of silently moving these sizes and hashes.
+    EXPECT_EQ(snapshot::kFormatVersion, 1u);
+    for (auto [mode, size, hash] :
+         {std::tuple{ForkMode::CopyOnWrite, 893664ull,
+                     706907112449349140ull},
+          std::tuple{ForkMode::OverlayOnWrite, 896548ull,
+                     3025393550557350269ull}}) {
+        Scenario sc(mode);
+        snapshot::Writer w;
+        sc.sys.serialize(w);
+        EXPECT_EQ(w.buffer().size(), size);
+        EXPECT_EQ(fnv1a(w.buffer()), hash);
+    }
+
+    ForkBenchParams p = forkBenchByName("libq");
+    p.warmupInstructions = 20'000;
+    p.postForkInstructions = 40'000;
+    ForkBenchWarmState warm = prepareForkBenchWarmState(p, SystemConfig{});
+    EXPECT_EQ(warm.machine.size(), 868438u);
+    EXPECT_EQ(fnv1a(warm.machine), 14005627231482902559ull);
+
+    // makeCheckpointFile uses the same benchmark and phase lengths.
+    std::vector<std::uint8_t> file = readFileBytes(makeCheckpointFile());
+    EXPECT_EQ(file.size(), 879000u);
+    EXPECT_EQ(fnv1a(file), 10548290332837847311ull);
 }
 
 TEST(SnapshotHardening, MissingFileThrows)
