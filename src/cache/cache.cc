@@ -4,6 +4,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -68,49 +69,29 @@ SetAssocCache::flushAll()
     std::fill(state_.begin(), state_.end(), LineState{});
 }
 
+template <class Self, class Ar>
 void
-SetAssocCache::serialize(snapshot::Writer &w) const
+SetAssocCache::io(Self &self, Ar &ar)
 {
-    w.beginSection("CACH");
-    w.u64(tags_.size());
-    for (Addr tag : tags_)
-        w.u64(tag);
-    for (const LineState &st : state_) {
-        w.b(st.dirty);
-        w.b(st.prefetched);
-    }
-    // Emit the interleaved {lruSeq, rrpv} pairs of the pre-split layout
-    // so snapshots stay byte-compatible across the layout change.
-    for (std::size_t i = 0; i < replLru_.size(); ++i) {
-        w.u64(replLru_[i]);
-        w.u8(replRrpv_[i]);
-    }
-    repl_.serialize(w);
-    w.endSection();
+    ar.section("CACH", [&] {
+        ar.expectEq(self.tags_.size(),
+                    "cache '" + self.name() + "' line count");
+        for (auto &tag : self.tags_)
+            ar.u64(tag);
+        for (auto &st : self.state_) {
+            ar.b(st.dirty);
+            ar.b(st.prefetched);
+        }
+        // The interleaved {lruSeq, rrpv} pairs of the pre-split layout
+        // keep snapshots byte-compatible across the layout change.
+        for (std::size_t i = 0; i < self.replLru_.size(); ++i) {
+            ar.u64(self.replLru_[i]);
+            ar.u8(self.replRrpv_[i]);
+        }
+        snapshot::visit(self.repl_, ar);
+    });
 }
 
-void
-SetAssocCache::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("CACH");
-    std::uint64_t n = r.u64();
-    if (n != tags_.size()) {
-        r.fail("cache '" + name() + "' line count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(tags_.size()));
-    }
-    for (Addr &tag : tags_)
-        tag = r.u64();
-    for (LineState &st : state_) {
-        st.dirty = r.b();
-        st.prefetched = r.b();
-    }
-    for (std::size_t i = 0; i < replLru_.size(); ++i) {
-        replLru_[i] = r.u64();
-        replRrpv_[i] = r.u8();
-    }
-    repl_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(SetAssocCache);
 
 } // namespace ovl

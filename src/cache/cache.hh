@@ -186,9 +186,8 @@ class SetAssocCache : public SimObject
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    /** Snapshot tags, line state, replacement state and the engine. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over tags, line and replacement state. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /** Per-line flags; validity lives in the tag (kInvalidAddr = empty). */

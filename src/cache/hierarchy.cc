@@ -94,28 +94,19 @@ CacheHierarchy::resetStats()
     prefetcher_.resetStats();
 }
 
+template <class Self, class Ar>
 void
-CacheHierarchy::serialize(snapshot::Writer &w) const
+CacheHierarchy::io(Self &self, Ar &ar)
 {
-    w.beginSection("HIER");
-    l1_.serialize(w);
-    l2_.serialize(w);
-    l3_.serialize(w);
-    prefetcher_.serialize(w);
-    w.u64(prefetchBusyUntil_);
-    w.endSection();
+    ar.section("HIER", [&] {
+        snapshot::visit(self.l1_, ar);
+        snapshot::visit(self.l2_, ar);
+        snapshot::visit(self.l3_, ar);
+        snapshot::visit(self.prefetcher_, ar);
+        ar.u64(self.prefetchBusyUntil_);
+    });
 }
 
-void
-CacheHierarchy::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("HIER");
-    l1_.deserialize(r);
-    l2_.deserialize(r);
-    l3_.deserialize(r);
-    prefetcher_.deserialize(r);
-    prefetchBusyUntil_ = r.u64();
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(CacheHierarchy);
 
 } // namespace ovl

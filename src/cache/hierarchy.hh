@@ -138,16 +138,19 @@ class CacheHierarchy : public SimObject
     SetAssocCache &l2() { return l2_; }
     SetAssocCache &l3() { return l3_; }
     StreamPrefetcher &prefetcher() { return prefetcher_; }
+    const SetAssocCache &l1() const { return l1_; }
+    const SetAssocCache &l2() const { return l2_; }
+    const SetAssocCache &l3() const { return l3_; }
+    const StreamPrefetcher &prefetcher() const { return prefetcher_; }
 
     void resetStats() override;
 
     /**
-     * Snapshot all three levels, the prefetcher and the prefetch
-     * bandwidth cursor. prefetchScratch_ is a transient buffer cleared
-     * before every use and carries no state.
+     * Snapshot visitor over all three levels, the prefetcher and the
+     * prefetch bandwidth cursor. prefetchScratch_ is a transient buffer
+     * cleared before every use and carries no state.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     void handleL1Victim(const Eviction &ev, Tick when);

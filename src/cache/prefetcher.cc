@@ -37,49 +37,27 @@ StreamPrefetcher::allocateStream()
     return victim;
 }
 
+template <class Self, class Ar>
 void
-StreamPrefetcher::serialize(snapshot::Writer &w) const
+StreamPrefetcher::io(Self &self, Ar &ar)
 {
-    w.beginSection("PREF");
-    w.u64(streams_.size());
-    for (const Stream &s : streams_) {
-        w.b(s.confirmed);
-        w.i64(s.direction);
-        w.u32(s.strikes);
-        w.u64(s.prefetchHead);
-    }
-    for (Addr last : lastLines_)
-        w.u64(last);
-    for (std::uint64_t seq : lruSeqs_)
-        w.u64(seq);
-    w.u64(validMask_);
-    w.u64(lruCounter_);
-    w.endSection();
+    ar.section("PREF", [&] {
+        ar.expectEq(self.streams_.size(), "prefetcher stream count");
+        for (auto &s : self.streams_) {
+            ar.b(s.confirmed);
+            ar.i64(s.direction);
+            ar.u32(s.strikes);
+            ar.u64(s.prefetchHead);
+        }
+        for (auto &last : self.lastLines_)
+            ar.u64(last);
+        for (auto &seq : self.lruSeqs_)
+            ar.u64(seq);
+        ar.u64(self.validMask_);
+        ar.u64(self.lruCounter_);
+    });
 }
 
-void
-StreamPrefetcher::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PREF");
-    std::uint64_t n = r.u64();
-    if (n != streams_.size()) {
-        r.fail("prefetcher stream count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(streams_.size()));
-    }
-    for (Stream &s : streams_) {
-        s.confirmed = r.b();
-        s.direction = int(r.i64());
-        s.strikes = r.u32();
-        s.prefetchHead = r.u64();
-    }
-    for (Addr &last : lastLines_)
-        last = r.u64();
-    for (std::uint64_t &seq : lruSeqs_)
-        seq = r.u64();
-    validMask_ = r.u64();
-    lruCounter_ = r.u64();
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(StreamPrefetcher);
 
 } // namespace ovl

@@ -63,9 +63,8 @@ class StreamPrefetcher : public SimObject
 
     std::uint64_t issued() const { return issued_.value(); }
 
-    /** Snapshot the stream table and recency state. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over the stream table and recency state. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /** Per-stream training state (off the scan path; see the SoA note). */

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/random.hh"
-#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -194,27 +193,16 @@ class ReplacementEngine
     /** Current dynamic winner for DRRIP follower sets. */
     bool brripWinning() const { return psel_ > pselMax_ / 2; }
 
-    /** Snapshot the LRU counter, throttles, PSEL and the RNG stream. */
-    void
-    serialize(snapshot::Writer &w) const
+    /** Snapshot visitor over the LRU counter, throttle, PSEL and RNG. */
+    template <class Self, class Ar>
+    static void
+    io(Self &self, Ar &ar)
     {
-        w.u64(lruCounter_);
-        w.u32(brripThrottle_);
-        w.u32(psel_);
-        for (std::uint64_t word : rng_.rawState())
-            w.u64(word);
-    }
-
-    void
-    deserialize(snapshot::Reader &r)
-    {
-        lruCounter_ = r.u64();
-        brripThrottle_ = r.u32();
-        psel_ = r.u32();
-        std::array<std::uint64_t, 4> state;
-        for (std::uint64_t &word : state)
-            word = r.u64();
-        rng_.setRawState(state);
+        ar.u64(self.lruCounter_);
+        ar.u32(self.brripThrottle_);
+        ar.u32(self.psel_);
+        for (auto &word : self.rng_.rawState())
+            ar.u64(word);
     }
 
   private:

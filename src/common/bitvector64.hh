@@ -36,6 +36,8 @@ class BitVector64
 
     /** Raw 64-bit value (what travels in coherence messages). */
     constexpr std::uint64_t raw() const { return bits_; }
+    /** Mutable raw bits, for snapshot restore. */
+    constexpr std::uint64_t &raw() { return bits_; }
 
     bool
     test(unsigned idx) const

@@ -87,20 +87,9 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Raw generator state, for snapshot serialization. */
-    std::array<std::uint64_t, 4>
-    rawState() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3]};
-    }
-
-    /** Restore a state captured by rawState(). */
-    void
-    setRawState(const std::array<std::uint64_t, 4> &s)
-    {
-        for (unsigned i = 0; i < 4; ++i)
-            state_[i] = s[i];
-    }
+    /** Raw generator state, for snapshot save and restore. */
+    const std::array<std::uint64_t, 4> &rawState() const { return state_; }
+    std::array<std::uint64_t, 4> &rawState() { return state_; }
 
   private:
     static std::uint64_t
@@ -109,7 +98,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t state_[4];
+    std::array<std::uint64_t, 4> state_;
 };
 
 } // namespace ovl

@@ -141,46 +141,31 @@ OooCore::run(Asid asid, const Trace &trace, Tick start)
     return finishEpoch();
 }
 
+template <class Self, class Ar>
 void
-OooCore::serialize(snapshot::Writer &w) const
+OooCore::io(Self &self, Ar &ar)
 {
-    w.beginSection("CORE");
-    w.u64(window_.size());
-    for (Tick done : window_)
-        w.u64(done);
-    w.u32(slotsThisCycle_);
-    w.u64(issueCycle_);
-    w.u64(lastCompletion_);
-    w.u64(maxCompletion_);
-    w.u64(epochStart_);
-    w.u64(epochCycles_);
-    w.u64(epochInstructions_);
-    statGroup().serializeStats(w);
-    w.endSection();
+    ar.section("CORE", [&] {
+        ar.seq(self.window_, 8, [&](auto &done) { ar.u64(done); });
+        if constexpr (Ar::kLoading) {
+            if (self.window_.size() > self.windowSize_) {
+                ar.fail("core window occupancy " +
+                        std::to_string(self.window_.size()) +
+                        " exceeds configured window of " +
+                        std::to_string(self.windowSize_));
+            }
+        }
+        ar.u32(self.slotsThisCycle_);
+        ar.u64(self.issueCycle_);
+        ar.u64(self.lastCompletion_);
+        ar.u64(self.maxCompletion_);
+        ar.u64(self.epochStart_);
+        ar.u64(self.epochCycles_);
+        ar.u64(self.epochInstructions_);
+        snapshot::visit(self.statGroup(), ar);
+    });
 }
 
-void
-OooCore::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("CORE");
-    std::uint64_t occupancy = r.count(8);
-    if (occupancy > windowSize_) {
-        r.fail("core window occupancy " + std::to_string(occupancy) +
-               " exceeds configured window of " +
-               std::to_string(windowSize_));
-    }
-    window_.clear();
-    for (std::uint64_t i = 0; i < occupancy; ++i)
-        window_.push_back(r.u64());
-    slotsThisCycle_ = r.u32();
-    issueCycle_ = r.u64();
-    lastCompletion_ = r.u64();
-    maxCompletion_ = r.u64();
-    epochStart_ = r.u64();
-    epochCycles_ = r.u64();
-    epochInstructions_ = r.u64();
-    statGroup().deserializeStats(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(OooCore);
 
 } // namespace ovl

@@ -107,13 +107,12 @@ class OooCore : public SimObject
     std::uint64_t totalInstructions() const { return instructions_.value(); }
 
     /**
-     * Snapshot the pipeline state (window occupancy, issue cursor,
-     * epoch accounting) and the core's stats. The System reference is
-     * structural; the restored core must be bound to the restored
-     * System.
+     * Snapshot visitor over the pipeline state (window occupancy, issue
+     * cursor, epoch accounting) and the core's stats. The System
+     * reference is structural; the restored core must be bound to the
+     * restored System.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /** Reserve a window slot; returns the earliest issue cycle. */

@@ -115,64 +115,37 @@ DramController::resetTiming()
     dram_.resetTiming();
 }
 
+template <class Self, class Ar>
 void
-DramModel::serialize(snapshot::Writer &w) const
+DramModel::io(Self &self, Ar &ar)
 {
-    w.beginSection("DRAM");
-    w.u64(banks_.size());
-    for (const Bank &bank : banks_) {
-        w.u64(bank.openRow);
-        w.u64(bank.readyAt);
-        w.u64(bank.activatedAt);
-    }
-    w.u64(busReadyAt_);
-    w.endSection();
+    ar.section("DRAM", [&] {
+        ar.expectEq(self.banks_.size(), "DRAM bank count");
+        for (auto &bank : self.banks_) {
+            ar.u64(bank.openRow);
+            ar.u64(bank.readyAt);
+            ar.u64(bank.activatedAt);
+        }
+        ar.u64(self.busReadyAt_);
+    });
 }
 
+template <class Self, class Ar>
 void
-DramModel::deserialize(snapshot::Reader &r)
+DramController::io(Self &self, Ar &ar)
 {
-    r.expectSection("DRAM");
-    std::uint64_t n = r.u64();
-    if (n != banks_.size()) {
-        r.fail("DRAM bank count mismatch: snapshot " + std::to_string(n) +
-               ", configured " + std::to_string(banks_.size()));
-    }
-    for (Bank &bank : banks_) {
-        bank.openRow = r.u64();
-        bank.readyAt = r.u64();
-        bank.activatedAt = r.u64();
-    }
-    busReadyAt_ = r.u64();
-    r.endSection();
+    ar.section("DCTL", [&] {
+        ar.seq(self.writeBuffer_, 8, [&](auto &addr) { ar.u64(addr); });
+        if constexpr (Ar::kLoading) {
+            if (self.writeBuffer_.size() > self.writeBufferEntries_)
+                ar.fail("write buffer holds more entries than configured");
+        }
+        ar.u64(self.drainBusyUntil_);
+        snapshot::visit(self.dram_, ar);
+    });
 }
 
-void
-DramController::serialize(snapshot::Writer &w) const
-{
-    w.beginSection("DCTL");
-    w.u64(writeBuffer_.size());
-    for (Addr addr : writeBuffer_)
-        w.u64(addr);
-    w.u64(drainBusyUntil_);
-    dram_.serialize(w);
-    w.endSection();
-}
-
-void
-DramController::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("DCTL");
-    std::uint64_t n = r.count(8);
-    if (n > writeBufferEntries_)
-        r.fail("write buffer holds more entries than configured");
-    writeBuffer_.clear();
-    writeBuffer_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        writeBuffer_.push_back(r.u64());
-    drainBusyUntil_ = r.u64();
-    dram_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(DramModel);
+OVL_SNAPSHOT_IO(DramController);
 
 } // namespace ovl

@@ -131,9 +131,8 @@ class DramModel : public SimObject
     std::uint64_t rowClosed() const { return rowClosed_.value(); }
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
 
-    /** Snapshot bank open-row/timing state and the bus cursor. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over bank open-row/timing state and the bus. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     struct Bank
@@ -214,13 +213,13 @@ class DramController : public SimObject
     void resetTiming();
 
     DramModel &dram() { return dram_; }
+    const DramModel &dram() const { return dram_; }
 
     unsigned writeBufferOccupancy() const { return unsigned(writeBuffer_.size()); }
     std::uint64_t drains() const { return drains_.value(); }
 
-    /** Snapshot the write buffer, drain state and the DRAM model. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over the write buffer, drains and DRAM model. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     DramModel dram_;

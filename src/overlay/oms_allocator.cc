@@ -171,65 +171,52 @@ OmsAllocator::freeCount(SegClass cls) const
     return counts_[unsigned(cls)];
 }
 
+template <class Self, class Ar>
 void
-OmsAllocator::serialize(snapshot::Writer &w) const
+OmsAllocator::io(Self &self, Ar &ar)
 {
-    w.beginSection("OMS ");
-    w.u64(pages_.size());
-    for (const PageMeta &pm : pages_) {
-        w.u64(pm.base);
-        for (std::uint32_t nxt : pm.next)
-            w.u32(nxt);
-        for (std::uint32_t prv : pm.prev)
-            w.u32(prv);
-        w.blob(pm.freeCls.data(), pm.freeCls.size());
-    }
-    for (std::uint32_t head : heads_)
-        w.u32(head);
-    for (std::size_t cnt : counts_)
-        w.u64(cnt);
-    w.endSection();
-}
-
-void
-OmsAllocator::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMS ");
-    std::uint64_t num_pages =
-        r.count(8 + kUnitsPerPage * 4 * 2 + kUnitsPerPage);
-    pages_.clear();
-    pages_.reserve(num_pages);
-    pageIndex_.clear();
-    lastPageBase_ = kInvalidAddr;
-    lastPageIdx_ = 0;
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        pages_.emplace_back();
-        PageMeta &pm = pages_.back();
-        pm.base = r.u64();
-        if (pageOffset(pm.base) != 0)
-            r.fail("OMS page base not page-aligned");
-        for (std::uint32_t &nxt : pm.next)
-            nxt = r.u32();
-        for (std::uint32_t &prv : pm.prev)
-            prv = r.u32();
-        r.blob(pm.freeCls.data(), pm.freeCls.size());
-        for (std::int8_t cls : pm.freeCls) {
-            if (cls != kNotFree &&
-                (cls < 0 || cls >= std::int8_t(kNumSegClasses))) {
-                r.fail("OMS unit free-class out of range");
+    ar.section("OMS ", [&] {
+        if constexpr (Ar::kLoading) {
+            self.pageIndex_.clear();
+            self.lastPageBase_ = kInvalidAddr;
+            self.lastPageIdx_ = 0;
+        }
+        [[maybe_unused]] std::uint32_t idx = 0;
+        ar.seq(self.pages_, 8 + kUnitsPerPage * 4 * 2 + kUnitsPerPage,
+               [&](auto &pm) {
+            ar.u64(pm.base);
+            if constexpr (Ar::kLoading) {
+                if (pageOffset(pm.base) != 0)
+                    ar.fail("OMS page base not page-aligned");
+            }
+            for (auto &nxt : pm.next)
+                ar.u32(nxt);
+            for (auto &prv : pm.prev)
+                ar.u32(prv);
+            ar.blob(pm.freeCls);
+            if constexpr (Ar::kLoading) {
+                for (std::int8_t cls : pm.freeCls) {
+                    if (cls != kNotFree &&
+                        (cls < 0 || cls >= std::int8_t(kNumSegClasses))) {
+                        ar.fail("OMS unit free-class out of range");
+                    }
+                }
+                if (!self.pageIndex_.emplace(pm.base, idx++).second)
+                    ar.fail("duplicate OMS page base in snapshot");
+            }
+        });
+        for (auto &head : self.heads_) {
+            ar.u32(head);
+            if constexpr (Ar::kLoading) {
+                if (head != kNullRef && (head >> 4) >= self.pages_.size())
+                    ar.fail("OMS free-list head out of page bounds");
             }
         }
-        if (!pageIndex_.emplace(pm.base, std::uint32_t(i)).second)
-            r.fail("duplicate OMS page base in snapshot");
-    }
-    for (std::uint32_t &head : heads_) {
-        head = r.u32();
-        if (head != kNullRef && (head >> 4) >= pages_.size())
-            r.fail("OMS free-list head out of page bounds");
-    }
-    for (std::size_t &cnt : counts_)
-        cnt = std::size_t(r.u64());
-    r.endSection();
+        for (auto &cnt : self.counts_)
+            ar.u64(cnt);
+    });
 }
+
+OVL_SNAPSHOT_IO(OmsAllocator);
 
 } // namespace ovl

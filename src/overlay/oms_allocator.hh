@@ -76,12 +76,11 @@ class OmsAllocator : public SimObject
     std::uint64_t listTouches() const { return listTouches_.value(); }
 
     /**
-     * Snapshot page metadata and free lists. pageIndex_ is rebuilt from
-     * pages_ on restore; the MRU page cache is reset. The OS allocation
-     * hook is structural and not serialized.
+     * Snapshot visitor over page metadata and free lists. pageIndex_ is
+     * rebuilt from pages_ on restore; the MRU page cache is reset. The OS
+     * allocation hook is structural and not serialized.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /** 256 B units per OS page: the finest segment granularity. */

@@ -162,122 +162,89 @@ Omt::ensureNodePath(Opn opn)
         nodeLineAddr(level, opn, true);
 }
 
+template <class Self, class Ar>
 void
-Omt::serialize(snapshot::Writer &w) const
+Omt::io(Self &self, Ar &ar)
 {
-    w.beginSection("OMT ");
-    w.u64(chunks_.size());
-    for (const auto &[chunk_id, chunk] : chunks_) {
-        w.u64(chunk_id);
-        for (std::uint32_t slot : chunk->slots)
-            w.u32(slot);
-        for (Addr line : chunk->upperLines)
-            w.u64(line);
-        w.u64(chunk->leafBase);
-        w.u32(chunk->live);
-    }
-    // The arena is written index-for-index, free entries included: chunk
-    // slots and OverlayManager page-data indices reference arena
-    // positions, so the layout must survive the round trip exactly.
-    w.u64(arena_.size());
-    for (const OmtEntry &e : arena_) {
-        w.u64(e.obv.raw());
-        w.b(e.hasSegment);
-        w.u32(e.pageDataIdx);
-        w.u64(e.seg.baseAddr);
-        w.u8(std::uint8_t(e.seg.cls));
-        w.blob(e.seg.meta.slotOf.data(), e.seg.meta.slotOf.size());
-        w.u32(e.seg.meta.freeSlots);
-    }
-    w.u64(freeEntries_.size());
-    for (std::uint32_t idx : freeEntries_)
-        w.u32(idx);
-    w.u64(size_);
-    // The node map is written sorted by key so identical table state
-    // always produces identical bytes, independent of hash iteration
-    // order.
-    std::vector<std::pair<std::uint64_t, Addr>> nodes(nodes_.begin(),
-                                                      nodes_.end());
-    std::sort(nodes.begin(), nodes.end());
-    w.u64(nodes.size());
-    for (const auto &[key, addr] : nodes) {
-        w.u64(key);
-        w.u64(addr);
-    }
-    w.endSection();
-}
-
-void
-Omt::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMT ");
-    chunks_.clear();
-    cachedChunkId_ = ~std::uint64_t(0);
-    cachedChunk_ = nullptr;
-    cachedOpn_ = kInvalidAddr;
-    cachedEntry_ = nullptr;
-
-    std::uint64_t num_chunks = r.count(kChunkSize * 4);
-    chunks_.reserve(num_chunks);
-    std::uint64_t prev_id = 0;
-    for (std::uint64_t i = 0; i < num_chunks; ++i) {
-        std::uint64_t chunk_id = r.u64();
-        if (i > 0 && chunk_id <= prev_id)
-            r.fail("OMT chunk directory not strictly ascending");
-        prev_id = chunk_id;
-        auto chunk = std::make_unique<Chunk>();
-        for (std::uint32_t &slot : chunk->slots)
-            slot = r.u32();
-        for (Addr &line : chunk->upperLines)
-            line = r.u64();
-        chunk->leafBase = r.u64();
-        chunk->live = r.u32();
-        chunks_.emplace_back(chunk_id, std::move(chunk));
-    }
-
-    std::uint64_t arena_size = r.count(8 + 1 + 4 + 8 + 1 + 64 + 4);
-    arena_.clear();
-    for (std::uint64_t i = 0; i < arena_size; ++i) {
-        OmtEntry e;
-        e.obv = BitVector64(r.u64());
-        e.hasSegment = r.b();
-        e.pageDataIdx = r.u32();
-        e.seg.baseAddr = r.u64();
-        std::uint8_t cls = r.u8();
-        if (cls >= kNumSegClasses)
-            r.fail("OMT entry segment class " + std::to_string(cls) +
-                   " out of range");
-        e.seg.cls = SegClass(cls);
-        r.blob(e.seg.meta.slotOf.data(), e.seg.meta.slotOf.size());
-        e.seg.meta.freeSlots = r.u32();
-        arena_.push_back(e);
-    }
-
-    freeEntries_.resize(r.count(4));
-    for (std::uint32_t &idx : freeEntries_) {
-        idx = r.u32();
-        if (idx >= arena_.size())
-            r.fail("OMT free-list index out of arena bounds");
-    }
-    size_ = r.u64();
-
-    nodes_.clear();
-    std::uint64_t num_nodes = r.count(16);
-    nodes_.reserve(num_nodes);
-    for (std::uint64_t i = 0; i < num_nodes; ++i) {
-        std::uint64_t key = r.u64();
-        Addr addr = r.u64();
-        nodes_.emplace(key, addr);
-    }
-
-    // Validate chunk slots against the restored arena.
-    for (const auto &[chunk_id, chunk] : chunks_) {
-        for (std::uint32_t slot : chunk->slots) {
-            if (slot != kNoEntry && slot >= arena_.size())
-                r.fail("OMT chunk slot index out of arena bounds");
+    ar.section("OMT ", [&] {
+        if constexpr (Ar::kLoading) {
+            self.cachedChunkId_ = ~std::uint64_t(0);
+            self.cachedChunk_ = nullptr;
+            self.cachedOpn_ = kInvalidAddr;
+            self.cachedEntry_ = nullptr;
         }
-    }
-    r.endSection();
+        const std::uint64_t *prev_id = nullptr;
+        ar.seq(self.chunks_, kChunkSize * 4, [&](auto &dir_entry) {
+            auto &[chunk_id, chunk] = dir_entry;
+            ar.u64(chunk_id);
+            if constexpr (Ar::kLoading) {
+                if (prev_id != nullptr && chunk_id <= *prev_id)
+                    ar.fail("OMT chunk directory not strictly ascending");
+                chunk = std::make_unique<Chunk>();
+            }
+            prev_id = &chunk_id;
+            for (auto &slot : chunk->slots)
+                ar.u32(slot);
+            for (auto &line : chunk->upperLines)
+                ar.u64(line);
+            ar.u64(chunk->leafBase);
+            ar.u32(chunk->live);
+        });
+
+        // The arena is written index-for-index, free entries included:
+        // chunk slots and OverlayManager page-data indices reference arena
+        // positions, so the layout must survive the round trip exactly.
+        ar.seq(self.arena_, 8 + 1 + 4 + 8 + 1 + 64 + 4, [&](auto &e) {
+            ar.u64(e.obv.raw());
+            ar.b(e.hasSegment);
+            ar.u32(e.pageDataIdx);
+            ar.u64(e.seg.baseAddr);
+            ar.u8(e.seg.cls);
+            if constexpr (Ar::kLoading) {
+                if (unsigned(e.seg.cls) >= kNumSegClasses)
+                    ar.fail("OMT entry segment class " +
+                            std::to_string(unsigned(e.seg.cls)) +
+                            " out of range");
+            }
+            ar.blob(e.seg.meta.slotOf);
+            ar.u32(e.seg.meta.freeSlots);
+        });
+
+        ar.seq(self.freeEntries_, 4, [&](auto &idx) {
+            ar.u32(idx);
+            if constexpr (Ar::kLoading) {
+                if (idx >= self.arena_.size())
+                    ar.fail("OMT free-list index out of arena bounds");
+            }
+        });
+        ar.u64(self.size_);
+
+        // The node map travels sorted by key so identical table state
+        // always produces identical bytes, independent of hash iteration
+        // order.
+        std::vector<std::pair<std::uint64_t, Addr>> nodes;
+        if constexpr (!Ar::kLoading) {
+            nodes.assign(self.nodes_.begin(), self.nodes_.end());
+            std::sort(nodes.begin(), nodes.end());
+        }
+        ar.seq(nodes, 16, [&](auto &node) {
+            ar.u64(node.first);
+            ar.u64(node.second);
+        });
+        if constexpr (Ar::kLoading) {
+            self.nodes_.clear();
+            self.nodes_.reserve(nodes.size());
+            self.nodes_.insert(nodes.begin(), nodes.end());
+
+            // Validate chunk slots against the restored arena.
+            for (const auto &[chunk_id, chunk] : self.chunks_) {
+                for (std::uint32_t slot : chunk->slots) {
+                    if (slot != kNoEntry && slot >= self.arena_.size())
+                        ar.fail("OMT chunk slot index out of arena bounds");
+                }
+            }
+        }
+    });
 }
 
 OmtCache::OmtCache(std::string name, OmtCacheParams params)
@@ -385,39 +352,23 @@ OmtCache::isPresent(Opn opn) const
     return findWay(opn) != nullptr;
 }
 
+template <class Self, class Ar>
 void
-OmtCache::serialize(snapshot::Writer &w) const
+OmtCache::io(Self &self, Ar &ar)
 {
-    w.beginSection("OMTC");
-    w.u64(ways_.size());
-    for (const Way &way : ways_) {
-        w.b(way.valid);
-        w.b(way.modified);
-        w.u64(way.opn);
-        w.u64(way.lruSeq);
-    }
-    w.u64(lruCounter_);
-    w.endSection();
+    ar.section("OMTC", [&] {
+        ar.expectEq(self.ways_.size(), "OMT cache way count");
+        for (auto &way : self.ways_) {
+            ar.b(way.valid);
+            ar.b(way.modified);
+            ar.u64(way.opn);
+            ar.u64(way.lruSeq);
+        }
+        ar.u64(self.lruCounter_);
+    });
 }
 
-void
-OmtCache::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMTC");
-    std::uint64_t n = r.u64();
-    if (n != ways_.size()) {
-        r.fail("OMT cache way count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(ways_.size()));
-    }
-    for (Way &way : ways_) {
-        way.valid = r.b();
-        way.modified = r.b();
-        way.opn = r.u64();
-        way.lruSeq = r.u64();
-    }
-    lruCounter_ = r.u64();
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(Omt);
+OVL_SNAPSHOT_IO(OmtCache);
 
 } // namespace ovl

@@ -113,13 +113,14 @@ class Omt : public SimObject
     std::uint64_t nodeBytes() const { return nodeBytes_.value(); }
 
     /**
-     * Snapshot the full table: chunk directory, entry arena (preserving
-     * arena indices — chunk slots reference them), free list, and the
-     * radix-node map. The node allocator is structural and not
-     * serialized; the MRU caches are reset on restore.
+     * Snapshot visitor over the full table: chunk directory, entry arena
+     * (preserving arena indices — chunk slots reference them), free list,
+     * and the radix-node map. The node allocator is structural and not
+     * serialized; the MRU caches are reset on restore. OMT body layout:
+     * chunk count u64 then 2092-byte chunks, arena count u64 then 90-byte
+     * entries (obv @0, hasSegment @8, pageDataIdx @9, ...).
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
     /** Visit every live entry as fn(opn, entry), in ascending OPN order. */
     template <typename Fn>
@@ -324,9 +325,8 @@ class OmtCache : public SimObject
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    /** Snapshot tags, modified bits and recency state. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over tags, modified bits and recency state. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     struct Way

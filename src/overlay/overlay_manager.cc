@@ -347,61 +347,50 @@ OverlayManager::ensureSlot(OmtEntry &entry, Opn opn, unsigned line_in_page,
     return entry.seg.lineAddr(line_in_page);
 }
 
+template <class Self, class Ar>
 void
-OverlayManager::serialize(snapshot::Writer &w) const
+OverlayManager::io(Self &self, Ar &ar)
 {
-    w.beginSection("OVLM");
-    omt_.serialize(w);
-    omtCache_.serialize(w);
-    allocator_.serialize(w);
-    // Page-data slots are written index-for-index (retired slots as
-    // absent) so OmtEntry::pageDataIdx stays valid across the round
-    // trip.
-    w.u64(pageStore_.size());
-    for (const auto &page : pageStore_) {
-        w.b(page != nullptr);
-        if (page == nullptr)
-            continue;
-        w.u64(page->present.raw());
-        w.blob(page->lines.data(), sizeof(page->lines));
-    }
-    w.u64(freePages_.size());
-    for (std::uint32_t idx : freePages_)
-        w.u32(idx);
-    w.u64(omsBytesInUse_);
-    w.endSection();
+    ar.section("OVLM", [&] {
+        snapshot::visit(self.omt_, ar);
+        snapshot::visit(self.omtCache_, ar);
+        snapshot::visit(self.allocator_, ar);
+        // Page-data slots are written index-for-index (retired slots as
+        // absent) so OmtEntry::pageDataIdx stays valid across the round
+        // trip.
+        ar.seq(self.pageStore_, 1, [&](auto &page) {
+            bool stored = page != nullptr;
+            ar.b(stored);
+            if (!stored)
+                return;
+            if constexpr (Ar::kLoading)
+                page = std::make_unique<OverlayPageData>();
+            ar.u64(page->present.raw());
+            ar.blob(page->lines);
+        });
+        ar.seq(self.freePages_, 4, [&](auto &idx) { ar.u32(idx); });
+        ar.u64(self.omsBytesInUse_);
+        if constexpr (Ar::kLoading) {
+            self.omsBytesGauge_.set(std::int64_t(self.omsBytesInUse_));
+            // Every index the restored engine dereferences must name a
+            // stored page: the free list and each live OMT entry's data.
+            auto check_page = [&](std::uint32_t idx, const char *what) {
+                if (idx >= self.pageStore_.size() || !self.pageStore_[idx]) {
+                    ar.fail(std::string(what) + " " + std::to_string(idx) +
+                            " names no stored overlay page");
+                }
+            };
+            for (std::uint32_t idx : self.freePages_)
+                check_page(idx, "overlay free-page index");
+            self.omt_.forEach([&](Opn, const OmtEntry &entry) {
+                if (entry.pageDataIdx != OmtEntry::kNoPageData)
+                    check_page(entry.pageDataIdx, "OMT entry page-data index");
+            });
+        }
+    });
 }
 
-void
-OverlayManager::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OVLM");
-    omt_.deserialize(r);
-    omtCache_.deserialize(r);
-    allocator_.deserialize(r);
-    std::uint64_t num_pages = r.count(1);
-    pageStore_.clear();
-    pageStore_.reserve(num_pages);
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        if (!r.b()) {
-            pageStore_.push_back(nullptr);
-            continue;
-        }
-        auto page = std::make_unique<OverlayPageData>();
-        page->present = BitVector64(r.u64());
-        r.blob(page->lines.data(), sizeof(page->lines));
-        pageStore_.push_back(std::move(page));
-    }
-    freePages_.resize(r.count(4));
-    for (std::uint32_t &idx : freePages_) {
-        idx = r.u32();
-        if (idx >= pageStore_.size())
-            r.fail("overlay free-page index out of store bounds");
-    }
-    omsBytesInUse_ = r.u64();
-    omsBytesGauge_.set(std::int64_t(omsBytesInUse_));
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(OverlayManager);
 
 std::uint64_t
 OverlayManager::segmentCount(SegClass cls) const

@@ -128,20 +128,21 @@ class OverlayManager : public SimObject
     std::uint64_t segmentCount(SegClass cls) const;
 
     OmtCache &omtCache() { return omtCache_; }
+    const OmtCache &omtCache() const { return omtCache_; }
     Omt &omt() { return omt_; }
     const Omt &omt() const { return omt_; }
     OmsAllocator &allocator() { return allocator_; }
+    const OmsAllocator &allocator() const { return allocator_; }
 
     std::uint64_t migrations() const { return migrations_.value(); }
 
     /**
-     * Snapshot the whole engine: OMT + OMT cache + allocator, the
-     * functional page-data store (slot-for-slot, since OmtEntry::
-     * pageDataIdx references store positions), the free-page list and
-     * the OMS byte accounting.
+     * Snapshot visitor over the whole engine: OMT + OMT cache +
+     * allocator, the functional page-data store (slot-for-slot, since
+     * OmtEntry::pageDataIdx references store positions), the free-page
+     * list and the OMS byte accounting.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /**

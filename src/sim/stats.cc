@@ -219,82 +219,50 @@ Group::resetStats()
 
 // --------------------------- serialization -----------------------------
 
+template <class Self, class Ar>
 void
-Counter::serializeValue(snapshot::Writer &w) const
+Counter::io(Self &self, Ar &ar)
 {
-    w.u64(value_);
+    ar.u64(self.value_);
 }
 
+template <class Self, class Ar>
 void
-Counter::deserializeValue(snapshot::Reader &r)
+Gauge::io(Self &self, Ar &ar)
 {
-    value_ = r.u64();
+    ar.i64(self.value_);
 }
 
+template <class Self, class Ar>
 void
-Gauge::serializeValue(snapshot::Writer &w) const
-{
-    w.i64(value_);
-}
-
-void
-Gauge::deserializeValue(snapshot::Reader &r)
-{
-    value_ = r.i64();
-}
-
-void
-Histogram::serializeValue(snapshot::Writer &w) const
+Histogram::io(Self &self, Ar &ar)
 {
     // Geometry (bucket width/count) is construction-time configuration,
     // not state: only the populated values travel.
-    w.u64(buckets_.size());
-    for (std::uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(overflow_);
-    w.u64(samples_);
-    w.u64(sum_);
-    w.u64(min_);
-    w.u64(max_);
+    ar.expectEq(self.buckets_.size(),
+                "histogram '" + self.name() + "' bucket count");
+    for (auto &bucket : self.buckets_)
+        ar.u64(bucket);
+    ar.u64(self.overflow_);
+    ar.u64(self.samples_);
+    ar.u64(self.sum_);
+    ar.u64(self.min_);
+    ar.u64(self.max_);
 }
 
+template <class Self, class Ar>
 void
-Histogram::deserializeValue(snapshot::Reader &r)
+Group::io(Self &self, Ar &ar)
 {
-    std::uint64_t n = r.u64();
-    if (n != buckets_.size()) {
-        r.fail("histogram '" + name() + "' bucket count " +
-               std::to_string(n) + " != configured " +
-               std::to_string(buckets_.size()));
-    }
-    for (std::uint64_t &b : buckets_)
-        b = r.u64();
-    overflow_ = r.u64();
-    samples_ = r.u64();
-    sum_ = r.u64();
-    min_ = r.u64();
-    max_ = r.u64();
+    ar.expectEq(self.infos_.size(),
+                "stats group '" + self.name_ + "' stat count");
+    for (Info *info : self.infos_)
+        info->valueIo(ar);
 }
 
-void
-Group::serializeStats(snapshot::Writer &w) const
-{
-    w.u64(infos_.size());
-    for (const Info *info : infos_)
-        info->serializeValue(w);
-}
-
-void
-Group::deserializeStats(snapshot::Reader &r)
-{
-    std::uint64_t n = r.u64();
-    if (n != infos_.size()) {
-        r.fail("stats group '" + name_ + "' has " +
-               std::to_string(infos_.size()) + " stats, snapshot holds " +
-               std::to_string(n));
-    }
-    for (Info *info : infos_)
-        info->deserializeValue(r);
-}
+OVL_SNAPSHOT_IO(Counter);
+OVL_SNAPSHOT_IO(Gauge);
+OVL_SNAPSHOT_IO(Histogram);
+OVL_SNAPSHOT_IO(Group);
 
 } // namespace ovl::stats

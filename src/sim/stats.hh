@@ -60,11 +60,12 @@ class Info
     /** Reset to the zero state (counters to 0, histograms emptied). */
     virtual void reset() = 0;
 
-    /** Append the stat's value (not its identity) to a snapshot. */
-    virtual void serializeValue(snapshot::Writer &w) const = 0;
-
-    /** Restore a value written by serializeValue on an identical stat. */
-    virtual void deserializeValue(snapshot::Reader &r) = 0;
+    /**
+     * Save (resp. restore) the stat's value, not its identity, through
+     * the derived class's io visitor (DESIGN.md §11.1).
+     */
+    virtual void valueIo(snapshot::Writer &w) const = 0;
+    virtual void valueIo(snapshot::Reader &r) = 0;
 
   private:
     std::string name_;
@@ -89,10 +90,12 @@ class Counter : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override { value_ = 0; }
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void valueIo(snapshot::Writer &w) const override { io(*this, w); }
+    void valueIo(snapshot::Reader &r) override { io(*this, r); }
 
   private:
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
+
     std::uint64_t value_ = 0;
 };
 
@@ -115,10 +118,12 @@ class Gauge : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override { value_ = 0; }
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void valueIo(snapshot::Writer &w) const override { io(*this, w); }
+    void valueIo(snapshot::Reader &r) override { io(*this, r); }
 
   private:
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
+
     std::int64_t value_ = 0;
 };
 
@@ -145,10 +150,12 @@ class Histogram : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override;
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void valueIo(snapshot::Writer &w) const override { io(*this, w); }
+    void valueIo(snapshot::Reader &r) override { io(*this, r); }
 
   private:
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
+
     std::uint64_t bucketWidth_;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t overflow_ = 0;
@@ -175,8 +182,8 @@ class Formula : public Info
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override {}
     // Formulas derive from other stats; they carry no state of their own.
-    void serializeValue(snapshot::Writer &) const override {}
-    void deserializeValue(snapshot::Reader &) override {}
+    void valueIo(snapshot::Writer &) const override {}
+    void valueIo(snapshot::Reader &) override {}
 
   private:
     std::function<double()> fn_;
@@ -211,15 +218,12 @@ class Group
     void resetStats();
 
     /**
-     * Serialize every registered stat's value, in registration order.
-     * Restoring requires an identically structured group (same stats,
-     * same order) — guaranteed when both sides are the same SimObject
-     * type built from the same configuration.
+     * Snapshot visitor over every registered stat's value, in
+     * registration order. Restoring requires an identically structured
+     * group (same stats, same order) — guaranteed when both sides are the
+     * same SimObject type built from the same configuration.
      */
-    void serializeStats(snapshot::Writer &w) const;
-
-    /** Restore values written by serializeStats. */
-    void deserializeStats(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     std::string name_;

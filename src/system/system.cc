@@ -1068,102 +1068,78 @@ System::resetStats()
         sampler_->rebase();
 }
 
+template <class Self, class Fn>
 void
-System::forEachStatsGroup(
-    const std::function<void(const stats::Group *)> &fn)
+System::visitStatsGroups(Self &self, const Fn &fn)
 {
-    const stats::Group *groups[] = {
-        &statGroup(),
-        &physMem_.statGroup(),
-        &vmm_.statGroup(),
-        &dramCtrl_.statGroup(),
-        &dramCtrl_.dram().statGroup(),
-        &overlayMgr_.statGroup(),
-        &overlayMgr_.omt().statGroup(),
-        &overlayMgr_.omtCache().statGroup(),
-        &overlayMgr_.allocator().statGroup(),
-        &memCtrl_.statGroup(),
-        &caches_.statGroup(),
-        &caches_.l1().statGroup(),
-        &caches_.l2().statGroup(),
-        &caches_.l3().statGroup(),
-        &caches_.prefetcher().statGroup(),
-    };
-    for (const stats::Group *group : groups)
+    for (auto *group : {
+             &self.statGroup(),
+             &self.physMem_.statGroup(),
+             &self.vmm_.statGroup(),
+             &self.dramCtrl_.statGroup(),
+             &self.dramCtrl_.dram().statGroup(),
+             &self.overlayMgr_.statGroup(),
+             &self.overlayMgr_.omt().statGroup(),
+             &self.overlayMgr_.omtCache().statGroup(),
+             &self.overlayMgr_.allocator().statGroup(),
+             &self.memCtrl_.statGroup(),
+             &self.caches_.statGroup(),
+             &self.caches_.l1().statGroup(),
+             &self.caches_.l2().statGroup(),
+             &self.caches_.l3().statGroup(),
+             &self.caches_.prefetcher().statGroup(),
+         })
         fn(group);
-    for (const auto &tlb : tlbs_) {
+    for (const auto &tlb : self.tlbs_) {
         fn(&tlb->l1().statGroup());
         fn(&tlb->l2().statGroup());
     }
 }
 
 void
-System::serialize(snapshot::Writer &w)
+System::forEachStatsGroup(const std::function<void(stats::Group *)> &fn)
 {
-    OVL_PROF_SCOPE(SnapshotIo);
-    w.beginSection("SYS ");
-    w.u32(std::uint32_t(tlbs_.size()));
-    physMem_.serialize(w);
-    vmm_.serialize(w);
-    dramCtrl_.serialize(w);
-    overlayMgr_.serialize(w);
-    caches_.serialize(w);
-    for (const auto &tlb : tlbs_)
-        tlb->serialize(w);
-    w.u64(memoryBaselineBytes_);
-    w.u64(omsBackingBytes_);
-    w.u64(oreBusyUntil_);
-    w.beginSection("STAT");
-    std::uint32_t num_groups = 0;
-    forEachStatsGroup([&](const stats::Group *) { ++num_groups; });
-    w.u32(num_groups);
-    forEachStatsGroup(
-        [&](const stats::Group *group) { group->serializeStats(w); });
-    w.endSection();
-    w.endSection();
+    visitStatsGroups(*this, fn);
 }
 
 void
-System::deserialize(snapshot::Reader &r)
+System::forEachStatsGroup(
+    const std::function<void(const stats::Group *)> &fn) const
 {
-    OVL_PROF_SCOPE(SnapshotIo);
-    r.expectSection("SYS ");
-    std::uint32_t num_tlbs = r.u32();
-    if (num_tlbs != tlbs_.size()) {
-        r.fail("TLB count mismatch: snapshot " + std::to_string(num_tlbs) +
-               ", configured " + std::to_string(tlbs_.size()));
-    }
-    physMem_.deserialize(r);
-    vmm_.deserialize(r);
-    dramCtrl_.deserialize(r);
-    overlayMgr_.deserialize(r);
-    caches_.deserialize(r);
-    for (const auto &tlb : tlbs_)
-        tlb->deserialize(r);
-    memoryBaselineBytes_ = r.u64();
-    omsBackingBytes_ = r.u64();
-    oreBusyUntil_ = r.u64();
-    r.expectSection("STAT");
-    std::uint32_t num_groups = r.u32();
-    std::uint32_t expected = 0;
-    forEachStatsGroup([&](const stats::Group *) { ++expected; });
-    if (num_groups != expected) {
-        r.fail("stats group count mismatch: snapshot " +
-               std::to_string(num_groups) + ", this machine has " +
-               std::to_string(expected));
-    }
-    forEachStatsGroup([&](const stats::Group *group) {
-        // forEachStatsGroup exposes const pointers for dump paths; every
-        // visited group is owned (directly or transitively) by this
-        // System, so restoring through it is sound.
-        const_cast<stats::Group *>(group)->deserializeStats(r);
-    });
-    r.endSection();
-    r.endSection();
+    visitStatsGroups(*this, fn);
 }
 
+template <class Self, class Ar>
+void
+System::io(Self &self, Ar &ar)
+{
+    OVL_PROF_SCOPE(SnapshotIo);
+    ar.section("SYS ", [&] {
+        ar.expectEq(std::uint32_t(self.tlbs_.size()), "TLB count");
+        snapshot::visit(self.physMem_, ar);
+        snapshot::visit(self.vmm_, ar);
+        snapshot::visit(self.dramCtrl_, ar);
+        snapshot::visit(self.overlayMgr_, ar);
+        snapshot::visit(self.caches_, ar);
+        for (const auto &tlb : self.tlbs_)
+            snapshot::visit(*tlb, ar);
+        ar.u64(self.memoryBaselineBytes_);
+        ar.u64(self.omsBackingBytes_);
+        ar.u64(self.oreBusyUntil_);
+        ar.section("STAT", [&] {
+            std::uint32_t num_groups = 0;
+            visitStatsGroups(self, [&](auto *) { ++num_groups; });
+            ar.expectEq(num_groups, "stats group count");
+            visitStatsGroups(self,
+                             [&](auto *group) { snapshot::visit(*group, ar); });
+        });
+    });
+}
+
+OVL_SNAPSHOT_IO(System);
+
 std::unique_ptr<System>
-System::clone(const SystemConfig &config)
+System::clone(const SystemConfig &config) const
 {
     snapshot::Writer w;
     serialize(w);

@@ -298,8 +298,9 @@ class System : public SimObject
     void resetStats() override;
 
     /** Visit every component stats group (same set dumpAllStatsJson uses). */
+    void forEachStatsGroup(const std::function<void(stats::Group *)> &fn);
     void forEachStatsGroup(
-        const std::function<void(const stats::Group *)> &fn);
+        const std::function<void(const stats::Group *)> &fn) const;
 
     /**
      * Attach a tick-domain sampler: registers every component stats
@@ -317,35 +318,34 @@ class System : public SimObject
     // ----- snapshot / clone (DESIGN.md §11) ------------------------------
 
     /**
-     * Serialize the entire machine — memory contents, page tables,
-     * overlay engine, caches, TLBs, DRAM timing state, accounting and
-     * every component's statistics — into @p w. The attached stats
-     * sampler (if any) is not part of the snapshot. Non-const only
-     * because the stats traversal reuses forEachStatsGroup; no state is
-     * modified.
+     * Snapshot visitor over the entire machine — memory contents, page
+     * tables, overlay engine, caches, TLBs, DRAM timing state, accounting
+     * and every component's statistics. The attached stats sampler (if
+     * any) is not part of the snapshot. Restoring requires a freshly
+     * constructed System whose configuration is structurally identical
+     * to the saved machine's (memory capacity, cache/TLB/OMT-cache
+     * geometry, DRAM bank count, write-buffer depth, TLB count);
+     * mismatches throw snapshot::SnapshotError with a diagnostic. Policy
+     * fields (promote threshold, OS cost constants) may differ — that is
+     * what warm-start config sweeps rely on.
      */
-    void serialize(snapshot::Writer &w);
-
-    /**
-     * Restore a snapshot into this freshly constructed System. The
-     * configuration must be structurally identical to the serialized
-     * machine's (memory capacity, cache/TLB/OMT-cache geometry, DRAM
-     * bank count, write-buffer depth, TLB count); mismatches throw
-     * snapshot::SnapshotError with a diagnostic. Policy fields (promote
-     * threshold, OS cost constants) may differ — that is what warm-start
-     * config sweeps rely on.
-     */
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
+    void serialize(snapshot::Writer &w) const { io(*this, w); }
+    void deserialize(snapshot::Reader &r) { io(*this, r); }
 
     /**
      * Deep copy via serialize + deserialize into a fresh System. The
      * overload taking a config lets warm-start sweeps fan one simulated
      * prefix out across rows that differ only in policy fields.
      */
-    std::unique_ptr<System> clone() { return clone(config_); }
-    std::unique_ptr<System> clone(const SystemConfig &config);
+    std::unique_ptr<System> clone() const { return clone(config_); }
+    std::unique_ptr<System> clone(const SystemConfig &config) const;
 
   private:
+    /** forEachStatsGroup for either constness of @p self. */
+    template <class Self, class Fn>
+    static void visitStatsGroups(Self &self, const Fn &fn);
+
     /** Overlay line address of (asid, vaddr)'s line. */
     static Addr
     overlayLineAddr(Asid asid, Addr vaddr)

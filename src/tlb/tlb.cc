@@ -130,73 +130,39 @@ TwoLevelTlb::updateObvBit(Asid asid, Addr vpn, unsigned line_in_page,
     return upper || lower;
 }
 
+template <class Self, class Ar>
 void
-Tlb::serialize(snapshot::Writer &w) const
+Tlb::io(Self &self, Ar &ar)
 {
-    w.beginSection("TLB ");
-    w.u64(keys_.size());
-    for (std::uint64_t key : keys_)
-        w.u64(key);
-    for (const Way &way : ways_) {
-        w.u64(way.data.ppn);
-        w.b(way.data.writable);
-        w.b(way.data.cow);
-        w.b(way.data.overlayEnabled);
-        w.b(way.data.metadataMode);
-        w.u64(way.data.obv.raw());
-        w.u64(way.lruSeq);
-    }
-    w.u64(lruCounter_);
-    w.u64(asidEntries_.size());
-    for (std::uint32_t n : asidEntries_)
-        w.u32(n);
-    w.endSection();
+    ar.section("TLB ", [&] {
+        ar.expectEq(self.keys_.size(), "TLB '" + self.name() + "' way count");
+        for (auto &key : self.keys_)
+            ar.u64(key);
+        for (auto &way : self.ways_) {
+            ar.u64(way.data.ppn);
+            ar.b(way.data.writable);
+            ar.b(way.data.cow);
+            ar.b(way.data.overlayEnabled);
+            ar.b(way.data.metadataMode);
+            ar.u64(way.data.obv.raw());
+            ar.u64(way.lruSeq);
+        }
+        ar.u64(self.lruCounter_);
+        ar.seq(self.asidEntries_, 4, [&](auto &n) { ar.u32(n); });
+    });
 }
 
+template <class Self, class Ar>
 void
-Tlb::deserialize(snapshot::Reader &r)
+TwoLevelTlb::io(Self &self, Ar &ar)
 {
-    r.expectSection("TLB ");
-    std::uint64_t n = r.u64();
-    if (n != keys_.size()) {
-        r.fail("TLB '" + name() + "' way count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(keys_.size()));
-    }
-    for (std::uint64_t &key : keys_)
-        key = r.u64();
-    for (Way &way : ways_) {
-        way.data.ppn = r.u64();
-        way.data.writable = r.b();
-        way.data.cow = r.b();
-        way.data.overlayEnabled = r.b();
-        way.data.metadataMode = r.b();
-        way.data.obv = BitVector64(r.u64());
-        way.lruSeq = r.u64();
-    }
-    lruCounter_ = r.u64();
-    asidEntries_.resize(r.count(4));
-    for (std::uint32_t &cnt : asidEntries_)
-        cnt = r.u32();
-    r.endSection();
+    ar.section("TLB2", [&] {
+        snapshot::visit(self.l1_, ar);
+        snapshot::visit(self.l2_, ar);
+    });
 }
 
-void
-TwoLevelTlb::serialize(snapshot::Writer &w) const
-{
-    w.beginSection("TLB2");
-    l1_.serialize(w);
-    l2_.serialize(w);
-    w.endSection();
-}
-
-void
-TwoLevelTlb::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("TLB2");
-    l1_.deserialize(r);
-    l2_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(Tlb);
+OVL_SNAPSHOT_IO(TwoLevelTlb);
 
 } // namespace ovl

@@ -175,9 +175,8 @@ class Tlb : public SimObject
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
-    /** Snapshot keys, entry payloads, recency and per-ASID counts. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over keys, payloads, recency, per-ASID counts. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     /** Payload of one way; the (asid, vpn) tag lives in keys_. */
@@ -315,9 +314,8 @@ class TwoLevelTlb : public SimObject
     Tlb &l1() { return l1_; }
     Tlb &l2() { return l2_; }
 
-    /** Snapshot both levels. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over both levels. */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     TlbHierarchyParams params_;

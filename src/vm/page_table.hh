@@ -214,63 +214,49 @@ class PageTable
         return const_iterator(this, dir_.size(), 0);
     }
 
-    void
-    serialize(snapshot::Writer &w) const
+    /** Snapshot visitor (DESIGN.md §11.1). */
+    template <class Self, class Ar>
+    static void
+    io(Self &self, Ar &ar)
     {
-        w.beginSection("PGTB");
-        w.u64(dir_.size());
-        for (const DirEntry &e : dir_) {
-            w.u64(e.chunk);
-            for (std::uint64_t word : e.leaf->present)
-                w.u64(word);
-            for (const Pte &pte : e.leaf->ptes) {
-                w.u64(pte.ppn);
-                std::uint8_t flags =
-                    (pte.present ? 1 : 0) | (pte.writable ? 2 : 0) |
-                    (pte.cow ? 4 : 0) | (pte.overlayEnabled ? 8 : 0) |
-                    (pte.metadataMode ? 16 : 0);
-                w.u8(flags);
+        // PTE flag byte: bit i holds kFlags[i].
+        static constexpr bool Pte::*kFlags[] = {
+            &Pte::present, &Pte::writable, &Pte::cow, &Pte::overlayEnabled,
+            &Pte::metadataMode};
+        ar.section("PGTB", [&] {
+            if constexpr (Ar::kLoading) {
+                self.cachedChunk_ = kNoChunk;
+                self.cachedLeaf_ = nullptr;
             }
-            w.u32(e.leaf->count);
-        }
-        w.u64(size_);
-        w.endSection();
-    }
-
-    void
-    deserialize(snapshot::Reader &r)
-    {
-        r.expectSection("PGTB");
-        dir_.clear();
-        cachedChunk_ = kNoChunk;
-        cachedLeaf_ = nullptr;
-        std::uint64_t leaves = r.count(8 + kLeafEntries);
-        dir_.reserve(leaves);
-        Addr prev_chunk = 0;
-        for (std::uint64_t i = 0; i < leaves; ++i) {
-            Addr chunk = r.u64();
-            if (i > 0 && chunk <= prev_chunk)
-                r.fail("page-table directory not strictly ascending");
-            prev_chunk = chunk;
-            auto leaf = std::make_unique<Leaf>();
-            for (std::uint64_t &word : leaf->present)
-                word = r.u64();
-            for (Pte &pte : leaf->ptes) {
-                pte.ppn = r.u64();
-                std::uint8_t flags = r.u8();
-                if (flags & ~0x1F)
-                    r.fail("unknown PTE flag bits");
-                pte.present = flags & 1;
-                pte.writable = flags & 2;
-                pte.cow = flags & 4;
-                pte.overlayEnabled = flags & 8;
-                pte.metadataMode = flags & 16;
-            }
-            leaf->count = r.u32();
-            dir_.push_back(DirEntry{chunk, std::move(leaf)});
-        }
-        size_ = r.u64();
-        r.endSection();
+            const DirEntry *prev = nullptr;
+            ar.seq(self.dir_, 8 + kLeafEntries, [&](auto &e) {
+                ar.u64(e.chunk);
+                if constexpr (Ar::kLoading) {
+                    if (prev != nullptr && e.chunk <= prev->chunk)
+                        ar.fail("page-table directory not strictly "
+                                "ascending");
+                    e.leaf = std::make_unique<Leaf>();
+                }
+                prev = &e;
+                for (auto &word : e.leaf->present)
+                    ar.u64(word);
+                for (auto &pte : e.leaf->ptes) {
+                    ar.u64(pte.ppn);
+                    std::uint8_t flags = 0;
+                    for (unsigned i = 0; i < std::size(kFlags); ++i)
+                        flags |= std::uint8_t((pte.*kFlags[i]) << i);
+                    ar.u8(flags);
+                    if constexpr (Ar::kLoading) {
+                        if (flags >> std::size(kFlags))
+                            ar.fail("unknown PTE flag bits");
+                        for (unsigned i = 0; i < std::size(kFlags); ++i)
+                            pte.*kFlags[i] = (flags >> i) & 1;
+                    }
+                }
+                ar.u32(e.leaf->count);
+            });
+            ar.u64(self.size_);
+        });
     }
 
   private:

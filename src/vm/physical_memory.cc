@@ -96,68 +96,63 @@ PhysicalMemory::framePtr(Addr frame)
     return slot.get();
 }
 
+template <class Self, class Ar>
 void
-PhysicalMemory::serialize(snapshot::Writer &w) const
+PhysicalMemory::io(Self &self, Ar &ar)
 {
-    w.beginSection("PMEM");
-    w.u64(capacityBytes_);
-    w.u64(nextFrame_);
-    w.u64(framesInUse_);
-    w.u64(freeFrames_.size());
-    for (Addr f : freeFrames_)
-        w.u64(f);
-    w.u64(refCounts_.size());
-    for (unsigned rc : refCounts_)
-        w.u32(rc);
-    // Page contents: only materialized frames carry data; null slots
-    // read as zero and must stay null so memory accounting matches.
-    std::uint64_t materialized = 0;
-    for (const auto &slot : contents_)
-        if (slot)
-            ++materialized;
-    w.u64(materialized);
-    for (std::size_t f = 0; f < contents_.size(); ++f) {
-        if (contents_[f]) {
-            w.u64(f);
-            w.blob(contents_[f]->data(), kPageSize);
+    ar.section("PMEM", [&] {
+        ar.expectEq(self.capacityBytes_, "physical memory capacity");
+        ar.u64(self.nextFrame_);
+        ar.u64(self.framesInUse_);
+        ar.seq(self.freeFrames_, 8, [&](auto &f) { ar.u64(f); });
+        ar.seq(self.refCounts_, 4, [&](auto &rc) { ar.u32(rc); });
+        if constexpr (Ar::kLoading) {
+            // allocFrame indexes the frame table with free-list frames
+            // and nextFrame_ directly, growing it by at most one doubling.
+            if (self.nextFrame_ == kZeroFrame ||
+                self.nextFrame_ > self.refCounts_.size()) {
+                ar.fail("next frame " + std::to_string(self.nextFrame_) +
+                        " outside the " +
+                        std::to_string(self.refCounts_.size()) +
+                        "-frame table");
+            }
+            for (Addr f : self.freeFrames_) {
+                if (f == kZeroFrame || f >= self.nextFrame_)
+                    ar.fail("free frame " + std::to_string(f) +
+                            " was never allocated");
+            }
+            self.contents_.clear();
+            self.contents_.resize(self.refCounts_.size());
+            self.pagePool_.clear();
         }
-    }
-    w.endSection();
+        // Page contents: only materialized frames carry data; null slots
+        // read as zero and must stay null so memory accounting matches.
+        std::uint64_t materialized = 0;
+        for (const auto &slot : self.contents_)
+            materialized += slot != nullptr;
+        ar.count(materialized, 8 + kPageSize);
+        if constexpr (Ar::kLoading) {
+            for (std::uint64_t i = 0; i < materialized; ++i) {
+                std::uint64_t f = 0;
+                ar.u64(f);
+                if (f >= self.contents_.size())
+                    ar.fail("materialized frame " + std::to_string(f) +
+                            " out of range");
+                self.contents_[f] = std::make_unique<PageData>();
+                ar.blob(*self.contents_[f]);
+            }
+        } else {
+            for (std::size_t f = 0; f < self.contents_.size(); ++f) {
+                if (self.contents_[f]) {
+                    ar.u64(f);
+                    ar.blob(*self.contents_[f]);
+                }
+            }
+        }
+    });
 }
 
-void
-PhysicalMemory::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PMEM");
-    std::uint64_t capacity = r.u64();
-    if (capacity != capacityBytes_) {
-        r.fail("physical memory capacity mismatch: snapshot " +
-               std::to_string(capacity) + ", system " +
-               std::to_string(capacityBytes_));
-    }
-    nextFrame_ = r.u64();
-    framesInUse_ = r.u64();
-    freeFrames_.resize(r.count(8));
-    for (Addr &f : freeFrames_)
-        f = r.u64();
-    std::uint64_t num_frames = r.count(4);
-    refCounts_.assign(num_frames, 0);
-    for (unsigned &rc : refCounts_)
-        rc = r.u32();
-    contents_.clear();
-    contents_.resize(num_frames);
-    pagePool_.clear();
-    std::uint64_t materialized = r.count(8 + kPageSize);
-    for (std::uint64_t i = 0; i < materialized; ++i) {
-        std::uint64_t f = r.u64();
-        if (f >= contents_.size())
-            r.fail("materialized frame " + std::to_string(f) +
-                   " out of range");
-        contents_[f] = std::make_unique<PageData>();
-        r.blob(contents_[f]->data(), kPageSize);
-    }
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(PhysicalMemory);
 
 void
 PhysicalMemory::copyFrame(Addr dst_frame, Addr src_frame)

@@ -74,13 +74,14 @@ class PhysicalMemory : public SimObject
     void copyFrame(Addr dst_frame, Addr src_frame);
 
     /**
-     * Snapshot the allocator and all materialized page contents. The
-     * page pool (recycled buffers) is host-side malloc avoidance, not
-     * simulated state, and is not serialized: recycled frames are
-     * zero-filled on reuse either way.
+     * Snapshot visitor (DESIGN.md §11.1) over the allocator and all
+     * materialized page contents. The page pool (recycled buffers) is
+     * host-side malloc avoidance, not simulated state, and is not
+     * serialized: recycled frames are zero-filled on reuse either way.
+     * PMEM body byte offsets: capacity @0, nextFrame @8, framesInUse @16,
+     * free-list count @24, free frames from @32 (all u64).
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     PageData *framePtr(Addr frame);

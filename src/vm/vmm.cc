@@ -134,35 +134,26 @@ Vmm::breakCow(Asid asid, Addr vpn, bool *copied)
     return new_frame;
 }
 
+template <class Self, class Ar>
 void
-Vmm::serialize(snapshot::Writer &w) const
+Vmm::io(Self &self, Ar &ar)
 {
-    w.beginSection("VMM ");
-    w.u64(processes_.size());
-    for (const auto &proc : processes_) {
-        w.u16(proc->asid);
-        proc->pageTable.serialize(w);
-    }
-    w.endSection();
+    ar.section("VMM ", [&] {
+        [[maybe_unused]] std::uint64_t i = 0;
+        ar.seq(self.processes_, 2, [&](auto &proc) {
+            if constexpr (Ar::kLoading)
+                proc = std::make_unique<Process>();
+            ar.u16(proc->asid);
+            if constexpr (Ar::kLoading) {
+                if (proc->asid != i++)
+                    ar.fail("process table ASIDs are not dense");
+            }
+            snapshot::visit(proc->pageTable, ar);
+        });
+    });
 }
 
-void
-Vmm::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("VMM ");
-    std::uint64_t n = r.count(2);
-    processes_.clear();
-    processes_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto proc = std::make_unique<Process>();
-        proc->asid = r.u16();
-        if (proc->asid != i)
-            r.fail("process table ASIDs are not dense");
-        proc->pageTable.deserialize(r);
-        processes_.push_back(std::move(proc));
-    }
-    r.endSection();
-}
+OVL_SNAPSHOT_IO(Vmm);
 
 void
 Vmm::protect(Asid asid, Addr vaddr, std::uint64_t len, bool writable)

@@ -117,9 +117,8 @@ class Vmm : public SimObject
     std::uint64_t forks() const { return forks_.value(); }
     std::uint64_t cowBreaks() const { return cowBreaks_.value(); }
 
-    /** Snapshot the process table (ASIDs + page tables). */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor over the process table (ASIDs + page tables). */
+    template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
     PhysicalMemory &physMem_;

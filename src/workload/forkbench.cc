@@ -170,73 +170,47 @@ struct StreamPhaseState
      */
     double freshFraction = 1.0;
 
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    /** Snapshot visitor (DESIGN.md §11.1). */
+    template <class Self, class Ar>
+    static void
+    io(Self &st, Ar &ar)
+    {
+        ar.section("PHST", [&] {
+            ar.u64(st.budget);
+            ar.b(st.hasSchedule);
+            if constexpr (Ar::kLoading)
+                st.schedule = WriteSchedule{};
+            if (st.hasSchedule) {
+                ar.seq(st.schedule.addrs, 8, [&](auto &a) { ar.u64(a); });
+                ar.u64(st.schedule.next);
+                if constexpr (Ar::kLoading) {
+                    if (st.schedule.next > st.schedule.addrs.size()) {
+                        ar.fail("write-schedule cursor " +
+                                std::to_string(st.schedule.next) +
+                                " past its " +
+                                std::to_string(st.schedule.addrs.size()) +
+                                " entries");
+                    }
+                }
+            }
+            ar.seq(st.rewritePool, 8, [&](auto &a) { ar.u64(a); });
+            ar.u32(st.burstRemaining);
+            for (auto &a : st.recent)
+                ar.u64(a);
+            ar.u32(st.recentCount);
+            ar.u32(st.recentHead);
+            if constexpr (Ar::kLoading) {
+                if (st.recentCount > kRecent || st.recentHead >= kRecent) {
+                    ar.fail("recent-window cursor out of range (count " +
+                            std::to_string(st.recentCount) + ", head " +
+                            std::to_string(st.recentHead) + ")");
+                }
+            }
+            ar.u64(st.streamLine);
+            ar.f64(st.freshFraction);
+        });
+    }
 };
-
-void
-StreamPhaseState::serialize(snapshot::Writer &w) const
-{
-    w.beginSection("PHST");
-    w.u64(budget);
-    w.b(hasSchedule);
-    if (hasSchedule) {
-        w.u64(schedule.addrs.size());
-        for (Addr a : schedule.addrs)
-            w.u64(a);
-        w.u64(schedule.next);
-    }
-    w.u64(rewritePool.size());
-    for (Addr a : rewritePool)
-        w.u64(a);
-    w.u32(burstRemaining);
-    for (Addr a : recent)
-        w.u64(a);
-    w.u32(recentCount);
-    w.u32(recentHead);
-    w.u64(streamLine);
-    w.f64(freshFraction);
-    w.endSection();
-}
-
-void
-StreamPhaseState::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PHST");
-    budget = r.u64();
-    hasSchedule = r.b();
-    schedule = WriteSchedule{};
-    if (hasSchedule) {
-        std::uint64_t n = r.count(8);
-        schedule.addrs.resize(std::size_t(n));
-        for (Addr &a : schedule.addrs)
-            a = r.u64();
-        std::uint64_t next = r.u64();
-        if (next > schedule.addrs.size()) {
-            r.fail("write-schedule cursor " + std::to_string(next) +
-                   " past its " + std::to_string(schedule.addrs.size()) +
-                   " entries");
-        }
-        schedule.next = std::size_t(next);
-    }
-    std::uint64_t pool = r.count(8);
-    rewritePool.resize(std::size_t(pool));
-    for (Addr &a : rewritePool)
-        a = r.u64();
-    burstRemaining = r.u32();
-    for (Addr &a : recent)
-        a = r.u64();
-    recentCount = r.u32();
-    recentHead = r.u32();
-    if (recentCount > kRecent || recentHead >= kRecent) {
-        r.fail("recent-window cursor out of range (count " +
-               std::to_string(recentCount) + ", head " +
-               std::to_string(recentHead) + ")");
-    }
-    streamLine = r.u64();
-    freshFraction = r.f64();
-    r.endSection();
-}
 
 /** Phase-start state: full budget, cursors at zero, pacing computed. */
 StreamPhaseState
@@ -412,6 +386,171 @@ streamPhase(OooCore &core, Asid asid, const ForkBenchParams &p, Rng &rng,
         p, rng, num_instructions, schedule);
 }
 
+/**
+ * The machine one fork-bench run drives — System, core and generator
+ * RNG, named and seeded after the benchmark — and the run's fork timing.
+ * Every run variant starts with warmup() then fork().
+ */
+struct ForkBenchMachine
+{
+    System system;
+    OooCore core;
+    Rng rng;
+    Asid parent = 0;
+    Tick forkStart = 0; ///< warmup end, where fork() is issued
+    Tick forkDone = 0;  ///< tick the fork completed
+
+    ForkBenchMachine(const ForkBenchParams &p, SystemConfig config)
+        : system((config.name = p.name, std::move(config))),
+          core(p.name + ".core", system), rng(p.seed)
+    {
+    }
+
+    /**
+     * Map the heap and run the warmup epoch: populate caches/TLBs and
+     * dirty the address space so the fork has real pages to share.
+     */
+    void
+    warmup(const ForkBenchParams &p)
+    {
+        parent = system.createProcess();
+        system.mapAnon(parent, kHeapBase, p.footprintPages * kPageSize);
+        core.beginEpoch(0);
+        streamPhase(core, parent, p, rng, p.warmupInstructions, nullptr);
+        forkStart = core.finishEpoch();
+    }
+
+    /** fork(): the child idles (as in §5.1); the parent keeps running. */
+    void
+    fork(ForkMode mode)
+    {
+        forkDone = forkStart;
+        system.fork(parent, mode, forkStart, &forkDone);
+        system.markMemoryBaseline();
+        system.resetStats();
+    }
+
+    /** Run the whole detailed post-fork epoch; returns its end tick. */
+    Tick
+    runPostFork(const ForkBenchParams &p, std::vector<TraceOp> *record)
+    {
+        WriteSchedule schedule = buildSchedule(p, rng);
+        core.beginEpoch(forkDone);
+        streamPhase(core, parent, p, rng, p.postForkInstructions, &schedule,
+                    record);
+        return finishPostFork();
+    }
+
+    /**
+     * Close the post-fork epoch. Memory accounting happens at steady
+     * state: dirty overlay lines still in the caches get their OMS slots
+     * on eviction (§4.3.3), so force the writebacks before measuring
+     * (the flush is excluded from the measured epoch).
+     */
+    Tick
+    finishPostFork()
+    {
+        Tick end = core.finishEpoch();
+        system.caches().flushAll(end);
+        return end;
+    }
+
+    /** The WARM payload: the warmed machine, core and RNG. */
+    template <class Self, class Ar>
+    static void
+    io(Self &m, Ar &ar)
+    {
+        ar.section("WARM", [&] {
+            snapshot::visit(m.system, ar);
+            snapshot::visit(m.core, ar);
+            for (auto &word : m.rng.rawState())
+                ar.u64(word);
+        });
+    }
+};
+
+/** The shared measurement tail of every full-detail run variant. */
+ForkBenchResult
+measureResult(const ForkBenchMachine &m, const ForkBenchParams &params,
+              ForkMode mode)
+{
+    ForkBenchResult res;
+    res.name = params.name;
+    res.type = params.type;
+    res.mode = mode;
+    res.additionalMemoryMB =
+        double(m.system.additionalMemoryBytes()) / double(1_MiB);
+    res.cpi = m.core.epochCpi();
+    res.cowFaults = m.system.cowFaults();
+    res.overlayingWrites = m.system.overlayingWrites();
+    res.forkLatency = m.forkDone - m.forkStart;
+    return res;
+}
+
+/**
+ * The FKCP checkpoint record: which run (benchmark, mode, post-fork
+ * length), the suspended generator, and the machine it drives. Loading
+ * builds the machine once the benchmark name is known, as the default
+ * SystemConfig that `overlaysim forkbench` runs; structural mismatches
+ * with the checkpointed machine are caught by the component visitors.
+ */
+struct ForkCheckpoint
+{
+    ForkBenchParams params;
+    ForkMode mode = ForkMode::CopyOnWrite;
+    StreamPhaseState phase;
+    std::optional<ForkBenchMachine> machine;
+
+    template <class Self, class Ar>
+    static void
+    io(Self &ck, Ar &ar)
+    {
+        ar.section("FKCP", [&] {
+            std::string name = ck.params.name;
+            ar.str(name);
+            if constexpr (Ar::kLoading) {
+                const auto &suite = forkBenchSuite();
+                auto it = std::find_if(suite.begin(), suite.end(),
+                                       [&](const ForkBenchParams &p) {
+                                           return p.name == name;
+                                       });
+                if (it == suite.end())
+                    ar.fail("checkpoint names unknown benchmark '" + name +
+                            "'");
+                ck.params = *it;
+            }
+            std::uint8_t mode = ck.mode == ForkMode::CopyOnWrite ? 0 : 1;
+            ar.u8(mode);
+            if constexpr (Ar::kLoading) {
+                if (mode > 1)
+                    ar.fail("invalid fork mode " + std::to_string(mode));
+                ck.mode = mode == 0 ? ForkMode::CopyOnWrite
+                                    : ForkMode::OverlayOnWrite;
+            }
+            ar.u64(ck.params.postForkInstructions);
+            if constexpr (Ar::kLoading)
+                ck.machine.emplace(ck.params, SystemConfig{});
+            auto &m = *ck.machine;
+            ar.u16(m.parent);
+            ar.u64(m.forkStart);
+            ar.u64(m.forkDone);
+            snapshot::visit(ck.phase, ar);
+            for (auto &word : m.rng.rawState())
+                ar.u64(word);
+            snapshot::visit(m.core, ar);
+            snapshot::visit(m.system, ar);
+            if constexpr (Ar::kLoading) {
+                std::size_t procs = m.system.vmm().processCount();
+                if (m.parent >= procs) {
+                    ar.fail("checkpoint parent ASID " +
+                            std::to_string(m.parent) + " not among the " +
+                            std::to_string(procs) + " restored processes");
+                }
+            }
+        });
+    }
+};
+
 } // namespace
 
 const std::vector<ForkBenchParams> &
@@ -488,63 +627,24 @@ runForkBench(const ForkBenchParams &params, ForkMode mode,
              std::vector<TraceOp> *record, StatsSampler *sampler,
              std::ostream *dump_stats_json)
 {
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
+    ForkBenchMachine m(params, std::move(config));
     if (sampler != nullptr)
-        system.attachStatsSampler(sampler, 0);
-
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    // Warmup: populate caches/TLBs and dirty the address space so the
-    // fork has real pages to share.
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
-    Tick t = core.finishEpoch();
-
-    // fork(): the child idles (as in §5.1); the parent keeps running.
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
-
-    WriteSchedule schedule = buildSchedule(params, rng);
-    core.beginEpoch(fork_done);
-    streamPhase(core, parent, params, rng, params.postForkInstructions,
-                &schedule, record);
-    Tick end = core.finishEpoch();
-
-    // Memory accounting happens at steady state: dirty overlay lines
-    // still in the caches get their OMS slots on eviction (§4.3.3), so
-    // force the writebacks before measuring (the flush is excluded from
-    // the measured epoch).
-    system.caches().flushAll(end);
-
+        m.system.attachStatsSampler(sampler, 0);
+    m.warmup(params);
+    m.fork(mode);
+    Tick end = m.runPostFork(params, record);
     if (sampler != nullptr) {
         sampler->finish(end);
-        system.detachStatsSampler();
+        m.system.detachStatsSampler();
     }
 
-    ForkBenchResult res;
-    res.name = params.name;
-    res.type = params.type;
-    res.mode = mode;
-    res.additionalMemoryMB =
-        double(system.additionalMemoryBytes()) / double(1_MiB);
-    res.cpi = core.epochCpi();
-    res.cowFaults = system.cowFaults();
-    res.overlayingWrites = system.overlayingWrites();
-    res.forkLatency = fork_done - t;
+    ForkBenchResult res = measureResult(m, params, mode);
     if (dump_stats != nullptr) {
-        system.dumpAllStats(*dump_stats);
-        core.dumpStats(*dump_stats);
+        m.system.dumpAllStats(*dump_stats);
+        m.core.dumpStats(*dump_stats);
     }
     if (dump_stats_json != nullptr)
-        system.dumpAllStatsJson(*dump_stats_json);
+        m.system.dumpAllStatsJson(*dump_stats_json);
     return res;
 }
 
@@ -568,31 +668,18 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
 
     // ------------------------- sampled run ----------------------------
     {
-        config.name = params.name;
-        System system(config);
-        OooCore core(params.name + ".core", system);
-        Rng rng(params.seed);
+        ForkBenchMachine m(params, config);
         if (sampler != nullptr)
-            system.attachStatsSampler(sampler, 0);
+            m.system.attachStatsSampler(sampler, 0);
+        m.warmup(params);
+        m.fork(mode);
 
-        Asid parent = system.createProcess();
-        system.mapAnon(parent, kHeapBase,
-                       params.footprintPages * kPageSize);
-        core.beginEpoch(0);
-        streamPhase(core, parent, params, rng, params.warmupInstructions,
-                    nullptr);
-        Tick t = core.finishEpoch();
-        Tick fork_done = t;
-        system.fork(parent, mode, t, &fork_done);
-        system.markMemoryBaseline();
-        system.resetStats();
-
-        WriteSchedule schedule = buildSchedule(params, rng);
+        WriteSchedule schedule = buildSchedule(params, m.rng);
 
         // Windowed sink: a detailed prefix measured as its own core
         // epoch, then functional fast-forward to the window boundary.
         // Simulated time only advances inside detailed prefixes.
-        Tick cursor = fork_done;
+        Tick cursor = m.forkDone;
         Tick detail_start = cursor;
         std::uint64_t win_instr = 0;
         bool in_detail = true;
@@ -602,7 +689,7 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         // it badly. Sampling applies to the steady state that follows.
         bool first_window = true;
         SampledWindow win;
-        core.beginEpoch(cursor);
+        m.core.beginEpoch(cursor);
 
         // Host-time split: one steady_clock stamp per segment boundary
         // (detailed→functional, window close), charged to the segment
@@ -617,7 +704,7 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         };
 
         auto close_detail = [&]() {
-            cursor = core.finishEpoch();
+            cursor = m.core.finishEpoch();
             win.detailedCycles = cursor - detail_start;
             win.detailedInstructions = win_instr;
             charge_segment(win.detailedHostSeconds);
@@ -640,18 +727,18 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             in_detail = true;
             first_window = false;
             detail_start = cursor;
-            core.beginEpoch(cursor);
+            m.core.beginEpoch(cursor);
         };
 
         streamPhaseGen(
             [&](const TraceOp &op) {
                 if (in_detail) {
-                    core.executeOp(parent, op);
+                    m.core.executeOp(m.parent, op);
                 } else if (op.kind != TraceOp::Kind::Compute) {
-                    system.accessFunctional(
-                        parent, op.vaddr,
+                    m.system.accessFunctional(
+                        m.parent, op.vaddr,
                         op.kind == TraceOp::Kind::Store,
-                        core.coreIndex());
+                        m.core.coreIndex());
                 }
                 win_instr += op.kind == TraceOp::Kind::Compute
                                  ? op.count
@@ -666,15 +753,13 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
                 if (win_instr >= sampled.intervalInstructions)
                     close_window();
             },
-            params, rng, params.postForkInstructions, &schedule);
+            params, m.rng, params.postForkInstructions, &schedule);
         if (win_instr > 0)
             close_window();
-        cursor = core.finishEpoch(); // retire the epoch close_window armed
-
-        system.caches().flushAll(cursor);
+        cursor = m.finishPostFork(); // retire the epoch close_window armed
         if (sampler != nullptr) {
             sampler->finish(cursor);
-            system.detachStatsSampler();
+            m.system.detachStatsSampler();
         }
 
         double est_cycles = 0.0;
@@ -685,17 +770,10 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             out.detailedHostSeconds += w.detailedHostSeconds;
             out.functionalHostSeconds += w.functionalHostSeconds;
         }
-        out.sampled.name = params.name;
-        out.sampled.type = params.type;
-        out.sampled.mode = mode;
-        out.sampled.additionalMemoryMB =
-            double(system.additionalMemoryBytes()) / double(1_MiB);
+        out.sampled = measureResult(m, params, mode);
         out.sampled.cpi = out.totalInstructions != 0
                               ? est_cycles / double(out.totalInstructions)
                               : 0.0;
-        out.sampled.cowFaults = system.cowFaults();
-        out.sampled.overlayingWrites = system.overlayingWrites();
-        out.sampled.forkLatency = fork_done - t;
     }
 
     if (!sampled.compareFull)
@@ -706,36 +784,23 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
     // to runForkBench — with issue-cursor snapshots at the same window
     // boundaries the sampled run used.
     {
-        config.name = params.name;
-        System system(config);
-        OooCore core(params.name + ".core", system);
-        Rng rng(params.seed);
+        ForkBenchMachine m(params, std::move(config));
+        m.warmup(params);
+        m.fork(mode);
 
-        Asid parent = system.createProcess();
-        system.mapAnon(parent, kHeapBase,
-                       params.footprintPages * kPageSize);
-        core.beginEpoch(0);
-        streamPhase(core, parent, params, rng, params.warmupInstructions,
-                    nullptr);
-        Tick t = core.finishEpoch();
-        Tick fork_done = t;
-        system.fork(parent, mode, t, &fork_done);
-        system.markMemoryBaseline();
-        system.resetStats();
-
-        WriteSchedule schedule = buildSchedule(params, rng);
-        core.beginEpoch(fork_done);
+        WriteSchedule schedule = buildSchedule(params, m.rng);
+        m.core.beginEpoch(m.forkDone);
         std::size_t wi = 0;
         std::uint64_t win_instr = 0;
-        Tick last_mark = fork_done;
+        Tick last_mark = m.forkDone;
         streamPhaseGen(
             [&](const TraceOp &op) {
-                core.executeOp(parent, op);
+                m.core.executeOp(m.parent, op);
                 win_instr += op.kind == TraceOp::Kind::Compute
                                  ? op.count
                                  : 1;
                 if (win_instr >= sampled.intervalInstructions) {
-                    Tick now = core.currentCycle();
+                    Tick now = m.core.currentCycle();
                     if (wi < out.windows.size())
                         out.windows[wi].fullCycles = now - last_mark;
                     last_mark = now;
@@ -743,12 +808,11 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
                     win_instr = 0;
                 }
             },
-            params, rng, params.postForkInstructions, &schedule);
-        Tick end = core.finishEpoch();
+            params, m.rng, params.postForkInstructions, &schedule);
+        Tick end = m.finishPostFork();
         if (win_instr > 0 && wi < out.windows.size())
             out.windows[wi].fullCycles = end - last_mark;
-        system.caches().flushAll(end);
-        out.fullCpi = core.epochCpi();
+        out.fullCpi = m.core.epochCpi();
     }
 
     double err_sum = 0.0;
@@ -771,58 +835,19 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
     return out;
 }
 
-namespace
-{
-
-/** The shared measurement tail of every full-detail run variant. */
-ForkBenchResult
-measureResult(System &system, OooCore &core, const ForkBenchParams &params,
-              ForkMode mode, Tick fork_latency)
-{
-    ForkBenchResult res;
-    res.name = params.name;
-    res.type = params.type;
-    res.mode = mode;
-    res.additionalMemoryMB =
-        double(system.additionalMemoryBytes()) / double(1_MiB);
-    res.cpi = core.epochCpi();
-    res.cowFaults = system.cowFaults();
-    res.overlayingWrites = system.overlayingWrites();
-    res.forkLatency = fork_latency;
-    return res;
-}
-
-} // namespace
-
 ForkBenchWarmState
 prepareForkBenchWarmState(const ForkBenchParams &params, SystemConfig config)
 {
-    config.name = params.name;
-
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
+    ForkBenchMachine m(params, std::move(config));
+    m.warmup(params);
 
     ForkBenchWarmState warm;
     warm.params = params;
-    warm.config = config;
-    warm.warmupEnd = core.finishEpoch();
-    warm.parent = parent;
-
+    warm.config = m.system.config();
+    warm.warmupEnd = m.forkStart;
+    warm.parent = m.parent;
     snapshot::Writer w;
-    w.beginSection("WARM");
-    system.serialize(w);
-    core.serialize(w);
-    for (std::uint64_t v : rng.rawState())
-        w.u64(v);
-    w.endSection();
+    snapshot::visit(m, w);
     warm.machine = w.takeBuffer();
     return warm;
 }
@@ -834,47 +859,24 @@ runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
                           std::vector<TraceOp> *record)
 {
     const ForkBenchParams &params = warm.params;
-    SystemConfig config = config_override != nullptr ? *config_override
-                                                     : warm.config;
-    config.name = params.name;
-
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
+    ForkBenchMachine m(params, config_override != nullptr ? *config_override
+                                                          : warm.config);
     snapshot::Reader r(warm.machine);
-    r.expectSection("WARM");
-    system.deserialize(r);
-    core.deserialize(r);
-    std::array<std::uint64_t, 4> raw;
-    for (std::uint64_t &v : raw)
-        v = r.u64();
-    rng.setRawState(raw);
-    r.endSection();
+    snapshot::visit(m, r);
     if (!r.atEnd())
         r.fail("trailing bytes after warm-state payload");
 
     // From here on the run is instruction-for-instruction the tail of
     // runForkBench: fork, rebase the stats, measure the post-fork epoch.
-    Asid parent = warm.parent;
-    Tick t = warm.warmupEnd;
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
+    m.parent = warm.parent;
+    m.forkStart = warm.warmupEnd;
+    m.fork(mode);
+    m.runPostFork(params, record);
 
-    WriteSchedule schedule = buildSchedule(params, rng);
-    core.beginEpoch(fork_done);
-    streamPhase(core, parent, params, rng, params.postForkInstructions,
-                &schedule, record);
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-
-    ForkBenchResult res =
-        measureResult(system, core, params, mode, fork_done - t);
+    ForkBenchResult res = measureResult(m, params, mode);
     if (dump_stats != nullptr) {
-        system.dumpAllStats(*dump_stats);
-        core.dumpStats(*dump_stats);
+        m.system.dumpAllStats(*dump_stats);
+        m.core.dumpStats(*dump_stats);
     }
     return res;
 }
@@ -888,53 +890,29 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     ovl_assert(ckpt.everyTicks != 0 || ckpt.atTick != 0,
                "checkpointing needs --checkpoint-every or --at-tick");
 
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
+    ForkCheckpoint ck;
+    ck.params = params;
+    ck.mode = mode;
+    ForkBenchMachine &m = ck.machine.emplace(params, std::move(config));
+    m.warmup(params);
+    m.fork(mode);
+    ck.phase = makePhaseState(params, params.postForkInstructions,
+                              buildSchedule(params, m.rng), true);
+    m.core.beginEpoch(m.forkDone);
 
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
-    Tick t = core.finishEpoch();
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
-
-    WriteSchedule schedule = buildSchedule(params, rng);
-    StreamPhaseState st = makePhaseState(
-        params, params.postForkInstructions, std::move(schedule), true);
-    core.beginEpoch(fork_done);
-
-    // Serializing observes the machine without touching it, so the
-    // executed run is op-for-op the uninterrupted run.
+    // Saving observes the machine without touching it, so the executed
+    // run is op-for-op the uninterrupted run.
     auto write_checkpoint = [&]() {
         snapshot::Writer w;
-        w.beginSection("FKCP");
-        w.str(params.name);
-        w.u8(mode == ForkMode::CopyOnWrite ? 0 : 1);
-        w.u64(params.postForkInstructions);
-        w.u16(parent);
-        w.u64(t);
-        w.u64(fork_done);
-        st.serialize(w);
-        for (std::uint64_t v : rng.rawState())
-            w.u64(v);
-        core.serialize(w);
-        system.serialize(w);
-        w.endSection();
+        snapshot::visit(ck, w);
         snapshot::writeSnapshotFile(ckpt.path, w.buffer());
     };
 
     Tick next_periodic =
-        ckpt.everyTicks != 0 ? fork_done + ckpt.everyTicks : 0;
+        ckpt.everyTicks != 0 ? m.forkDone + ckpt.everyTicks : 0;
     bool stopped = false;
     auto stop = [&]() -> bool {
-        Tick now = core.currentCycle();
+        Tick now = m.core.currentCycle();
         if (ckpt.everyTicks != 0 && now >= next_periodic) {
             write_checkpoint();
             while (next_periodic <= now)
@@ -949,14 +927,12 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     };
 
     streamPhaseGenResumable(
-        [&](const TraceOp &op) { core.executeOp(parent, op); }, params,
-        rng, st, stop);
+        [&](const TraceOp &op) { m.core.executeOp(m.parent, op); }, params,
+        m.rng, ck.phase, stop);
     if (stopped)
         return std::nullopt;
-
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-    return measureResult(system, core, params, mode, fork_done - t);
+    m.finishPostFork();
+    return measureResult(m, params, mode);
 }
 
 ForkBenchResult
@@ -964,66 +940,17 @@ resumeForkBenchCheckpoint(const std::string &path)
 {
     std::vector<std::uint8_t> payload = snapshot::readSnapshotFile(path);
     snapshot::Reader r(payload);
-    r.expectSection("FKCP");
-
-    std::string name = r.str();
-    ForkBenchParams params;
-    bool known = false;
-    for (const ForkBenchParams &p : forkBenchSuite()) {
-        if (p.name == name) {
-            params = p;
-            known = true;
-            break;
-        }
-    }
-    if (!known)
-        r.fail("checkpoint names unknown benchmark '" + name + "'");
-
-    std::uint8_t mode_raw = r.u8();
-    if (mode_raw > 1)
-        r.fail("invalid fork mode " + std::to_string(mode_raw));
-    ForkMode mode = mode_raw == 0 ? ForkMode::CopyOnWrite
-                                  : ForkMode::OverlayOnWrite;
-    params.postForkInstructions = r.u64();
-    Asid parent = r.u16();
-    Tick t = r.u64();
-    Tick fork_done = r.u64();
-
-    StreamPhaseState st;
-    st.deserialize(r);
-    std::array<std::uint64_t, 4> raw;
-    for (std::uint64_t &v : raw)
-        v = r.u64();
-
-    // `overlaysim forkbench` runs the default machine configuration;
-    // structural mismatches between it and the checkpointed machine are
-    // caught by the per-component deserialize checks below.
-    SystemConfig config;
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    core.deserialize(r);
-    system.deserialize(r);
-    r.endSection();
+    ForkCheckpoint ck;
+    snapshot::visit(ck, r);
     if (!r.atEnd())
         r.fail("trailing bytes after checkpoint payload");
-    if (parent >= system.vmm().processCount()) {
-        r.fail("checkpoint parent ASID " + std::to_string(parent) +
-               " not among the " +
-               std::to_string(system.vmm().processCount()) +
-               " restored processes");
-    }
 
-    Rng rng(params.seed);
-    rng.setRawState(raw);
-
+    ForkBenchMachine &m = *ck.machine;
     streamPhaseGenResumable(
-        [&](const TraceOp &op) { core.executeOp(parent, op); }, params,
-        rng, st, [] { return false; });
-
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-    return measureResult(system, core, params, mode, fork_done - t);
+        [&](const TraceOp &op) { m.core.executeOp(m.parent, op); },
+        ck.params, m.rng, ck.phase, [] { return false; });
+    m.finishPostFork();
+    return measureResult(m, ck.params, ck.mode);
 }
 
 } // namespace ovl

@@ -2,9 +2,10 @@
  * @file
  * The snapshot/clone subsystem (DESIGN.md §11): clone() identity,
  * serialized-byte determinism, warm-start execution equivalence,
- * checkpoint/restore golden twins over the whole fork suite, and a fuzz
- * pass proving malformed snapshot files fail with SnapshotError rather
- * than undefined behavior.
+ * checkpoint/restore golden twins over the whole fork suite, a pin of
+ * the byte format, component-level restore validation, and a fuzz pass
+ * proving malformed snapshot files fail with SnapshotError rather than
+ * undefined behavior.
  */
 
 #include <gtest/gtest.h>
@@ -324,6 +325,107 @@ TEST(SnapshotFormat, BytesArePinned)
     std::vector<std::uint8_t> file = readFileBytes(makeCheckpointFile());
     EXPECT_EQ(file.size(), 879000u);
     EXPECT_EQ(fnv1a(file), 10548290332837847311ull);
+}
+
+// ----- component restore validation -------------------------------------
+
+/** Section tag + u64 length that precede every section body. */
+constexpr std::size_t kSectionHeader = 12;
+
+std::uint64_t
+getU64(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= std::uint64_t(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+template <class T>
+void
+putLe(std::vector<std::uint8_t> &bytes, std::size_t at, T v)
+{
+    for (unsigned i = 0; i < sizeof(T); ++i)
+        bytes[at + i] = std::uint8_t(std::uint64_t(v) >> (8 * i));
+}
+
+/** Load @p bytes into @p fresh; true if it throws SnapshotError. */
+template <class T>
+bool
+restoreThrows(const std::vector<std::uint8_t> &bytes, T &fresh)
+{
+    snapshot::Reader r(bytes);
+    try {
+        snapshot::visit(fresh, r);
+    } catch (const snapshot::SnapshotError &) {
+        return true;
+    }
+    return false;
+}
+
+TEST(SnapshotValidation, PhysicalMemoryRejectsFramesOutsideTheTable)
+{
+    PhysicalMemory mem("mem", 1ull << 30);
+    Addr a = mem.allocFrame();
+    mem.allocFrame();
+    mem.release(a); // free list: {a}
+    snapshot::Writer w;
+    snapshot::visit(mem, w);
+    const std::vector<std::uint8_t> good = w.takeBuffer();
+
+    // PMEM body offsets (PhysicalMemory::io): nextFrame @8, first free
+    // frame @32.
+    const std::size_t next_frame = kSectionHeader + 8;
+    const std::size_t first_free = kSectionHeader + 32;
+    ASSERT_EQ(getU64(good, next_frame), 3u);
+    ASSERT_EQ(getU64(good, first_free), a);
+
+    PhysicalMemory intact("mem", 1ull << 30);
+    EXPECT_FALSE(restoreThrows(good, intact));
+
+    for (auto [at, value] : {std::pair{next_frame, 0ull},
+                             std::pair{next_frame, 1ull << 40},
+                             std::pair{first_free, 0ull},
+                             std::pair{first_free, 3ull},
+                             std::pair{first_free, 1ull << 40}}) {
+        SCOPED_TRACE("offset " + std::to_string(at) + " = " +
+                     std::to_string(value));
+        std::vector<std::uint8_t> bad = good;
+        putLe(bad, at, value);
+        PhysicalMemory fresh("mem", 1ull << 30);
+        EXPECT_TRUE(restoreThrows(bad, fresh));
+    }
+}
+
+TEST(SnapshotValidation, OverlayManagerRejectsDanglingPageDataIndex)
+{
+    Scenario sc(ForkMode::OverlayOnWrite);
+    snapshot::Writer w;
+    snapshot::visit(sc.sys.overlayManager(), w);
+    const std::vector<std::uint8_t> good = w.takeBuffer();
+
+    // OVLM opens with the OMT section; its body (Omt::io) holds the
+    // chunk count, 2092-byte chunks, the arena count, then 90-byte arena
+    // entries with pageDataIdx at +9.
+    const std::size_t omt_body = 2 * kSectionHeader;
+    std::size_t arena = omt_body + 8 + getU64(good, omt_body) * 2092;
+    std::uint64_t entries = getU64(good, arena);
+    std::size_t patched = 0;
+    for (std::uint64_t e = 0; e < entries; ++e) {
+        std::size_t idx_at = arena + 8 + e * 90 + 9;
+        if (std::uint32_t(getU64(good, idx_at)) == OmtEntry::kNoPageData)
+            continue;
+        std::vector<std::uint8_t> bad = good;
+        putLe(bad, idx_at, std::uint32_t(1u << 20));
+        System fresh((SystemConfig()));
+        EXPECT_TRUE(restoreThrows(bad, fresh.overlayManager()))
+            << "arena entry " << e;
+        ++patched;
+    }
+    EXPECT_GT(patched, 0u) << "scenario left no overlay page data";
+
+    System intact((SystemConfig()));
+    EXPECT_FALSE(restoreThrows(good, intact.overlayManager()));
 }
 
 TEST(SnapshotHardening, MissingFileThrows)
