@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
+#include <string>
 
+#include "sim/snapshot.hh"
 #include "system/system.hh"
 #include "workload/forkbench.hh"
 
@@ -253,6 +257,130 @@ TEST(SampledForkBench, SamplingIsDeterministic)
         EXPECT_EQ(a.windows[i].detailedCycles, b.windows[i].detailedCycles);
         EXPECT_EQ(a.windows[i].instructions, b.windows[i].instructions);
     }
+}
+
+// ----- pinned functional behaviour --------------------------------------
+
+/** 64-bit FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const std::uint8_t *bytes, std::size_t len)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * A functional lifecycle on a two-TLB machine: a detailed warm-up, fork
+ * and parent writes (so the parent owns overlays in OoW mode), then a
+ * functional fork, functional reads and writes from both processes on
+ * both cores, and a functional teardown of the child. The footprint
+ * (2.5 MiB) overflows the L3, so warming cascades dirty victims.
+ *
+ * @return FNV-1a of the machine's snapshot bytes.
+ */
+std::uint64_t
+functionalLifecycleHash(ForkMode mode, bool overlays)
+{
+    constexpr unsigned kPages = 640;
+    SystemConfig cfg;
+    cfg.numTlbs = 2;
+    cfg.overlaysEnabled = overlays;
+    System sys(cfg);
+    Asid parent = sys.createProcess();
+    sys.mapAnon(parent, kBase, kPages * kPageSize);
+    Tick t = 0;
+    for (unsigned pg = 0; pg < kPages; ++pg) {
+        for (unsigned l = 0; l < kLinesPerPage; l += 4) {
+            std::uint64_t v = pg * 1000 + l;
+            t = sys.write(parent, kBase + pg * kPageSize + l * kLineSize, &v,
+                          8, t);
+        }
+    }
+    sys.fork(parent, mode, t, &t);
+    for (unsigned pg = 0; pg < 16; ++pg) {
+        std::uint64_t v = ~std::uint64_t(pg);
+        t = sys.write(parent, kBase + pg * kPageSize + 5 * kLineSize, &v, 8,
+                      t);
+    }
+
+    Asid child = sys.forkFunctional(parent, mode);
+    for (unsigned pg = 0; pg < kPages; ++pg) {
+        for (unsigned l = pg % 3; l < kLinesPerPage; l += 3) {
+            Addr va = kBase + pg * kPageSize + l * kLineSize;
+            bool is_write = (pg + l) % 4 == 0;
+            sys.accessFunctional(child, va, is_write, (pg + l) % 2);
+            if (l % 7 == 0)
+                sys.accessFunctional(parent, va, !is_write, 0);
+        }
+    }
+    sys.destroyProcessFunctional(child);
+
+    snapshot::Writer w;
+    sys.serialize(w);
+    return fnv1a(w.buffer().data(), w.buffer().size());
+}
+
+/** Every deterministic field of a sampled run, printed at %.17g. */
+std::string
+describeSampled(const ForkBenchSampledResult &r)
+{
+    std::string out;
+    char buf[160];
+    auto add = [&](const char *fmt, auto... args) {
+        std::snprintf(buf, sizeof(buf), fmt, args...);
+        out += buf;
+    };
+    const ForkBenchResult &s = r.sampled;
+    add("%s %u %d mem=%.17g cpi=%.17g cow=%" PRIu64 " ow=%" PRIu64
+        " fork=%" PRIu64 "\n",
+        s.name.c_str(), s.type, int(s.mode), s.additionalMemoryMB, s.cpi,
+        s.cowFaults, s.overlayingWrites, std::uint64_t(s.forkLatency));
+    add("total=%" PRIu64 " detailed=%" PRIu64 "\n", r.totalInstructions,
+        r.detailedInstructions);
+    for (const SampledWindow &w : r.windows) {
+        add("w %" PRIu64 " %" PRIu64 " %" PRIu64 " %.17g\n", w.instructions,
+            w.detailedInstructions, std::uint64_t(w.detailedCycles),
+            w.estimatedCycles);
+    }
+    return out;
+}
+
+TEST(FunctionalPin, LifecycleSnapshotIsPinned)
+{
+    // The functional fast-forward's complete effect on the machine —
+    // memory, page tables, overlays, cache tags and replacement state,
+    // TLBs, DRAM state and every statistic — pinned through the
+    // snapshot bytes. A refactor of the functional paths must leave
+    // these hashes unchanged.
+    EXPECT_EQ(functionalLifecycleHash(ForkMode::OverlayOnWrite, true),
+              15257759648610594546ull);
+    EXPECT_EQ(functionalLifecycleHash(ForkMode::CopyOnWrite, false),
+              12771713388251882649ull);
+}
+
+TEST(FunctionalPin, SampledForkBenchIsPinned)
+{
+    std::string all;
+    for (const char *name : {"libq", "cactus", "mcf"}) {
+        for (ForkMode mode :
+             {ForkMode::CopyOnWrite, ForkMode::OverlayOnWrite}) {
+            ForkBenchParams params = forkBenchByName(name);
+            params.warmupInstructions = 50'000;
+            params.postForkInstructions = 300'000;
+            SampledSimParams sp;
+            sp.intervalInstructions = 100'000;
+            all += describeSampled(
+                runForkBenchSampled(params, mode, SystemConfig{}, sp));
+        }
+    }
+    EXPECT_EQ(fnv1a(reinterpret_cast<const std::uint8_t *>(all.data()),
+                    all.size()),
+              15357889566865919812ull)
+        << all;
 }
 
 } // namespace
