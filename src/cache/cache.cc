@@ -44,24 +44,6 @@ SetAssocCache::invalidate(Addr line_addr)
     return ev;
 }
 
-bool
-SetAssocCache::retag(Addr old_addr, Addr new_addr)
-{
-    std::size_t i = findIndex(old_addr);
-    if (i == kNotFound)
-        return false;
-    if (setIndex(old_addr) != setIndex(new_addr)) {
-        // The overlay address indexes a different set; hardware would do
-        // an explicit line copy instead (§4.3.3). Caller handles it.
-        return false;
-    }
-    if (findIndex(new_addr) != kNotFound)
-        return false;
-    tags_[i] = new_addr;
-    ++retags_;
-    return true;
-}
-
 void
 SetAssocCache::flushAll()
 {

@@ -80,28 +80,23 @@ class SetAssocCache : public SimObject
      * Demand access: looks up @p line_addr, allocates on miss, and marks
      * the line dirty when @p is_write. The returned eviction (if any)
      * must be handled by the caller (written back / installed below).
+     * The Functional instantiation is functional warming (sampled
+     * simulation, DESIGN.md §10): the same tag, dirtiness and
+     * replacement-state movement, invisible to every counter.
      */
+    template <Timing T = Timing::Detailed>
     CacheAccessResult access(Addr line_addr, bool is_write);
 
     /**
      * Fill without a demand access (writeback from an upper level or a
      * prefetch). Marks dirty when @p dirty; tracks prefetched lines so
      * DRRIP can deprioritize them. Returns a displaced victim, if any.
-     * If the line is already present it is updated in place.
+     * If the line is already present it is updated in place. Functional
+     * as for access().
      */
+    template <Timing T = Timing::Detailed>
     std::optional<Eviction> fill(Addr line_addr, bool dirty,
                                  bool is_prefetch = false);
-
-    /**
-     * access()/fill() minus the statistics: functional warming (sampled
-     * simulation, DESIGN.md §10) moves tags, dirtiness and replacement
-     * state exactly like the demand path while staying invisible to
-     * every counter — a warmed cache dumps the same stats it would have
-     * dumped before the functional burst.
-     */
-    CacheAccessResult warmAccess(Addr line_addr, bool is_write);
-    std::optional<Eviction> warmFill(Addr line_addr, bool dirty,
-                                     bool is_prefetch = false);
 
     /** Tag probe without any state update. */
     bool isPresent(Addr line_addr) const;
@@ -128,6 +123,7 @@ class SetAssocCache : public SimObject
      * must have reported the line absent, with @p invalid_way its
      * invalidWay). Identical to what fill() does after its own scan.
      */
+    template <Timing T = Timing::Detailed>
     std::optional<Eviction> fillProbed(Addr line_addr, unsigned invalid_way,
                                        bool dirty, bool is_prefetch);
 
@@ -140,16 +136,6 @@ class SetAssocCache : public SimObject
      */
     std::optional<Eviction> invalidate(Addr line_addr);
 
-    /**
-     * Retag a resident line from @p old_addr to @p new_addr, preserving
-     * dirtiness. This is the hardware path of the overlaying write: "copy
-     * the cache line ... by simply updating the cache tag to correspond to
-     * the overlay page number" (§4.3.3). Returns false if not resident or
-     * if the destination conflicts with a resident line in another set
-     * position (caller then falls back to an explicit copy).
-     */
-    bool retag(Addr old_addr, Addr new_addr);
-
     /** Result of a fused moveLine(): whether the line was resident, and
      *  any victim displaced by the cross-set fallback fill. */
     struct MoveResult
@@ -159,11 +145,14 @@ class SetAssocCache : public SimObject
     };
 
     /**
-     * Fused retag-or-move: the overlaying write's tag update (§4.3.3)
-     * resolved in a single scan of the source set. Semantically identical
-     * to isPresent() + retag() with an invalidate() + fill() fallback —
-     * counter for counter, replacement state for replacement state — but
-     * without rescanning the tags at every step.
+     * Move a resident line from @p old_addr to @p new_addr, preserving
+     * dirtiness: the overlaying write's "copy the cache line ... by
+     * simply updating the cache tag" (§4.3.3), resolved in one scan of
+     * the source set. In the same set with the destination absent, the
+     * tag is rewritten in place (a retag); with the destination already
+     * resident, the source folds its dirtiness into it and is dropped.
+     * In a different set, hardware does an explicit line copy instead:
+     * the source is invalidated and the destination filled.
      */
     MoveResult moveLine(Addr old_addr, Addr new_addr);
 
@@ -204,13 +193,14 @@ class SetAssocCache : public SimObject
     std::size_t findIndex(Addr line_addr) const;
     /**
      * Insert into set @p set_idx, reusing way @p way if the caller already
-     * found an invalid one (ways_ = all valid, pick a victim). @p count
-     * false suppresses the writeback/prefetch-fill counters (functional
-     * warming).
+     * found an invalid one (ways_ = all valid, pick a victim). The
+     * Functional instantiation counts neither writebacks nor prefetch
+     * fills.
      */
+    template <Timing T>
     std::optional<Eviction> insertAt(unsigned set_idx, unsigned way,
                                      Addr line_addr, bool dirty,
-                                     bool is_prefetch, bool count = true);
+                                     bool is_prefetch);
 
     CacheParams params_;
     unsigned numSets_;
@@ -265,10 +255,12 @@ SetAssocCache::findIndex(Addr line_addr) const
     return kNotFound;
 }
 
+template <Timing T>
 inline std::optional<Eviction>
 SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
-                        bool dirty, bool is_prefetch, bool count)
+                        bool dirty, bool is_prefetch)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     std::size_t base = std::size_t(set_idx) * ways_;
     std::optional<Eviction> evicted;
     if (way == ways_) {
@@ -276,7 +268,7 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
         // mutates the set's states in place.
         way = repl_.selectVictim(&replLru_[base], &replRrpv_[base], ways_);
         evicted = Eviction{tags_[base + way], state_[base + way].dirty};
-        if (state_[base + way].dirty && count)
+        if (kTimed && state_[base + way].dirty)
             ++writebacks_;
     }
 
@@ -286,14 +278,16 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
     st.prefetched = is_prefetch;
     repl_.onInsert(replLru_[base + way], replRrpv_[base + way], set_idx,
                    is_prefetch);
-    if (is_prefetch && count)
+    if (kTimed && is_prefetch)
         ++prefetchFills_;
     return evicted;
 }
 
+template <Timing T>
 inline CacheAccessResult
 SetAssocCache::access(Addr line_addr, bool is_write)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     // Single pass over the set: find the hit way and the first invalid
     // way together, so a miss does not rescan tags in insert().
     unsigned set_idx = setIndex(line_addr);
@@ -302,10 +296,12 @@ SetAssocCache::access(Addr line_addr, bool is_write)
     unsigned invalid_way = ways_;
     for (unsigned w = 0; w < ways_; ++w) {
         if (tags[w] == line_addr) {
-            ++hits_;
+            if constexpr (kTimed)
+                ++hits_;
             LineState &st = state_[base + w];
             if (st.prefetched) {
-                ++prefetchHits_;
+                if constexpr (kTimed)
+                    ++prefetchHits_;
                 st.prefetched = false;
             }
             repl_.onHit(replLru_[base + w], replRrpv_[base + w]);
@@ -316,13 +312,15 @@ SetAssocCache::access(Addr line_addr, bool is_write)
         if (tags[w] == kInvalidAddr && invalid_way == ways_)
             invalid_way = w;
     }
-    ++misses_;
+    if constexpr (kTimed)
+        ++misses_;
     repl_.onMiss(set_idx);
-    auto eviction = insertAt(set_idx, invalid_way, line_addr, is_write,
-                             false);
+    auto eviction =
+        insertAt<T>(set_idx, invalid_way, line_addr, is_write, false);
     return CacheAccessResult{false, eviction};
 }
 
+template <Timing T>
 inline std::optional<Eviction>
 SetAssocCache::fill(Addr line_addr, bool dirty, bool is_prefetch)
 {
@@ -340,51 +338,7 @@ SetAssocCache::fill(Addr line_addr, bool dirty, bool is_prefetch)
         if (tags[w] == kInvalidAddr && invalid_way == ways_)
             invalid_way = w;
     }
-    return insertAt(set_idx, invalid_way, line_addr, dirty, is_prefetch);
-}
-
-inline CacheAccessResult
-SetAssocCache::warmAccess(Addr line_addr, bool is_write)
-{
-    unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            LineState &st = state_[base + w];
-            st.prefetched = false;
-            repl_.onHit(replLru_[base + w], replRrpv_[base + w]);
-            if (is_write)
-                st.dirty = true;
-            return CacheAccessResult{true, std::nullopt};
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
-    }
-    repl_.onMiss(set_idx);
-    auto eviction = insertAt(set_idx, invalid_way, line_addr, is_write,
-                             false, /*count=*/false);
-    return CacheAccessResult{false, eviction};
-}
-
-inline std::optional<Eviction>
-SetAssocCache::warmFill(Addr line_addr, bool dirty, bool is_prefetch)
-{
-    unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            state_[base + w].dirty = state_[base + w].dirty || dirty;
-            return std::nullopt;
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
-    }
-    return insertAt(set_idx, invalid_way, line_addr, dirty, is_prefetch,
-                    /*count=*/false);
+    return insertAt<T>(set_idx, invalid_way, line_addr, dirty, is_prefetch);
 }
 
 inline SetAssocCache::MoveResult
@@ -455,12 +409,13 @@ SetAssocCache::probe(Addr line_addr) const
     return res;
 }
 
+template <Timing T>
 inline std::optional<Eviction>
 SetAssocCache::fillProbed(Addr line_addr, unsigned invalid_way, bool dirty,
                           bool is_prefetch)
 {
-    return insertAt(setIndex(line_addr), invalid_way, line_addr, dirty,
-                    is_prefetch);
+    return insertAt<T>(setIndex(line_addr), invalid_way, line_addr, dirty,
+                       is_prefetch);
 }
 
 inline bool

@@ -33,6 +33,7 @@ CacheHierarchy::prefetchLine(Addr line_addr, Tick when)
     tryPrefetchFill(line_addr, when);
 }
 
+template <Timing T>
 void
 CacheHierarchy::invalidateLine(Addr line_addr, Tick when)
 {
@@ -43,19 +44,14 @@ CacheHierarchy::invalidateLine(Addr line_addr, Tick when)
         dirty = dirty || ev->dirty;
     if (auto ev = l3_.invalidate(line_addr))
         dirty = dirty || ev->dirty;
-    if (dirty) {
+    if (T == Timing::Detailed && dirty) {
         ++memWritebacks_;
         backend_.writebackLine(line_addr, when);
     }
 }
 
-void
-CacheHierarchy::dropLine(Addr line_addr)
-{
-    l1_.invalidate(line_addr);
-    l2_.invalidate(line_addr);
-    l3_.invalidate(line_addr);
-}
+template void CacheHierarchy::invalidateLine<Timing::Functional>(Addr, Tick);
+template void CacheHierarchy::invalidateLine<Timing::Detailed>(Addr, Tick);
 
 bool
 CacheHierarchy::retagLine(Addr old_addr, Addr new_addr, Tick when)

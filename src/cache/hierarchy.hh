@@ -66,7 +66,10 @@ enum class HitLevel
 
 /**
  * The demand path: L1 -> L2 -> L3 -> MemBackend, with dirty-victim
- * cascades and L2-miss-trained prefetching into L3.
+ * cascades and L2-miss-trained prefetching into L3. access() and
+ * invalidateLine() each have one body templated on Timing (DESIGN.md
+ * §10.2): the Functional instantiation is the sampled-simulation
+ * warming path, the same tag movement without time or traffic.
  */
 class CacheHierarchy : public SimObject
 {
@@ -80,36 +83,27 @@ class CacheHierarchy : public SimObject
      * reports which level serviced it. Defined inline (below) together
      * with the victim/prefetch helpers so the whole miss cascade
      * compiles into one frame.
+     *
+     * The Functional instantiation is functional warming (sampled
+     * simulation, DESIGN.md §10): the same tag and replacement-state
+     * movement — dirty victims cascade, the prefetcher trains and its
+     * candidates fill the L3 — with no latency, no statistics, no
+     * prefetch bandwidth gate (prefetches are assumed serviced) and no
+     * memory traffic: the final writeback of a dirty victim is dropped,
+     * as its data lives in the functional stores. It returns @p when.
      */
+    template <Timing T = Timing::Detailed>
     Tick access(Addr line_addr, bool is_write, Tick when,
                 HitLevel *hit_level = nullptr);
 
     /**
      * Invalidate a line everywhere, writing it back if dirty. Used when
-     * overlays are promoted/discarded (§4.3.4).
+     * overlays are promoted/discarded (§4.3.4) and pages unmapped. The
+     * Functional instantiation drops the line without the writeback,
+     * leaving DRAM state untouched.
      */
+    template <Timing T = Timing::Detailed>
     void invalidateLine(Addr line_addr, Tick when);
-
-    /**
-     * Drop a line everywhere without writing it back — the functional
-     * fast-forward's teardown path (sampled simulation): the line's data
-     * lives in the functional stores, and charging a writeback would
-     * mutate DRAM timing state, which functional mode must not do.
-     */
-    void dropLine(Addr line_addr);
-
-    /**
-     * Functional warming (sampled simulation, DESIGN.md §10): replay the
-     * tag and replacement-state movement of access() with zero tick
-     * movement — no latencies, no statistics, no DRAM traffic, no
-     * prefetcher training. Dirty victims cascade as tag fills exactly as
-     * in the detailed path, but the final writeback is dropped (the data
-     * lives in the functional stores). This keeps the hierarchy's
-     * contents tracking the program during a functional fast-forward, so
-     * the next detailed window starts from warm state instead of
-     * measuring an artificial cold-start transient.
-     */
-    void warmLine(Addr line_addr, bool is_write);
 
     /**
      * Retag a line from the regular physical space to the overlay space
@@ -153,11 +147,16 @@ class CacheHierarchy : public SimObject
     template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
+    template <Timing T = Timing::Detailed>
     void handleL1Victim(const Eviction &ev, Tick when);
+    template <Timing T = Timing::Detailed>
     void handleL2Victim(const Eviction &ev, Tick when);
+    template <Timing T = Timing::Detailed>
     void handleL3Victim(const Eviction &ev, Tick when);
+    template <Timing T>
     void issuePrefetches(Addr trigger_line, Tick when);
     /** Rate-limited best-effort prefetch fill; false if dropped. */
+    template <Timing T = Timing::Detailed>
     bool tryPrefetchFill(Addr line_addr, Tick when);
 
     HierarchyParams params_;
@@ -181,66 +180,39 @@ class CacheHierarchy : public SimObject
 
 // ------------------------ inline hot path ------------------------------
 
+template <Timing T>
 inline void
 CacheHierarchy::handleL3Victim(const Eviction &ev, Tick when)
 {
-    if (ev.dirty) {
-        ++memWritebacks_;
-        backend_.writebackLine(ev.lineAddr, when);
+    if constexpr (T == Timing::Detailed) {
+        if (ev.dirty) {
+            ++memWritebacks_;
+            backend_.writebackLine(ev.lineAddr, when);
+        }
     }
 }
 
+template <Timing T>
 inline void
 CacheHierarchy::handleL2Victim(const Eviction &ev, Tick when)
 {
     if (!ev.dirty)
         return; // non-inclusive: clean victims are dropped silently
-    if (auto l3_victim = l3_.fill(ev.lineAddr, true))
-        handleL3Victim(*l3_victim, when);
+    if (auto l3_victim = l3_.fill<T>(ev.lineAddr, true))
+        handleL3Victim<T>(*l3_victim, when);
 }
 
+template <Timing T>
 inline void
 CacheHierarchy::handleL1Victim(const Eviction &ev, Tick when)
 {
     if (!ev.dirty)
         return;
-    if (auto l2_victim = l2_.fill(ev.lineAddr, true))
-        handleL2Victim(*l2_victim, when);
+    if (auto l2_victim = l2_.fill<T>(ev.lineAddr, true))
+        handleL2Victim<T>(*l2_victim, when);
 }
 
-inline void
-CacheHierarchy::warmLine(Addr line_addr, bool is_write)
-{
-    ovl_assert((line_addr & kLineMask) == 0, "unaligned line address");
-    CacheAccessResult l1_res = l1_.warmAccess(line_addr, is_write);
-    if (l1_res.eviction && l1_res.eviction->dirty) {
-        if (auto l2_victim =
-                l2_.warmFill(l1_res.eviction->lineAddr, true)) {
-            if (l2_victim->dirty)
-                l3_.warmFill(l2_victim->lineAddr, true);
-        }
-    }
-    if (l1_res.hit)
-        return;
-    CacheAccessResult l2_res = l2_.warmAccess(line_addr, false);
-    if (l2_res.eviction && l2_res.eviction->dirty)
-        l3_.warmFill(l2_res.eviction->lineAddr, true);
-    if (l2_res.hit)
-        return;
-    // Train the prefetcher on L2 demand misses like the detailed path,
-    // with tag-only fills: the bandwidth gate (prefetchBusyUntil_) is
-    // timing state, so warming assumes prefetches are serviced.
-    prefetchScratch_.clear();
-    prefetcher_.notifyMiss(line_addr, prefetchScratch_);
-    for (Addr pf_addr : prefetchScratch_) {
-        if (!l1_.isPresent(pf_addr) && !l2_.isPresent(pf_addr) &&
-            !l3_.isPresent(pf_addr)) {
-            l3_.warmFill(pf_addr, false, true);
-        }
-    }
-    l3_.warmAccess(line_addr, false);
-}
-
+template <Timing T>
 inline bool
 CacheHierarchy::tryPrefetchFill(Addr line_addr, Tick when)
 {
@@ -251,59 +223,69 @@ CacheHierarchy::tryPrefetchFill(Addr line_addr, Tick when)
     SetAssocCache::ProbeResult l3_probe = l3_.probe(line_addr);
     if (l3_probe.present)
         return true;
-    // Best-effort bandwidth: prefetches are serviced behind demand
-    // traffic at a fixed streaming rate and dropped when the engine
-    // falls too far behind (demand-first FR-FCFS scheduling).
-    Tick start = std::max(when, prefetchBusyUntil_);
-    if (start - when > prefetcher_.params().maxLagCycles) {
-        ++prefetchDrops_;
-        return false;
+    if constexpr (T == Timing::Detailed) {
+        // Best-effort bandwidth: prefetches are serviced behind demand
+        // traffic at a fixed streaming rate and dropped when the engine
+        // falls too far behind (demand-first FR-FCFS scheduling).
+        Tick start = std::max(when, prefetchBusyUntil_);
+        if (start - when > prefetcher_.params().maxLagCycles) {
+            ++prefetchDrops_;
+            return false;
+        }
+        prefetchBusyUntil_ = start + prefetcher_.params().serviceCycles;
+        ++prefetchReads_;
     }
-    prefetchBusyUntil_ = start + prefetcher_.params().serviceCycles;
-    ++prefetchReads_;
-    if (auto victim = l3_.fillProbed(line_addr, l3_probe.invalidWay, false,
-                                     true)) {
-        handleL3Victim(*victim, when);
+    if (auto victim = l3_.fillProbed<T>(line_addr, l3_probe.invalidWay,
+                                        false, true)) {
+        handleL3Victim<T>(*victim, when);
     }
     return true;
 }
 
+template <Timing T>
 inline void
 CacheHierarchy::issuePrefetches(Addr trigger_line, Tick when)
 {
     prefetchScratch_.clear();
     prefetcher_.notifyMiss(trigger_line, prefetchScratch_);
     for (Addr pf_addr : prefetchScratch_)
-        tryPrefetchFill(pf_addr, when);
+        tryPrefetchFill<T>(pf_addr, when);
 }
 
+template <Timing T>
 inline Tick
 CacheHierarchy::access(Addr line_addr, bool is_write, Tick when,
                        HitLevel *hit_level)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     ovl_assert((line_addr & kLineMask) == 0, "unaligned line address");
-    ++accesses_;
-    OVL_PROF_SCOPE(CacheLookup);
+    if constexpr (kTimed)
+        ++accesses_;
+    OVL_PROF_SCOPE_IF(kTimed, CacheLookup);
 
     Tick t = when;
-    CacheAccessResult l1_res = l1_.access(line_addr, is_write);
+    CacheAccessResult l1_res = l1_.access<T>(line_addr, is_write);
     if (l1_res.eviction)
-        handleL1Victim(*l1_res.eviction, when);
+        handleL1Victim<T>(*l1_res.eviction, when);
     if (l1_res.hit) {
-        ++hitsL1_;
+        if constexpr (kTimed)
+            ++hitsL1_;
         if (hit_level)
             *hit_level = HitLevel::L1;
-        return t + params_.l1.hitLatency();
+        return kTimed ? t + params_.l1.hitLatency() : t;
     }
-    t += params_.l1.missDetectLatency();
+    if constexpr (kTimed)
+        t += params_.l1.missDetectLatency();
     // Like the trace points, the miss-cascade scope opens only after an
     // L1 miss, keeping the hit fast path identical when profiling.
-    OVL_PROF_SCOPE(MissCascade);
+    OVL_PROF_SCOPE_IF(kTimed, MissCascade);
 
-    CacheAccessResult l2_res = l2_.access(line_addr, false);
+    CacheAccessResult l2_res = l2_.access<T>(line_addr, false);
     if (l2_res.eviction)
-        handleL2Victim(*l2_res.eviction, when);
+        handleL2Victim<T>(*l2_res.eviction, when);
     if (l2_res.hit) {
+        if constexpr (!kTimed)
+            return t;
         ++hitsL2_;
         if (hit_level)
             *hit_level = HitLevel::L2;
@@ -316,14 +298,18 @@ CacheHierarchy::access(Addr line_addr, bool is_write, Tick when,
         }
         return done;
     }
-    t += params_.l2.missDetectLatency();
+    if constexpr (kTimed)
+        t += params_.l2.missDetectLatency();
 
     // Train the prefetcher on L2 demand misses (Table 2).
-    issuePrefetches(line_addr, t);
+    issuePrefetches<T>(line_addr, t);
 
-    CacheAccessResult l3_res = l3_.access(line_addr, false);
+    CacheAccessResult l3_res = l3_.access<T>(line_addr, false);
     if (l3_res.eviction)
-        handleL3Victim(*l3_res.eviction, when);
+        handleL3Victim<T>(*l3_res.eviction, when);
+    // Warming reads no memory: the data lives in the functional stores.
+    if constexpr (!kTimed)
+        return t;
     if (l3_res.hit) {
         ++hitsL3_;
         if (hit_level)

@@ -22,6 +22,20 @@ using Addr = std::uint64_t;
 /** Address-space (process) identifier; the paper supports 2^15 processes. */
 using Asid = std::uint16_t;
 
+/**
+ * Compile-time timing flag of the operations that have a functional
+ * fast-forward (DESIGN.md §10.2). Each such operation has one body,
+ * templated on this flag: the Functional instantiation performs the
+ * same state transitions with zero tick movement, and work only the
+ * Detailed one does (latencies, DRAM/ORE/OMT-cache charges, timing
+ * counters, trace and profile points) sits under `if constexpr`.
+ */
+enum class Timing : bool
+{
+    Functional,
+    Detailed,
+};
+
 /** Invalid/sentinel values. */
 constexpr Tick kMaxTick = ~Tick(0);
 constexpr Addr kInvalidAddr = ~Addr(0);

@@ -109,8 +109,12 @@ class Omt : public SimObject
     /** Materialize the radix path for @p opn (entry creation/update). */
     void ensureNodePath(Opn opn);
 
-    /** Memory footprint of all allocated table nodes, in bytes. */
-    std::uint64_t nodeBytes() const { return nodeBytes_.value(); }
+    /**
+     * Memory footprint of all allocated table nodes, in bytes: derived
+     * from the node map, not the nodeBytes statistic, so a stats reset
+     * cannot corrupt memory accounting (Figure 8).
+     */
+    std::uint64_t nodeBytes() const { return nodes_.size() * kPageSize; }
 
     /**
      * Snapshot visitor over the full table: chunk directory, entry arena

@@ -43,6 +43,7 @@
 #include <deque>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -202,6 +203,13 @@ class ScopedTimer
     std::uint64_t start_;
 };
 
+/** The ScopedTimer stand-in OVL_PROF_SCOPE_IF picks when its condition
+ *  is false: no state, no code. */
+struct NoTimer
+{
+    explicit NoTimer(Zone) {}
+};
+
 /** One merged call-tree path in a Report, in DFS order. */
 struct ZoneRow
 {
@@ -276,8 +284,15 @@ void writeCollapsed(std::ostream &os, const Report &report,
 #define OVL_PROF_SCOPE(zone)                                                 \
     ::ovl::prof::ScopedTimer OVL_PROF_CONCAT(ovl_prof_scope_, __LINE__)(     \
         ::ovl::prof::Zone::zone)
+/** OVL_PROF_SCOPE only where the constant expression @p cond holds: the
+ *  Timing-templated operations open their timing-side zones with it. */
+#define OVL_PROF_SCOPE_IF(cond, zone)                                        \
+    [[maybe_unused]] std::conditional_t<(cond), ::ovl::prof::ScopedTimer,   \
+                                        ::ovl::prof::NoTimer>                \
+        OVL_PROF_CONCAT(ovl_prof_scope_, __LINE__)(::ovl::prof::Zone::zone)
 #else
 #define OVL_PROF_SCOPE(zone) ((void)0)
+#define OVL_PROF_SCOPE_IF(cond, zone) ((void)0)
 #endif
 
 #endif // OVERLAYSIM_SIM_PROFILE_HH

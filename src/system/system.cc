@@ -104,60 +104,107 @@ System::System(SystemConfig config)
 
 // --------------------------- translation ------------------------------
 
+namespace
+{
+
+/** A page-table entry as a TLB fill installs it (the OBitVector aside). */
+TlbEntryData
+tlbEntryFrom(const Pte &pte)
+{
+    TlbEntryData data;
+    data.ppn = pte.ppn;
+    data.writable = pte.writable;
+    data.cow = pte.cow;
+    data.overlayEnabled = pte.overlayEnabled;
+    data.metadataMode = pte.metadataMode;
+    return data;
+}
+
+/**
+ * Split [vaddr, vaddr + len) at cache-line boundaries and call
+ * @p fn(chunk_vaddr, offset, chunk_len) for each piece, where @p offset
+ * is the piece's position within the caller's buffer.
+ */
+template <class Fn>
+void
+forEachLineChunk(Addr vaddr, std::size_t len, Fn &&fn)
+{
+    for (std::size_t off = 0; off < len;) {
+        std::size_t chunk = std::min<std::size_t>(
+            len - off, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
+        fn(vaddr, off, chunk);
+        vaddr += chunk;
+        off += chunk;
+    }
+}
+
+} // namespace
+
+template <Timing T>
 TlbEntryData *
 System::translate(Asid asid, Addr vpn, Tick &t, AccessOutcome *outcome,
                   unsigned core)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     ovl_assert(core < tlbs_.size(), "no such core/TLB");
     TlbAccessResult tr = tlbs_[core]->access(asid, vpn);
-    t += tr.latency;
+    if constexpr (kTimed)
+        t += tr.latency;
     if (!tr.needsWalk)
         return tr.entry;
 
-    ++tlbWalks_;
-    OVL_PROF_SCOPE(TlbWalk);
-    if (outcome)
-        outcome->tlbWalk = true;
-    if (trace::active()) {
-        trace::begin("tlb", "tlb_walk", t - config_.tlb.walkLatency,
-                     {{"asid", asid}, {"vpn", vpn}});
+    OVL_PROF_SCOPE_IF(kTimed, TlbWalk);
+    if constexpr (kTimed) {
+        ++tlbWalks_;
+        if (outcome)
+            outcome->tlbWalk = true;
+        if (trace::active()) {
+            trace::begin("tlb", "tlb_walk", t - config_.tlb.walkLatency,
+                         {{"asid", asid}, {"vpn", vpn}});
+        }
     }
     Pte *pte = vmm_.resolve(asid, vpn);
     if (pte == nullptr || !pte->present) {
         ovl_fatal("access to unmapped page: asid=%u vpn=%llx",
                   unsigned(asid), (unsigned long long)vpn);
     }
-    TlbEntryData data;
-    data.ppn = pte->ppn;
-    data.writable = pte->writable;
-    data.cow = pte->cow;
-    data.overlayEnabled = pte->overlayEnabled;
-    data.metadataMode = pte->metadataMode;
+    TlbEntryData data = tlbEntryFrom(*pte);
     if (pte->overlayEnabled && config_.overlaysEnabled) {
         // The TLB fill also fetches the OBitVector from the OMT (§4.3).
         // Because the virtual-to-overlay mapping is direct (§4.1), the
         // OPN is known without the translation, so the OMT access runs
         // in parallel with the page-table walk; the fill completes at
-        // the later of the two.
+        // the later of the two. A functional fill reads the OMT without
+        // occupying the OMT cache.
         Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-        Tick walk_started = t - config_.tlb.walkLatency;
-        Tick omt_done = overlayMgr_.omtAccess(opn, walk_started);
-        t = std::max(t, omt_done);
+        if constexpr (kTimed) {
+            Tick walk_started = t - config_.tlb.walkLatency;
+            Tick omt_done = overlayMgr_.omtAccess(opn, walk_started);
+            t = std::max(t, omt_done);
+        }
         data.obv = overlayMgr_.obitvector(opn);
     }
-    if (trace::active())
-        trace::end("tlb", "tlb_walk", t);
+    if constexpr (kTimed) {
+        if (trace::active())
+            trace::end("tlb", "tlb_walk", t);
+    }
     return tlbs_[core]->fill(asid, vpn, data);
 }
 
 // ------------------------- the access path ----------------------------
 
+template <Timing T>
 Tick
 System::access(Asid asid, Addr vaddr, bool is_write, Tick when,
                AccessOutcome *outcome, unsigned core)
 {
-    ++accesses_;
-    OVL_PROF_SCOPE(Access);
+    constexpr bool kTimed = T == Timing::Detailed;
+    if constexpr (kTimed)
+        ++accesses_;
+    else
+        ++functionalAccesses_;
+    OVL_PROF_SCOPE_IF(kTimed, Access);
+    OVL_PROF_SCOPE_IF(!kTimed, FunctionalFf);
     AccessOutcome local;
     if (outcome == nullptr)
         outcome = &local;
@@ -166,20 +213,23 @@ System::access(Asid asid, Addr vaddr, bool is_write, Tick when,
     Addr vpn = pageNumber(vaddr);
     unsigned line = lineInPage(vaddr);
     Tick t = when;
-    TlbEntryData *entry = translate(asid, vpn, t, outcome, core);
+    TlbEntryData *entry = translate<T>(asid, vpn, t, outcome, core);
 
     if (is_write && entry->cow) {
         bool use_overlay = entry->overlayEnabled &&
                            config_.overlaysEnabled && !entry->metadataMode;
         if (use_overlay) {
             if (!entry->obv.test(line)) {
-                t = serviceOverlayingWrite(asid, vaddr, entry, t, outcome);
+                t = serviceOverlayingWrite<T>(asid, vaddr, entry, t,
+                                              outcome);
                 // The entry may have been invalidated (promotion); the
-                // re-lookup is an L1 TLB hit in the common case.
-                entry = translate(asid, vpn, t, outcome, core);
+                // re-lookup is an L1 TLB hit in the common case. The
+                // functional write never promotes: its entry stands.
+                if constexpr (kTimed)
+                    entry = translate<T>(asid, vpn, t, outcome, core);
             }
         } else {
-            t = serviceCowFault(asid, vaddr, entry, t, outcome, core);
+            t = serviceCowFault<T>(asid, vaddr, entry, t, outcome, core);
         }
     }
 
@@ -187,17 +237,17 @@ System::access(Asid asid, Addr vaddr, bool is_write, Tick when,
                         !entry->metadataMode && entry->obv.test(line);
     Addr line_addr = overlay_line ? overlayLineAddr(asid, vaddr)
                                   : physLineAddr(entry->ppn, vaddr);
-    if (overlay_line) {
+    if (kTimed && overlay_line) {
         outcome->overlayLine = true;
         if (is_write)
             ++simpleOverlayWrites_;
         else
             ++overlayLineReads_;
     }
-    t = caches_.access(line_addr, is_write, t, &outcome->level);
+    t = caches_.access<T>(line_addr, is_write, t, &outcome->level);
     // Sampler pump: samplerNext_ is kMaxTick when no sampler is
     // attached, so the steady-state cost is this one compare.
-    if (t >= samplerNext_)
+    if (kTimed && t >= samplerNext_)
         samplerNext_ = sampler_->observe(t);
     outcome->completion = t;
     return t;
@@ -217,109 +267,25 @@ System::accessBatch(Asid asid, std::span<const AccessRequest> reqs,
     return t;
 }
 
-void
-System::accessFunctional(Asid asid, Addr vaddr, bool is_write, unsigned core)
-{
-    ++functionalAccesses_;
-    OVL_PROF_SCOPE(FunctionalFf);
-    Addr vpn = pageNumber(vaddr);
-    unsigned line = lineInPage(vaddr);
-
-    // TLB warming: the lookup tracks recency like a detailed access, and
-    // a miss fills both levels from the page table — state only, no walk
-    // latency and no OMT-cache occupancy (the OBitVector is read straight
-    // from the OMT).
-    TlbAccessResult tr = tlbs_[core]->access(asid, vpn);
-    TlbEntryData *entry = tr.entry;
-    if (tr.needsWalk) {
-        Pte *pte = vmm_.resolve(asid, vpn);
-        if (pte == nullptr || !pte->present) {
-            ovl_fatal("functional access to unmapped page: asid=%u vpn=%llx",
-                      unsigned(asid), (unsigned long long)vpn);
-        }
-        TlbEntryData data;
-        data.ppn = pte->ppn;
-        data.writable = pte->writable;
-        data.cow = pte->cow;
-        data.overlayEnabled = pte->overlayEnabled;
-        data.metadataMode = pte->metadataMode;
-        if (pte->overlayEnabled && config_.overlaysEnabled) {
-            data.obv = overlayMgr_.obitvector(
-                overlay_addr::pageFromVirtual(asid, vpn));
-        }
-        entry = tlbs_[core]->fill(asid, vpn, data);
-    }
-
-    if (is_write && entry->cow) {
-        bool use_overlay = entry->overlayEnabled &&
-                           config_.overlaysEnabled && !entry->metadataMode;
-        if (use_overlay) {
-            if (!entry->obv.test(line)) {
-                ovl_assert(config_.promoteThresholdLines >= kLinesPerPage,
-                           "functional fast-forward requires promotion "
-                           "disabled");
-                ++overlayingWrites_;
-                Pte *pte = vmm_.resolve(asid, vpn);
-                Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-                Addr pline = physLineAddr(pte->ppn, vaddr);
-                overlayLineFunctional(opn, line, pline);
-                for (auto &tlb : tlbs_)
-                    tlb->updateObvBit(asid, vpn, line, true);
-                // The detailed path retags pline -> oline in place; the
-                // warm equivalent drops the stale regular-space tag (the
-                // overlay-space tag is installed by warmLine below).
-                caches_.dropLine(pline);
-            }
-        } else {
-            ++cowFaults_;
-            Pte *pte = vmm_.resolve(asid, vpn);
-            Addr old_ppn = pte->ppn;
-            bool copied = false;
-            vmm_.breakCow(asid, vpn, &copied);
-            for (auto &tlb : tlbs_)
-                tlb->invalidate(asid, vpn);
-            pte = vmm_.resolve(asid, vpn);
-            if (copied) {
-                // The detailed fault copies the page through the caches
-                // (64 loads + 64 stores); warm the same footprint.
-                for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                    Addr off = Addr(l) << kLineShift;
-                    caches_.warmLine((old_ppn << kPageShift) | off, false);
-                    caches_.warmLine((pte->ppn << kPageShift) | off, true);
-                }
-            }
-            TlbEntryData data;
-            data.ppn = pte->ppn;
-            data.writable = pte->writable;
-            data.cow = pte->cow;
-            data.overlayEnabled = pte->overlayEnabled;
-            data.metadataMode = pte->metadataMode;
-            entry = tlbs_[core]->fill(asid, vpn, data);
-        }
-    }
-
-    bool overlay_line = config_.overlaysEnabled && entry->overlayEnabled &&
-                        !entry->metadataMode && entry->obv.test(line);
-    Addr line_addr = overlay_line ? overlayLineAddr(asid, vaddr)
-                                  : physLineAddr(entry->ppn, vaddr);
-    caches_.warmLine(line_addr, is_write);
-}
-
+template <Timing T>
 Tick
 System::serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
                         Tick t, AccessOutcome *outcome, unsigned core)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     ++cowFaults_;
-    OVL_PROF_SCOPE(CowFault);
+    OVL_PROF_SCOPE_IF(kTimed, CowFault);
     outcome->cowFault = true;
-    ovl_trace(system, "CoW fault: asid=%u vaddr=%llx t=%llu",
-              unsigned(asid), (unsigned long long)vaddr,
-              (unsigned long long)t);
-    if (trace::active()) {
-        trace::begin("overlay", "cow_fault", t,
-                     {{"asid", asid}, {"vaddr", vaddr}});
+    if constexpr (kTimed) {
+        ovl_trace(system, "CoW fault: asid=%u vaddr=%llx t=%llu",
+                  unsigned(asid), (unsigned long long)vaddr,
+                  (unsigned long long)t);
+        if (trace::active()) {
+            trace::begin("overlay", "cow_fault", t,
+                         {{"asid", asid}, {"vaddr", vaddr}});
+        }
+        t += config_.pageFaultTrapCycles;
     }
-    t += config_.pageFaultTrapCycles;
 
     Addr vpn = pageNumber(vaddr);
     Pte *pte = vmm_.resolve(asid, vpn);
@@ -335,28 +301,25 @@ System::serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
         for (unsigned l = 0; l < kLinesPerPage; ++l) {
             Addr src = (old_ppn << kPageShift) | (Addr(l) << kLineShift);
             Addr dst = (pte->ppn << kPageShift) | (Addr(l) << kLineShift);
-            Tick rd = caches_.access(src, false, t);
-            Tick wr = caches_.access(dst, true, rd);
+            Tick rd = caches_.access<T>(src, false, t);
+            Tick wr = caches_.access<T>(dst, true, rd);
             copy_done = std::max(copy_done, wr);
-            ++cowLinesCopied_;
+            if constexpr (kTimed)
+                ++cowLinesCopied_;
         }
         t = copy_done;
     }
 
     // Remap: update the PTE and shoot down stale TLB entries [6, 52].
-    t += config_.tlbShootdownCycles();
+    if constexpr (kTimed)
+        t += config_.tlbShootdownCycles();
     for (auto &tlb : tlbs_)
         tlb->invalidate(asid, vpn, t);
-
-    TlbEntryData data;
-    data.ppn = pte->ppn;
-    data.writable = pte->writable;
-    data.cow = pte->cow;
-    data.overlayEnabled = pte->overlayEnabled;
-    data.metadataMode = pte->metadataMode;
-    entry = tlbs_[core]->fill(asid, vpn, data);
-    if (trace::active())
-        trace::end("overlay", "cow_fault", t);
+    entry = tlbs_[core]->fill(asid, vpn, tlbEntryFrom(*pte));
+    if constexpr (kTimed) {
+        if (trace::active())
+            trace::end("overlay", "cow_fault", t);
+    }
     return t;
 }
 
@@ -370,13 +333,18 @@ System::overlayLineFunctional(Opn opn, unsigned line, Addr phys_line_addr)
     overlayMgr_.writeLineData(opn, line, data);
 }
 
+template <Timing T>
 Tick
 System::broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t)
 {
-    OVL_PROF_SCOPE(OreBroadcast);
+    OVL_PROF_SCOPE_IF(T == Timing::Detailed, OreBroadcast);
     // The overlaying-read-exclusive message travels the coherence
     // network: every TLB holding the mapping flips one OBitVector bit,
     // and the memory controller updates the OMT (§4.3.3). No shootdown.
+    for (auto &tlb : tlbs_)
+        tlb->updateObvBit(asid, vpn, line, true);
+    if constexpr (T == Timing::Functional)
+        return t;
     // The write only waits for the TLB updates; the OMT update is
     // posted — it is ordered at the controller and merely occupies the
     // OMT cache and DRAM in the background ("negligible logic on the
@@ -386,8 +354,6 @@ System::broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t)
     Tick start = std::max(t, oreBusyUntil_);
     Tick ore_done = start + config_.oreMessageCycles;
     oreBusyUntil_ = ore_done;
-    for (auto &tlb : tlbs_)
-        tlb->updateObvBit(asid, vpn, line, true);
     overlayMgr_.overlayingReadExclusive(opn, line, ore_done);
     if (trace::active()) {
         // Span covers queueing at the ordering point plus transit, so
@@ -398,19 +364,27 @@ System::broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t)
     return ore_done;
 }
 
+template <Timing T>
 Tick
 System::serviceOverlayingWrite(Asid asid, Addr vaddr, TlbEntryData *entry,
                                Tick t, AccessOutcome *outcome)
 {
+    constexpr bool kTimed = T == Timing::Detailed;
     ++overlayingWrites_;
-    OVL_PROF_SCOPE(OverlayingWrite);
+    OVL_PROF_SCOPE_IF(kTimed, OverlayingWrite);
     outcome->overlayingWrite = true;
-    ovl_trace(system, "overlaying write: asid=%u vaddr=%llx line=%u t=%llu",
-              unsigned(asid), (unsigned long long)vaddr,
-              lineInPage(vaddr), (unsigned long long)t);
-    if (trace::active()) {
-        trace::begin("overlay", "overlaying_write", t,
-                     {{"asid", asid}, {"vaddr", vaddr}});
+    if constexpr (kTimed) {
+        ovl_trace(system,
+                  "overlaying write: asid=%u vaddr=%llx line=%u t=%llu",
+                  unsigned(asid), (unsigned long long)vaddr,
+                  lineInPage(vaddr), (unsigned long long)t);
+        if (trace::active()) {
+            trace::begin("overlay", "overlaying_write", t,
+                         {{"asid", asid}, {"vaddr", vaddr}});
+        }
+    } else {
+        ovl_assert(config_.promoteThresholdLines >= kLinesPerPage,
+                   "functional fast-forward requires promotion disabled");
     }
 
     // Derive the page's identities once; every step below (functional
@@ -427,24 +401,32 @@ System::serviceOverlayingWrite(Asid asid, Addr vaddr, TlbEntryData *entry,
 
     // Step 1 (§4.3.3): move the line's data into the overlay address —
     // in hardware, a cache tag update when the line is resident, or a
-    // fetch followed by the tag update otherwise.
-    if (!caches_.retagLine(pline, oline, t)) {
-        t = caches_.access(pline, false, t);
-        caches_.retagLine(pline, oline, t);
+    // fetch followed by the tag update otherwise. Functional warming
+    // drops the regular-space tag instead; access() then installs the
+    // overlay-space one.
+    if constexpr (kTimed) {
+        if (!caches_.retagLine(pline, oline, t)) {
+            t = caches_.access(pline, false, t);
+            caches_.retagLine(pline, oline, t);
+        }
+    } else {
+        caches_.invalidateLine<T>(pline, t);
     }
 
     // Step 2: keep TLBs and the OMT coherent with one message.
-    t = broadcastOre(asid, vpn, opn, line, t);
+    t = broadcastOre<T>(asid, vpn, opn, line, t);
 
-    // OS promotion policy (§4.3.4): convert densely-overlaid pages back
-    // to regular pages.
-    if (config_.promoteThresholdLines < kLinesPerPage &&
-        entry->obv.count() >= config_.promoteThresholdLines) {
-        t = promoteOverlay(asid, vaddr, PromoteAction::CopyAndCommit, t);
+    if constexpr (kTimed) {
+        // OS promotion policy (§4.3.4): convert densely-overlaid pages
+        // back to regular pages.
+        if (config_.promoteThresholdLines < kLinesPerPage &&
+            entry->obv.count() >= config_.promoteThresholdLines) {
+            t = promoteOverlay(asid, vaddr, PromoteAction::CopyAndCommit, t);
+        }
+        if (trace::active())
+            trace::end("overlay", "overlaying_write", t);
     }
     // Step 3 (the write itself) happens in access() after re-translation.
-    if (trace::active())
-        trace::end("overlay", "overlaying_write", t);
     return t;
 }
 
@@ -456,15 +438,11 @@ System::write(Asid asid, Addr vaddr, const void *data, std::size_t len,
 {
     const auto *src = static_cast<const std::uint8_t *>(data);
     Tick t = when;
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        t = access(asid, vaddr, true, t);
-        poke(asid, vaddr, src, chunk);
-        vaddr += chunk;
-        src += chunk;
-        len -= chunk;
-    }
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        t = access(asid, va, true, t);
+        poke(asid, va, src + off, chunk);
+    });
     return t;
 }
 
@@ -473,15 +451,11 @@ System::read(Asid asid, Addr vaddr, void *out, std::size_t len, Tick when)
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     Tick t = when;
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        t = access(asid, vaddr, false, t);
-        peek(asid, vaddr, dst, chunk);
-        vaddr += chunk;
-        dst += chunk;
-        len -= chunk;
-    }
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        t = access(asid, va, false, t);
+        peek(asid, va, dst + off, chunk);
+    });
     return t;
 }
 
@@ -489,11 +463,10 @@ void
 System::poke(Asid asid, Addr vaddr, const void *data, std::size_t len)
 {
     const auto *src = static_cast<const std::uint8_t *>(data);
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        Addr vpn = pageNumber(vaddr);
-        unsigned line = lineInPage(vaddr);
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        Addr vpn = pageNumber(va);
+        unsigned line = lineInPage(va);
         Pte *pte = vmm_.resolve(asid, vpn);
         ovl_assert(pte != nullptr && pte->present, "poke to unmapped page");
 
@@ -504,7 +477,7 @@ System::poke(Asid asid, Addr vaddr, const void *data, std::size_t len)
         if (pte->cow && use_overlay &&
             !overlayMgr_.obitvector(opn).test(line)) {
             // Functional overlaying write (no timing charge).
-            overlayLineFunctional(opn, line, physLineAddr(pte->ppn, vaddr));
+            overlayLineFunctional(opn, line, physLineAddr(pte->ppn, va));
             for (auto &tlb : tlbs_)
                 tlb->updateObvBit(asid, vpn, line, true);
         } else if (pte->cow && !use_overlay) {
@@ -516,27 +489,24 @@ System::poke(Asid asid, Addr vaddr, const void *data, std::size_t len)
         if (use_overlay && overlayMgr_.obitvector(opn).test(line)) {
             LineData line_data;
             overlayMgr_.readLineData(opn, line, line_data);
-            std::memcpy(line_data.data() + (vaddr & kLineMask), src, chunk);
+            std::memcpy(line_data.data() + (va & kLineMask), src + off,
+                        chunk);
             overlayMgr_.writeLineData(opn, line, line_data);
         } else {
-            physMem_.writeBytes((pte->ppn << kPageShift) | pageOffset(vaddr),
-                                src, chunk);
+            physMem_.writeBytes((pte->ppn << kPageShift) | pageOffset(va),
+                                src + off, chunk);
         }
-        vaddr += chunk;
-        src += chunk;
-        len -= chunk;
-    }
+    });
 }
 
 void
 System::peek(Asid asid, Addr vaddr, void *out, std::size_t len) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        Addr vpn = pageNumber(vaddr);
-        unsigned line = lineInPage(vaddr);
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        Addr vpn = pageNumber(va);
+        unsigned line = lineInPage(va);
         const Pte *pte = vmm_.process(asid).pageTable.find(vpn);
         ovl_assert(pte != nullptr && pte->present, "peek of unmapped page");
 
@@ -547,15 +517,13 @@ System::peek(Asid asid, Addr vaddr, void *out, std::size_t len) const
             // overlay, all others from the physical page.
             LineData line_data;
             overlayMgr_.readLineData(opn, line, line_data);
-            std::memcpy(dst, line_data.data() + (vaddr & kLineMask), chunk);
+            std::memcpy(dst + off, line_data.data() + (va & kLineMask),
+                        chunk);
         } else {
-            physMem_.readBytes((pte->ppn << kPageShift) | pageOffset(vaddr),
-                               dst, chunk);
+            physMem_.readBytes((pte->ppn << kPageShift) | pageOffset(va),
+                               dst + off, chunk);
         }
-        vaddr += chunk;
-        dst += chunk;
-        len -= chunk;
-    }
+    });
 }
 
 // ----------------------- metadata instructions -------------------------
@@ -565,7 +533,8 @@ System::metadataAccess(Asid asid, Addr vaddr, bool is_write, Tick when)
 {
     Addr vpn = pageNumber(vaddr);
     Tick t = when;
-    TlbEntryData *entry = translate(asid, vpn, t, nullptr);
+    TlbEntryData *entry =
+        translate<Timing::Detailed>(asid, vpn, t, nullptr);
     ovl_assert(entry->metadataMode && entry->overlayEnabled,
                "metadata access to a page not in metadata mode");
     Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
@@ -573,7 +542,7 @@ System::metadataAccess(Asid asid, Addr vaddr, bool is_write, Tick when)
         // First store to a shadow line maps it (same ORE protocol).
         unsigned line = lineInPage(vaddr);
         if (!entry->obv.test(line))
-            t = broadcastOre(asid, vpn, opn, line, t);
+            t = broadcastOre<Timing::Detailed>(asid, vpn, opn, line, t);
     }
     Addr oline = (opn << kPageShift) | (pageOffset(vaddr) & ~kLineMask);
     return caches_.access(oline, is_write, t);
@@ -584,23 +553,19 @@ System::metadataPoke(Asid asid, Addr vaddr, const void *data,
                      std::size_t len)
 {
     const auto *src = static_cast<const std::uint8_t *>(data);
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        Addr vpn = pageNumber(vaddr);
-        unsigned line = lineInPage(vaddr);
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        Addr vpn = pageNumber(va);
+        unsigned line = lineInPage(va);
         Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
         LineData line_data{};
         if (overlayMgr_.hasLineData(opn, line))
             overlayMgr_.readLineData(opn, line, line_data);
-        std::memcpy(line_data.data() + (vaddr & kLineMask), src, chunk);
+        std::memcpy(line_data.data() + (va & kLineMask), src + off, chunk);
         overlayMgr_.writeLineData(opn, line, line_data);
         for (auto &tlb : tlbs_)
             tlb->updateObvBit(asid, vpn, line, true);
-        vaddr += chunk;
-        src += chunk;
-        len -= chunk;
-    }
+    });
 }
 
 void
@@ -608,56 +573,59 @@ System::metadataPeek(Asid asid, Addr vaddr, void *out,
                      std::size_t len) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        Addr vpn = pageNumber(vaddr);
-        unsigned line = lineInPage(vaddr);
-        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        Opn opn = overlay_addr::pageFromVirtual(asid, pageNumber(va));
+        unsigned line = lineInPage(va);
         if (overlayMgr_.hasLineData(opn, line)) {
             LineData line_data;
             overlayMgr_.readLineData(opn, line, line_data);
-            std::memcpy(dst, line_data.data() + (vaddr & kLineMask), chunk);
+            std::memcpy(dst + off, line_data.data() + (va & kLineMask),
+                        chunk);
         } else {
-            std::memset(dst, 0, chunk); // unmapped shadow lines are zero
+            std::memset(dst + off, 0, chunk); // unmapped shadow lines are zero
         }
-        vaddr += chunk;
-        dst += chunk;
-        len -= chunk;
-    }
+    });
 }
 
 // ------------------------------ fork -----------------------------------
 
+template <Timing T>
 Asid
 System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
 {
-    OVL_PROF_SCOPE(Fork);
+    constexpr bool kTimed = T == Timing::Detailed;
+    OVL_PROF_SCOPE_IF(kTimed, Fork);
+    OVL_PROF_SCOPE_IF(!kTimed, FunctionalFf);
     Asid child = vmm_.fork(parent, mode);
-    ovl_trace(system, "fork: parent=%u child=%u mode=%s", unsigned(parent),
-              unsigned(child),
-              mode == ForkMode::CopyOnWrite ? "cow" : "oow");
-    if (trace::active()) {
-        trace::begin("system", "fork", when,
-                     {{"parent", parent}, {"child", child}});
-    }
-    Tick t = when + config_.pageFaultTrapCycles; // syscall + bookkeeping
-
-    // Charge the page-table copy (8 B PTEs, 8 per line) through DRAM.
     Process &parent_proc = vmm_.process(parent);
     std::uint64_t pages = parent_proc.pageTable.size();
     forkPagesShared_ += pages;
-    std::uint64_t pte_lines = (pages * 8 + kLineSize - 1) / kLineSize;
-    for (std::uint64_t i = 0; i < pte_lines; ++i) {
-        // Sequential table reads followed by buffered writes.
-        t = dramCtrl_.read((i * kLineSize) % config_.memCapacityBytes, t);
-        dramCtrl_.enqueueWrite((i * kLineSize) % config_.memCapacityBytes,
-                               t);
+    Tick t = when;
+    if constexpr (kTimed) {
+        ovl_trace(system, "fork: parent=%u child=%u mode=%s",
+                  unsigned(parent), unsigned(child),
+                  mode == ForkMode::CopyOnWrite ? "cow" : "oow");
+        if (trace::active()) {
+            trace::begin("system", "fork", when,
+                         {{"parent", parent}, {"child", child}});
+        }
+        t += config_.pageFaultTrapCycles; // syscall + bookkeeping
+
+        // Charge the page-table copy (8 B PTEs, 8 per line) through DRAM.
+        std::uint64_t pte_lines = (pages * 8 + kLineSize - 1) / kLineSize;
+        for (std::uint64_t i = 0; i < pte_lines; ++i) {
+            // Sequential table reads followed by buffered writes.
+            Addr addr = (i * kLineSize) % config_.memCapacityBytes;
+            t = dramCtrl_.read(addr, t);
+            dramCtrl_.enqueueWrite(addr, t);
+        }
     }
 
     // §4.1: overlays are not shared across virtual pages, so fork must
-    // copy the parent's overlay lines into the child's overlays. The
-    // copy walks pages in ascending-VPN order: the order is part of the
+    // copy the parent's overlay lines into the child's overlays (the
+    // functional fork skips the copy's cache traffic). The copy walks
+    // pages in ascending-VPN order: the order is part of the
     // deterministic timing contract (it decides the cache/DRAM access
     // sequence). PageTable iteration is ascending by construction, and
     // nothing in the loop mutates the parent's table.
@@ -675,61 +643,62 @@ System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
                 overlayMgr_.readLineData(parent_opn, l, data);
                 overlayMgr_.writeLineData(child_opn, l, data);
                 ++forkOverlayLinesCopied_;
-                Addr src = (parent_opn << kPageShift) |
-                           (Addr(l) << kLineShift);
-                t = caches_.access(src, false, t);
-                Addr dst = (child_opn << kPageShift) |
-                           (Addr(l) << kLineShift);
-                caches_.access(dst, true, t);
+                if constexpr (kTimed) {
+                    Addr offset = Addr(l) << kLineShift;
+                    t = caches_.access((parent_opn << kPageShift) | offset,
+                                       false, t);
+                    caches_.access((child_opn << kPageShift) | offset, true,
+                                   t);
+                }
             }
         }
     }
 
-    // The parent's cached translations are stale (cow now set).
-    t += config_.tlbShootdownCycles();
+    // The parent's cached translations are stale (cow now set): dropping
+    // them is architectural state; the shootdown's cost is timing.
+    if constexpr (kTimed)
+        t += config_.tlbShootdownCycles();
     for (auto &tlb : tlbs_)
         tlb->invalidateAsid(parent, t);
 
-    if (trace::active())
-        trace::end("system", "fork", t);
+    if constexpr (kTimed) {
+        if (trace::active())
+            trace::end("system", "fork", t);
+    }
     if (done)
         *done = t;
     return child;
 }
 
-Asid
-System::forkFunctional(Asid parent, ForkMode mode)
+template <Timing T>
+void
+System::unmapPage(Asid asid, Addr vpn, Tick when)
 {
-    OVL_PROF_SCOPE(FunctionalFf);
-    Asid child = vmm_.fork(parent, mode);
-    Process &parent_proc = vmm_.process(parent);
-    forkPagesShared_ += parent_proc.pageTable.size();
-
-    // §4.1 overlay copy, functional half only: the child's overlays get
-    // the parent's lines, but no cache or DRAM activity is charged.
-    if (config_.overlaysEnabled) {
-        for (auto &&[vpn, pte] : parent_proc.pageTable) {
-            (void)pte;
-            Opn parent_opn = overlay_addr::pageFromVirtual(parent, vpn);
-            BitVector64 obv = overlayMgr_.obitvector(parent_opn);
-            if (obv.none())
-                continue;
-            Opn child_opn = overlay_addr::pageFromVirtual(child, vpn);
-            for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-                 l = obv.findNext(l)) {
-                LineData data;
-                overlayMgr_.readLineData(parent_opn, l, data);
-                overlayMgr_.writeLineData(child_opn, l, data);
-                ++forkOverlayLinesCopied_;
-            }
+    Pte *pte = vmm_.resolve(asid, vpn);
+    if (pte == nullptr)
+        return;
+    Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
+    BitVector64 obv = overlayMgr_.obitvector(opn);
+    // Discard the overlay first so writebacks of its cached lines are
+    // squashed, then drop those lines from the caches.
+    overlayMgr_.discardOverlay(opn);
+    for (unsigned l = obv.findFirst(); l < kLinesPerPage;
+         l = obv.findNext(l)) {
+        caches_.invalidateLine<T>(
+            (opn << kPageShift) | (Addr(l) << kLineShift), when);
+    }
+    for (auto &tlb : tlbs_)
+        tlb->invalidate(asid, vpn);
+    // If this unmap frees the frame, its cached lines must not alias the
+    // frame's next user.
+    if (pte->ppn != PhysicalMemory::kZeroFrame &&
+        physMem_.refCount(pte->ppn) == 1) {
+        for (unsigned l = 0; l < kLinesPerPage; ++l) {
+            caches_.invalidateLine<T>(
+                (pte->ppn << kPageShift) | (Addr(l) << kLineShift), when);
         }
     }
-
-    // The parent's cached translations really are stale (cow now set):
-    // dropping them is architectural state, not timing.
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(parent);
-    return child;
+    vmm_.unmap(asid, vpn << kPageShift, kPageSize);
 }
 
 void
@@ -738,42 +707,17 @@ System::unmap(Asid asid, Addr vaddr, std::uint64_t len, Tick when)
     OVL_PROF_SCOPE(Teardown);
     ovl_assert(pageOffset(vaddr) == 0 && len % kPageSize == 0,
                "unmap requires a page-aligned range");
-    for (Addr va = vaddr; va < vaddr + len; va += kPageSize) {
-        Addr vpn = pageNumber(va);
-        if (vmm_.resolve(asid, vpn) == nullptr)
-            continue;
-        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-        BitVector64 obv = overlayMgr_.obitvector(opn);
-        // Discard the overlay first so writebacks of its cached lines
-        // are squashed, then drop those lines from the caches.
-        overlayMgr_.discardOverlay(opn);
-        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-             l = obv.findNext(l)) {
-            caches_.invalidateLine(
-                (opn << kPageShift) | (Addr(l) << kLineShift), when);
-        }
-        for (auto &tlb : tlbs_)
-            tlb->invalidate(asid, vpn);
-        // If this unmap frees the frame, its cached lines must not alias
-        // the frame's next user.
-        Pte *pte = vmm_.resolve(asid, vpn);
-        if (pte->ppn != PhysicalMemory::kZeroFrame &&
-            physMem_.refCount(pte->ppn) == 1) {
-            for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                caches_.invalidateLine(
-                    (pte->ppn << kPageShift) | (Addr(l) << kLineShift),
-                    when);
-            }
-        }
-        vmm_.unmap(asid, va, kPageSize);
-    }
+    for (Addr va = vaddr; va < vaddr + len; va += kPageSize)
+        unmapPage<Timing::Detailed>(asid, pageNumber(va), when);
 }
 
+template <Timing T>
 void
 System::destroyProcess(Asid asid, Tick when)
 {
-    OVL_PROF_SCOPE(Teardown);
-    // Collect first: unmap() mutates the page table while iterating.
+    OVL_PROF_SCOPE_IF(T == Timing::Detailed, Teardown);
+    OVL_PROF_SCOPE_IF(T == Timing::Functional, FunctionalFf);
+    // Collect first: unmapping mutates the page table while iterating.
     // Teardown order is timing-visible (cache invalidations, frame
     // recycling); PageTable iteration is already ascending-VPN, so the
     // collected order needs no separate sort.
@@ -784,47 +728,19 @@ System::destroyProcess(Asid asid, Tick when)
         vpns.push_back(vpn);
     }
     for (Addr vpn : vpns)
-        unmap(asid, vpn << kPageShift, kPageSize, when);
+        unmapPage<T>(asid, vpn, when);
     for (auto &tlb : tlbs_)
         tlb->invalidateAsid(asid);
 }
 
-void
-System::destroyProcessFunctional(Asid asid)
-{
-    OVL_PROF_SCOPE(FunctionalFf);
-    // Mirrors destroyProcess()/unmap() step for step, with cache drops
-    // instead of invalidate+writeback: functional data lives in the
-    // backing stores, so nothing is lost, and DRAM state stays put.
-    std::vector<Addr> vpns;
-    vpns.reserve(vmm_.process(asid).pageTable.size());
-    for (auto &&[vpn, pte] : vmm_.process(asid).pageTable) {
-        (void)pte;
-        vpns.push_back(vpn);
-    }
-    for (Addr vpn : vpns) {
-        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-        BitVector64 obv = overlayMgr_.obitvector(opn);
-        overlayMgr_.discardOverlay(opn);
-        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-             l = obv.findNext(l)) {
-            caches_.dropLine((opn << kPageShift) | (Addr(l) << kLineShift));
-        }
-        for (auto &tlb : tlbs_)
-            tlb->invalidate(asid, vpn);
-        Pte *pte = vmm_.resolve(asid, vpn);
-        if (pte->ppn != PhysicalMemory::kZeroFrame &&
-            physMem_.refCount(pte->ppn) == 1) {
-            for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                caches_.dropLine((pte->ppn << kPageShift) |
-                                 (Addr(l) << kLineShift));
-            }
-        }
-        vmm_.unmap(asid, vpn << kPageShift, kPageSize);
-    }
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(asid);
-}
+template Tick System::access<Timing::Functional>(Asid, Addr, bool, Tick,
+                                                 AccessOutcome *, unsigned);
+template Tick System::access<Timing::Detailed>(Asid, Addr, bool, Tick,
+                                               AccessOutcome *, unsigned);
+template Asid System::fork<Timing::Functional>(Asid, ForkMode, Tick, Tick *);
+template Asid System::fork<Timing::Detailed>(Asid, ForkMode, Tick, Tick *);
+template void System::destroyProcess<Timing::Functional>(Asid, Tick);
+template void System::destroyProcess<Timing::Detailed>(Asid, Tick);
 
 // --------------------------- promotion ---------------------------------
 
@@ -1021,21 +937,7 @@ System::quiesce()
 void
 System::dumpAllStats(std::ostream &os)
 {
-    statGroup().dump(os);
-    physMem_.dumpStats(os);
-    vmm_.dumpStats(os);
-    dramCtrl_.dumpStats(os);
-    overlayMgr_.dumpStats(os);
-    memCtrl_.dumpStats(os);
-    caches_.dumpStats(os);
-    caches_.l1().dumpStats(os);
-    caches_.l2().dumpStats(os);
-    caches_.l3().dumpStats(os);
-    caches_.prefetcher().dumpStats(os);
-    for (const auto &tlb : tlbs_) {
-        tlb->l1().dumpStats(os);
-        tlb->l2().dumpStats(os);
-    }
+    forEachStatsGroup([&](const stats::Group *group) { group->dump(os); });
 }
 
 void
@@ -1056,13 +958,7 @@ System::dumpAllStatsJson(std::ostream &os)
 void
 System::resetStats()
 {
-    SimObject::resetStats();
-    physMem_.resetStats();
-    vmm_.resetStats();
-    dramCtrl_.resetStats();
-    overlayMgr_.resetStats();
-    memCtrl_.resetStats();
-    caches_.resetStats();
+    forEachStatsGroup([](stats::Group *group) { group->resetStats(); });
     // A mid-run reset must not produce negative per-interval deltas.
     if (sampler_ != nullptr)
         sampler_->rebase();

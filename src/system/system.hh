@@ -6,6 +6,12 @@
  * This class implements the paper's three memory-access operations —
  * read, simple write and overlaying write (§4.3.1–§4.3.3) — the CoW
  * baseline fault path, overlay promotion (§4.3.4) and fork.
+ *
+ * access, fork and destroyProcess each have one body templated on
+ * Timing (DESIGN.md §10.2): the Detailed instantiation is the timing
+ * model, the Functional one the sampled-simulation fast-forward, which
+ * makes the same state transitions with zero tick movement. The
+ * xxxFunctional methods are one-line names for the latter.
  */
 
 #ifndef OVERLAYSIM_SYSTEM_SYSTEM_HH
@@ -119,6 +125,7 @@ class System : public SimObject
      *
      * @return the child ASID; @p done (optional) receives completion time.
      */
+    template <Timing T = Timing::Detailed>
     Asid fork(Asid parent, ForkMode mode, Tick when, Tick *done = nullptr);
 
     /**
@@ -133,6 +140,7 @@ class System : public SimObject
      * retired (per §4.1's 1-1 overlay mapping, ASIDs are not recycled
      * while the system lives).
      */
+    template <Timing T = Timing::Detailed>
     void destroyProcess(Asid asid, Tick when);
 
     // ----- the three memory operations (§4.3) ----------------------------
@@ -145,6 +153,7 @@ class System : public SimObject
      * core's TLBs translate the access (coherence messages and
      * shootdowns always reach every core's TLBs).
      */
+    template <Timing T = Timing::Detailed>
     Tick access(Asid asid, Addr vaddr, bool is_write, Tick when,
                 AccessOutcome *outcome = nullptr, unsigned core = 0);
 
@@ -174,38 +183,51 @@ class System : public SimObject
 
     /**
      * Functional fast-forward of one access (sampled simulation, see
-     * DESIGN.md §10): performs exactly the architectural transitions of
-     * access() — TLB warming/fills, overlaying writes (OBitVector + OMT
-     * + overlay data), CoW breaks — plus SMARTS-style functional warming
-     * of the cache tag/replacement state (CacheHierarchy::warmLine), so
-     * detailed windows resumed after a functional gap start from warm
+     * DESIGN.md §10), access<Timing::Functional>: the architectural
+     * transitions of access() — TLB lookups and fills, overlaying writes
+     * (OBitVector + OMT + overlay data), CoW breaks — plus SMARTS-style
+     * functional warming of the cache tag/replacement state, so detailed
+     * windows resumed after a functional gap start from warm
      * microarchitectural state instead of a cold-start transient. No
-     * ticks are charged anywhere: DRAM bank state, prefetcher training,
-     * ORE serialization and all statistics except the architectural
-     * event counters stay untouched, and a run with zero functional
-     * accesses is byte-identical to a pure-detailed run.
+     * ticks are charged anywhere: DRAM bank state, ORE serialization,
+     * the OMT cache and all timing statistics stay untouched (the TLBs,
+     * the prefetcher's training and the architectural event counters
+     * do move), and a run with zero functional accesses is
+     * byte-identical to a pure-detailed run.
      *
      * Overlay promotion is an OS timing policy and must be disabled
      * (config.promoteThresholdLines == kLinesPerPage) when functional
      * overlaying writes can occur.
      */
-    void accessFunctional(Asid asid, Addr vaddr, bool is_write,
-                          unsigned core = 0);
+    void
+    accessFunctional(Asid asid, Addr vaddr, bool is_write, unsigned core = 0)
+    {
+        access<Timing::Functional>(asid, vaddr, is_write, 0, nullptr, core);
+    }
 
     /**
-     * Functional fork: duplicates the address space and copies overlay
-     * contents (§4.1) without charging the table-copy DRAM traffic or
-     * the overlay-line cache accesses. Parent TLB entries are still
-     * invalidated (they are architecturally stale: cow is now set).
+     * Functional fork, fork<Timing::Functional>: duplicates the address
+     * space and copies overlay contents (§4.1) without charging the
+     * table-copy DRAM traffic or the overlay-line cache accesses. Parent
+     * TLB entries are still invalidated (they are architecturally
+     * stale: cow is now set).
      */
-    Asid forkFunctional(Asid parent, ForkMode mode);
+    Asid
+    forkFunctional(Asid parent, ForkMode mode)
+    {
+        return fork<Timing::Functional>(parent, mode, 0);
+    }
 
     /**
-     * Functional teardown: releases frames, overlays (OMS segments, OMT
-     * entries) and translations like destroyProcess(), but drops cached
-     * lines without writebacks — no DRAM or tick movement.
+     * Functional teardown, destroyProcess<Timing::Functional>: releases
+     * frames, overlays (OMS segments, OMT entries) and translations, but
+     * drops cached lines without writebacks — no DRAM or tick movement.
      */
-    void destroyProcessFunctional(Asid asid);
+    void
+    destroyProcessFunctional(Asid asid)
+    {
+        destroyProcess<Timing::Functional>(asid, 0);
+    }
 
     /** Functional store honouring overlay semantics (may transition). */
     void poke(Asid asid, Addr vaddr, const void *data, std::size_t len);
@@ -290,14 +312,15 @@ class System : public SimObject
      */
     void quiesce();
 
-    /** Dump the statistics of every component. */
+    /** Dump the statistics of every component, as text or as one JSON
+     *  object. Both cover the groups forEachStatsGroup visits. */
     void dumpAllStats(std::ostream &os);
-
-    /** Dump every component's statistics as one JSON object. */
     void dumpAllStatsJson(std::ostream &os);
+
+    /** Zero every statistic of every forEachStatsGroup group. */
     void resetStats() override;
 
-    /** Visit every component stats group (same set dumpAllStatsJson uses). */
+    /** Visit every component stats group. */
     void forEachStatsGroup(const std::function<void(stats::Group *)> &fn);
     void forEachStatsGroup(
         const std::function<void(const stats::Group *)> &fn) const;
@@ -361,16 +384,27 @@ class System : public SimObject
     }
 
     /** TLB access + walk/fill; returns the entry and advances @p t. */
+    template <Timing T>
     TlbEntryData *translate(Asid asid, Addr vpn, Tick &t,
                             AccessOutcome *outcome, unsigned core = 0);
 
     /** Baseline CoW write-fault service (Figure 3a). */
+    template <Timing T>
     Tick serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
                          Tick t, AccessOutcome *outcome, unsigned core);
 
     /** Overlaying write (Figure 3b, §4.3.3). Advances time. */
+    template <Timing T>
     Tick serviceOverlayingWrite(Asid asid, Addr vaddr, TlbEntryData *entry,
                                 Tick t, AccessOutcome *outcome);
+
+    /**
+     * Unmap one page if mapped: discard its overlay, drop its cached
+     * overlay lines (and its frame's lines if this frees the frame) and
+     * its translations, release the frame.
+     */
+    template <Timing T>
+    void unmapPage(Asid asid, Addr vpn, Tick when);
 
     /**
      * Functional half of an overlaying write (shared with poke()): the
@@ -381,7 +415,13 @@ class System : public SimObject
      */
     void overlayLineFunctional(Opn opn, unsigned line, Addr phys_line_addr);
 
-    /** Broadcast an ORE message to every TLB + the OMT (§4.3.3). */
+    /**
+     * Broadcast an ORE message to every TLB + the OMT (§4.3.3). The
+     * Functional instantiation flips the TLBs' OBitVector bits only:
+     * the OMT bit is set with the line's data, and the message timing
+     * and OMT-cache update belong to the timing model.
+     */
+    template <Timing T>
     Tick broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t);
 
     SystemConfig config_;

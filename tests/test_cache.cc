@@ -115,7 +115,9 @@ TEST(Cache, RetagSameSetPreservesDirtiness)
     cache.access(0x0, true);
     // Same set index: add a multiple of numSets lines.
     Addr same_set = Addr(cache.numSets()) * kLineSize * 8;
-    EXPECT_TRUE(cache.retag(0x0, same_set));
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, same_set);
+    EXPECT_TRUE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value());
     EXPECT_FALSE(cache.isPresent(0x0));
     ASSERT_TRUE(cache.isPresent(same_set));
     auto ev = cache.invalidate(same_set);
@@ -123,18 +125,45 @@ TEST(Cache, RetagSameSetPreservesDirtiness)
     EXPECT_TRUE(ev->dirty);
 }
 
-TEST(Cache, RetagDifferentSetFails)
+TEST(Cache, MoveLineDifferentSetFillsDestination)
 {
+    // The destination indexes another set: no in-place retag, but an
+    // explicit copy — the source leaves, the destination is filled
+    // with the source's dirtiness.
     SetAssocCache cache("c", smallCache());
     cache.access(0x0, true);
-    EXPECT_FALSE(cache.retag(0x0, 0x40)); // next line = different set
-    EXPECT_TRUE(cache.isPresent(0x0));    // unchanged
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, 0x40);
+    EXPECT_TRUE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value()); // the destination set had room
+    EXPECT_FALSE(cache.isPresent(0x0));
+    ASSERT_TRUE(cache.isPresent(0x40));
+    auto ev = cache.invalidate(0x40);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_TRUE(ev->dirty);
+}
+
+TEST(Cache, MoveLineCrossSetFillReturnsVictim)
+{
+    SetAssocCache cache("c", smallCache());
+    Addr stride = Addr(cache.numSets()) * kLineSize;
+    for (unsigned i = 0; i < 4; ++i)
+        cache.access(0x40 + i * stride, true); // fill 0x40's set
+    cache.access(0x0, false);
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, 0x40 + 4 * stride);
+    EXPECT_TRUE(mv.found);
+    ASSERT_TRUE(mv.eviction.has_value());
+    EXPECT_TRUE(mv.eviction->dirty);
+    EXPECT_EQ(mv.eviction->lineAddr, Addr(0x40)); // LRU way
+    EXPECT_TRUE(cache.isPresent(0x40 + 4 * stride));
 }
 
 TEST(Cache, RetagMissingLineFails)
 {
     SetAssocCache cache("c", smallCache());
-    EXPECT_FALSE(cache.retag(0x0, 0x1000));
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, 0x1000);
+    EXPECT_FALSE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value());
+    EXPECT_FALSE(cache.isPresent(0x1000));
 }
 
 TEST(Cache, WritebackAllVisitsEveryDirtyLine)

@@ -121,6 +121,52 @@ TEST(StatsJson, WellFormedAndComplete)
     EXPECT_NE(json.find("\"readLatency\": {"), std::string::npos);
 }
 
+TEST(SystemStats, ResetZeroesEveryCounterAndKeepsMemoryAccounting)
+{
+    // Two TLBs, DRAM traffic, OMT nodes, OMT-cache activity and OMS
+    // segments: every stats group has live counters before the reset.
+    SystemConfig cfg;
+    cfg.numTlbs = 2;
+    System sys(cfg);
+    Asid parent = sys.createProcess();
+    sys.mapAnon(parent, kBase, 16 * kPageSize);
+    Tick t = 0;
+    for (unsigned pg = 0; pg < 16; ++pg) {
+        std::uint64_t v = pg;
+        t = sys.write(parent, kBase + pg * kPageSize, &v, 8, t);
+    }
+    Asid child = sys.fork(parent, ForkMode::OverlayOnWrite, t, &t);
+    for (unsigned pg = 0; pg < 16; ++pg) {
+        t = sys.access(child, kBase + pg * kPageSize + kLineSize, true, t,
+                       nullptr, pg % 2);
+    }
+    sys.caches().flushAll(t);
+    std::uint64_t memory = sys.additionalMemoryBytes();
+    ASSERT_GT(sys.overlayManager().omt().nodeBytes(), 0u);
+
+    sys.resetStats();
+    unsigned groups = 0;
+    sys.forEachStatsGroup([&](const stats::Group *group) {
+        ++groups;
+        for (const stats::Info *info : group->infos()) {
+            if (auto *c = dynamic_cast<const stats::Counter *>(info)) {
+                EXPECT_EQ(c->value(), 0u)
+                    << group->name() << "." << info->name();
+            }
+        }
+    });
+    EXPECT_GT(groups, 0u);
+    EXPECT_EQ(sys.additionalMemoryBytes(), memory);
+
+    // The text dump lists the same groups as the JSON dump.
+    std::ostringstream text;
+    sys.dumpAllStats(text);
+    sys.forEachStatsGroup([&](const stats::Group *group) {
+        EXPECT_NE(text.str().find(group->name() + "."), std::string::npos)
+            << group->name();
+    });
+}
+
 TEST(StatsJson, GroupJsonIsValidForEmptyAndPopulatedHistograms)
 {
     stats::Group group("g");
