@@ -12,20 +12,14 @@
  * items are independent and fan out over the parallel sweep runner
  * (`--jobs N`, OVL_JOBS); output is byte-identical to the serial run.
  *
- * `--trace-out FILE [--trace-limit N]` writes one Chrome trace-event
- * JSON per sweep row (FILE with a `.rowK` suffix — see
- * trace::rowFilePath), so rows don't overwrite each other's file. The
- * trace sink is process-global, so tracing forces --jobs 1.
+ * `overlaysim forkbench <name> --mode cow|oow|both --trace-out FILE`
+ * traces the same runs.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "sim/parallel.hh"
-#include "sim/trace.hh"
 #include "system/config.hh"
 #include "workload/forkbench.hh"
 
@@ -34,44 +28,7 @@ using namespace ovl;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = defaultJobs();
-    std::string trace_path;
-    std::uint64_t trace_limit = 0;
-    for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                             flag);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--progress") == 0) {
-            setProgressEnabled(true);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = unsigned(std::strtoul(value("--jobs"), nullptr, 10));
-            if (jobs == 0) {
-                std::fprintf(stderr, "%s: invalid --jobs value\n", argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            trace_path = value("--trace-out");
-        } else if (std::strcmp(argv[i], "--trace-limit") == 0) {
-            trace_limit = std::strtoull(value("--trace-limit"), nullptr, 10);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--progress]"
-                         " [--trace-out FILE [--trace-limit N]]\n",
-                         argv[0]);
-            return 1;
-        }
-    }
-    if (!trace_path.empty() && jobs != 1) {
-        // The trace sink is process-global and start()/stop() require no
-        // workers running, so per-row sinks need the serial path.
-        std::fprintf(stderr, "%s: --trace-out forces --jobs 1\n", argv[0]);
-        jobs = 1;
-    }
+    unsigned jobs = jobsFromCommandLine(argc, argv);
 
     std::printf("Figure 8: additional memory consumed after a fork (MB)\n");
     std::printf("(synthetic SPEC-like workloads; see DESIGN.md section 3"
@@ -89,12 +46,7 @@ main(int argc, char **argv)
     const std::vector<ForkBenchParams> &suite = forkBenchSuite();
     std::vector<Pair> results = parallelMap(
         suite.size(),
-        [&suite, &trace_path, trace_limit](std::size_t i) {
-            // Per-row sink: row i traces to FILE.rowI (jobs is 1 when
-            // tracing, so start/stop see no concurrent workers).
-            if (!trace_path.empty())
-                trace::start(trace::rowFilePath(trace_path, i),
-                             trace_limit);
+        [&suite](std::size_t i) {
             ForkBenchWarmState warm =
                 prepareForkBenchWarmState(suite[i], SystemConfig{});
             Pair pair;
@@ -102,8 +54,6 @@ main(int argc, char **argv)
                 runForkBenchFromWarmState(warm, ForkMode::CopyOnWrite);
             pair.oow =
                 runForkBenchFromWarmState(warm, ForkMode::OverlayOnWrite);
-            if (!trace_path.empty())
-                trace::stop();
             return pair;
         },
         jobs,
@@ -144,11 +94,5 @@ main(int argc, char **argv)
     std::printf("Measured: %.1f%% mean per-benchmark reduction"
                 " (%.1f%% of total bytes).\n",
                 reduction_sum / count, 100.0 * (1.0 - oow_sum / cow_sum));
-    if (!trace_path.empty()) {
-        std::printf("per-row traces written to %s .. %s\n",
-                    trace::rowFilePath(trace_path, 0).c_str(),
-                    trace::rowFilePath(trace_path, suite.size() - 1)
-                        .c_str());
-    }
     return 0;
 }

@@ -22,19 +22,16 @@
  * functional fast-forward wall seconds) — the measured cost of the
  * detail the sampling skips.
  *
- * `--trace-out FILE [--trace-limit N]` writes one Chrome trace-event
- * JSON per sweep row (FILE with a `.rowK` suffix — see
- * trace::rowFilePath); the process-global sink forces --jobs 1.
+ * `overlaysim forkbench <name> --mode cow|oow|both --trace-out FILE`
+ * traces the same runs.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "sim/parallel.hh"
-#include "sim/trace.hh"
 #include "system/config.hh"
 #include "workload/forkbench.hh"
 
@@ -47,8 +44,6 @@ main(int argc, char **argv)
     SampledSimParams sampled;
     double check_threshold = 5.0;
     bool check = false;
-    std::string trace_path;
-    std::uint64_t trace_limit = 0;
     for (int i = 1; i < argc; ++i) {
         auto value = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
@@ -77,14 +72,9 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--sample-check-threshold") == 0) {
             check_threshold =
                 std::strtod(value("--sample-check-threshold"), nullptr);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            trace_path = value("--trace-out");
-        } else if (std::strcmp(argv[i], "--trace-limit") == 0) {
-            trace_limit = std::strtoull(value("--trace-limit"), nullptr, 10);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--progress]"
-                         " [--trace-out FILE [--trace-limit N]]"
                          " [--sample-interval N [--detail M]"
                          " [--sample-check"
                          " [--sample-check-threshold PCT]]]\n",
@@ -98,12 +88,6 @@ main(int argc, char **argv)
         return 1;
     }
     sampled.compareFull = check;
-    if (!trace_path.empty() && jobs != 1) {
-        // The trace sink is process-global and start()/stop() require no
-        // workers running, so per-row sinks need the serial path.
-        std::fprintf(stderr, "%s: --trace-out forces --jobs 1\n", argv[0]);
-        jobs = 1;
-    }
 
     const bool sampling = sampled.intervalInstructions != 0;
     std::printf("Figure 9: CPI after a fork (lower is better)%s\n\n",
@@ -125,18 +109,11 @@ main(int argc, char **argv)
         parallelMap(
             suite.size() * 2,
             [&](std::size_t i) {
-                // Per-row sink: row i traces to FILE.rowI (jobs is 1
-                // when tracing, so start/stop see no workers).
-                if (!trace_path.empty())
-                    trace::start(trace::rowFilePath(trace_path, i),
-                                 trace_limit);
                 ForkMode mode = i % 2 ? ForkMode::OverlayOnWrite
                                       : ForkMode::CopyOnWrite;
                 sampled_results[i] = runForkBenchSampled(
                     suite[i / 2], mode, SystemConfig{}, sampled);
                 results[i] = sampled_results[i].sampled;
-                if (!trace_path.empty())
-                    trace::stop();
                 return 0;
             },
             jobs,
@@ -149,17 +126,12 @@ main(int argc, char **argv)
         parallelMap(
             suite.size(),
             [&](std::size_t i) {
-                if (!trace_path.empty())
-                    trace::start(trace::rowFilePath(trace_path, i),
-                                 trace_limit);
                 ForkBenchWarmState warm =
                     prepareForkBenchWarmState(suite[i], SystemConfig{});
                 results[2 * i] = runForkBenchFromWarmState(
                     warm, ForkMode::CopyOnWrite);
                 results[2 * i + 1] = runForkBenchFromWarmState(
                     warm, ForkMode::OverlayOnWrite);
-                if (!trace_path.empty())
-                    trace::stop();
                 return 0;
             },
             jobs,
@@ -236,11 +208,5 @@ main(int argc, char **argv)
                 " copy-on-write wins (clustered writes).\n");
     std::printf("Measured: %.1f%% mean speedup.\n",
                 100.0 * (speedup_sum / count - 1.0));
-    if (!trace_path.empty()) {
-        std::size_t rows = sampling ? suite.size() * 2 : suite.size();
-        std::printf("per-row traces written to %s .. %s\n",
-                    trace::rowFilePath(trace_path, 0).c_str(),
-                    trace::rowFilePath(trace_path, rows - 1).c_str());
-    }
     return 0;
 }

@@ -21,10 +21,7 @@
  * mismatch but always checks simulated_ticks.
  *
  * Usage: host_throughput [-o out.json] [--scale N] [--jobs N]
- *                        [--only NAME] [--best-of N]
- *                        [--sample-interval N --stats-out FILE]
- *                        [--trace-out FILE [--trace-limit N]]
- *                        [--profile-out FILE [--profile-collapsed FILE]]
+ *                        [--only NAME] [--best-of N] [sink flags]
  *   --scale multiplies every workload's access count (default 1).
  *   --only runs a single workload by name (repeatable; profiling and
  *     per-workload A/B runs want an unpolluted measurement).
@@ -36,13 +33,10 @@
  *     profile sinks, which are single-shot streams.
  *   --jobs runs the workloads on N worker threads (default 1: serial,
  *     the measurement-isolation default for this harness).
- *   --sample-interval/--stats-out stream a JSONL stats sample every N
- *     ticks (DESIGN.md §9); requires --jobs 1 (one shared output).
- *   --trace-out writes a Chrome trace-event JSON of the run.
- *   --profile-out writes per-workload host-time attribution JSON
- *     (DESIGN.md §12; requires --jobs 1 and a -DOVL_PROFILE=ON build to
- *     be non-empty); --profile-collapsed adds a collapsed-stack file
- *     (flamegraph.pl input, workload name as the root frame).
+ *   The sink flags of observe::Session (src/sim/observe.hh: JSONL stats
+ *     samples, Chrome trace, host-time profile; DESIGN.md §9.4) give each
+ *     workload its own run label. The sampler and the profile require
+ *     --jobs 1 (one shared stream, per-workload attribution windows).
  *
  * The "_run" record also carries host/build metadata (CPU, cores,
  * compiler, flags, build type) so bench_compare.py can flag cross-host
@@ -54,25 +48,26 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <cmath>
 
+#include "common/cli.hh"
 #include "common/random.hh"
 #include "sim/hostinfo.hh"
+#include "sim/observe.hh"
 #include "sim/parallel.hh"
-#include "sim/profile.hh"
-#include "sim/stats_sampler.hh"
-#include "sim/trace.hh"
 #include "system/system.hh"
 #include "workload/forkbench.hh"
 
 using namespace ovl;
+using cli::takeCount;
+using cli::takeFlag;
 
 namespace
 {
@@ -98,35 +93,6 @@ elapsed(Clock::time_point start)
 constexpr Addr kBase = 0x100000;
 
 /**
- * Attaches an optional sampler to a workload's System on entry;
- * finish(end) emits the closing record and detaches.
- */
-class SamplerScope
-{
-  public:
-    SamplerScope(System &sys, StatsSampler *sampler)
-        : sys_(sys), sampler_(sampler)
-    {
-        if (sampler_ != nullptr)
-            sys_.attachStatsSampler(sampler_, 0);
-    }
-
-    void
-    finish(Tick end)
-    {
-        if (sampler_ != nullptr) {
-            sampler_->finish(end);
-            sys_.detachStatsSampler();
-            sampler_ = nullptr;
-        }
-    }
-
-  private:
-    System &sys_;
-    StatsSampler *sampler_;
-};
-
-/**
  * Sequential read sweep: 64 B strides over a 16 MiB anonymous buffer,
  * wrapping. Every access opens a new line (L1/L2/L3 miss on the first
  * lap, prefetch-assisted after), so this exercises the full
@@ -144,7 +110,7 @@ seqRead(std::uint64_t accesses, StatsSampler *sampler)
     Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 16ull << 20;
     sys.mapAnon(p, kBase, kBufBytes);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     std::vector<AccessRequest> reqs(accesses);
     for (std::uint64_t i = 0; i < accesses; ++i)
@@ -152,7 +118,7 @@ seqRead(std::uint64_t accesses, StatsSampler *sampler)
     auto start = Clock::now();
     Tick t = sys.accessBatch(p, reqs, 0);
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"seq_read", accesses, secs, t};
 }
 
@@ -164,7 +130,7 @@ seqWrite(std::uint64_t accesses, StatsSampler *sampler)
     Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 16ull << 20;
     sys.mapAnon(p, kBase, kBufBytes);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     std::vector<AccessRequest> reqs(accesses);
     for (std::uint64_t i = 0; i < accesses; ++i)
@@ -172,7 +138,7 @@ seqWrite(std::uint64_t accesses, StatsSampler *sampler)
     auto start = Clock::now();
     Tick t = sys.accessBatch(p, reqs, 0);
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"seq_write", accesses, secs, t};
 }
 
@@ -184,7 +150,7 @@ randomMix(std::uint64_t accesses, StatsSampler *sampler)
     Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 64ull << 20;
     sys.mapAnon(p, kBase, kBufBytes);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     Rng rng(12345);
     std::vector<AccessRequest> reqs(accesses);
@@ -195,7 +161,7 @@ randomMix(std::uint64_t accesses, StatsSampler *sampler)
     auto start = Clock::now();
     Tick t = sys.accessBatch(p, reqs, 0);
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"random_mix", accesses, secs, t};
 }
 
@@ -212,7 +178,7 @@ sparseSpmv(std::uint64_t accesses, StatsSampler *sampler)
     Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 8ull << 20;
     sys.mapZeroOverlay(p, kBase, kBufBytes);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     // Populate: every 16th line diverges (an overlaying write each).
     // Sweep: read every line; 1/16 comes from the overlay space.
@@ -230,7 +196,7 @@ sparseSpmv(std::uint64_t accesses, StatsSampler *sampler)
     auto start = Clock::now();
     Tick t = sys.accessBatch(p, reqs, 0);
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"sparse_spmv", populated + reads, secs, t};
 }
 
@@ -246,7 +212,7 @@ forkCow(std::uint64_t accesses, StatsSampler *sampler)
     Asid parent = sys.createProcess();
     constexpr std::uint64_t kPages = 512;
     sys.mapAnon(parent, kBase, kPages * kPageSize);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     Tick t = 0;
     // Touch the whole footprint once.
@@ -265,7 +231,7 @@ forkCow(std::uint64_t accesses, StatsSampler *sampler)
         sys.destroyProcess(child, t);
     }
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"fork_cow", done - kPages, secs, t};
 }
 
@@ -289,7 +255,7 @@ forkCowSampled(std::uint64_t accesses, StatsSampler *sampler)
     constexpr std::uint64_t kPages = 512;
     constexpr std::uint64_t kDetailEvery = 8;
     sys.mapAnon(parent, kBase, kPages * kPageSize);
-    SamplerScope scope(sys, sampler);
+    sys.attachStatsSampler(sampler);
 
     Tick t = 0;
     for (std::uint64_t pg = 0; pg < kPages; ++pg) {
@@ -319,7 +285,7 @@ forkCowSampled(std::uint64_t accesses, StatsSampler *sampler)
         }
     }
     double secs = elapsed(start);
-    scope.finish(t);
+    sys.detachStatsSampler(t);
     return Result{"fork_cow_sampled", done - kPages, secs, t};
 }
 
@@ -437,127 +403,49 @@ writeJson(const std::vector<Result> &results, const std::string &path,
     std::fclose(f);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runSuite(std::vector<std::string> args, const char *prog)
 {
-    std::string out = "BENCH_throughput.json";
-    std::uint64_t scale = 1;
+    observe::Session session(args);
+    std::string out = takeFlag(args, "-o").value_or("BENCH_throughput.json");
+    std::uint64_t scale = takeCount(args, "--scale").value_or(1);
     // Unlike the sweep benches, this harness measures host throughput,
     // so it defaults to jobs=1 (serial) for measurement isolation.
-    unsigned jobs = 1;
-    unsigned best_of = 1;
+    unsigned jobs = unsigned(takeCount(args, "--jobs").value_or(1));
+    unsigned best_of = unsigned(takeCount(args, "--best-of").value_or(1));
     std::vector<std::string> only;
-    Tick sample_interval = 0;
-    std::string sample_path;
-    std::string trace_path;
-    std::uint64_t trace_limit = 0;
-    std::string profile_path;
-    std::string profile_collapsed;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            scale = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = unsigned(std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0) {
-                std::fprintf(stderr, "%s: invalid --jobs value\n",
-                             argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-            only.emplace_back(argv[++i]);
-        } else if (std::strcmp(argv[i], "--best-of") == 0 && i + 1 < argc) {
-            best_of = unsigned(std::strtoul(argv[++i], nullptr, 10));
-            if (best_of == 0) {
-                std::fprintf(stderr, "%s: invalid --best-of value\n",
-                             argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--sample-interval") == 0 &&
-                   i + 1 < argc) {
-            sample_interval = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--stats-out") == 0 &&
-                   i + 1 < argc) {
-            sample_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            trace_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-limit") == 0 &&
-                   i + 1 < argc) {
-            trace_limit = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--profile-out") == 0 &&
-                   i + 1 < argc) {
-            profile_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--profile-collapsed") == 0 &&
-                   i + 1 < argc) {
-            profile_collapsed = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [-o out.json] [--scale N] [--jobs N]"
-                         " [--only NAME] [--best-of N]"
-                         " [--sample-interval N --stats-out FILE]"
-                         " [--trace-out FILE [--trace-limit N]]"
-                         " [--profile-out FILE"
-                         " [--profile-collapsed FILE]]\n",
-                         argv[0]);
-            return 1;
-        }
+    while (std::optional<std::string> name = takeFlag(args, "--only"))
+        only.push_back(*name);
+    if (!args.empty()) {
+        std::fprintf(stderr,
+                     "usage: %s [-o out.json] [--scale N] [--jobs N]"
+                     " [--only NAME] [--best-of N] %s\n",
+                     prog, observe::kUsage);
+        return 1;
     }
-    if (best_of > 1 && (!sample_path.empty() || !trace_path.empty() ||
-                        !profile_path.empty())) {
+    if (jobs == 0 || best_of == 0) {
+        std::fprintf(stderr, "%s: --jobs and --best-of must be positive\n",
+                     prog);
+        return 1;
+    }
+    if (best_of > 1 && session.anySink()) {
         // Repeated runs would append duplicate records to the one
         // sampler/trace/profile stream; instrumented runs are single-shot.
         std::fprintf(stderr,
                      "%s: --best-of is incompatible with --stats-out/"
                      "--trace-out/--profile-out\n",
-                     argv[0]);
+                     prog);
         return 1;
     }
-    if (sample_path.empty() != (sample_interval == 0)) {
-        std::fprintf(stderr,
-                     "%s: --sample-interval and --stats-out go together\n",
-                     argv[0]);
-        return 1;
-    }
-    if (!sample_path.empty() && jobs != 1) {
+    if (jobs != 1 && (session.sampling() || session.profiling())) {
         // Parallel workloads would interleave records in the one JSONL
-        // stream; keep sampled runs serial.
-        std::fprintf(stderr, "%s: --stats-out requires --jobs 1\n",
-                     argv[0]);
-        return 1;
-    }
-    if (!profile_collapsed.empty() && profile_path.empty()) {
+        // stream, and per-workload attribution windows only make sense
+        // when workloads run one at a time.
         std::fprintf(stderr,
-                     "%s: --profile-collapsed requires --profile-out\n",
-                     argv[0]);
+                     "%s: --stats-out and --profile-out require --jobs 1\n",
+                     prog);
         return 1;
     }
-    bool profiling = !profile_path.empty();
-    if (profiling && jobs != 1) {
-        // Per-workload attribution windows (collect-with-reset between
-        // workloads) only make sense when workloads run one at a time.
-        std::fprintf(stderr, "%s: --profile-out requires --jobs 1\n",
-                     argv[0]);
-        return 1;
-    }
-    if (profiling && !hostInfo().profileCompiled) {
-        std::fprintf(stderr,
-                     "warn: profiler not compiled in (configure with "
-                     "-DOVL_PROFILE=ON); profile will be empty\n");
-    }
-    std::ofstream sample_os;
-    if (!sample_path.empty()) {
-        sample_os.open(sample_path);
-        if (!sample_os) {
-            std::fprintf(stderr, "cannot open %s\n", sample_path.c_str());
-            return 1;
-        }
-    }
-    if (!trace_path.empty())
-        trace::start(trace_path, trace_limit);
 
     Result (*const all_workloads[])(std::uint64_t, StatsSampler *) = {
         seqRead,        seqWrite,       randomMix,
@@ -589,33 +477,24 @@ main(int argc, char **argv)
         }
     }
     if (workloads.empty()) {
-        std::fprintf(stderr, "%s: --only matched no workload\n", argv[0]);
+        std::fprintf(stderr, "%s: --only matched no workload\n", prog);
         return 1;
     }
 
-    std::vector<prof::Report> reports(workloads.size());
-    if (profiling)
-        prof::enable();
     auto wall_start = Clock::now();
     std::vector<Result> results;
     for (unsigned rep = 0; rep < best_of; ++rep) {
         std::vector<Result> run = parallelMap(
             workloads.size(),
             [&](std::size_t i) {
-                std::optional<StatsSampler> sampler;
-                if (sample_interval > 0) {
-                    sampler.emplace(sample_os, sample_interval,
-                                    StatsSampler::Mode::Delta, names[i]);
-                }
-                auto workload_start = Clock::now();
-                Result r =
-                    workloads[i](counts[i], sampler ? &*sampler : nullptr);
-                r.wallSeconds = elapsed(workload_start);
-                // collect(reset) closes this workload's attribution window
-                // so the next workload starts a fresh one (jobs is 1 here).
-                if (profiling)
-                    reports[i] = prof::collect(true);
-                return r;
+                // One session run per workload: its own sampler and
+                // profile window (both imply jobs == 1, checked above).
+                return session.run(names[i], [&](StatsSampler *sampler) {
+                    auto workload_start = Clock::now();
+                    Result r = workloads[i](counts[i], sampler);
+                    r.wallSeconds = elapsed(workload_start);
+                    return r;
+                });
             },
             jobs,
             [&names](std::size_t i) { return names[i]; });
@@ -641,39 +520,7 @@ main(int argc, char **argv)
         }
     }
     double wall_seconds = elapsed(wall_start);
-    if (profiling) {
-        prof::disable();
-        std::ofstream pf(profile_path);
-        if (!pf) {
-            std::fprintf(stderr, "cannot open %s\n", profile_path.c_str());
-            return 1;
-        }
-        pf << "{\n\"_host\": " << hostInfoJson();
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            pf << ",\n\"" << names[i] << "\": ";
-            prof::writeJson(pf, reports[i]);
-        }
-        pf << "}\n";
-        std::printf("profile written to %s\n", profile_path.c_str());
-        if (!profile_collapsed.empty()) {
-            std::ofstream cf(profile_collapsed);
-            if (!cf) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             profile_collapsed.c_str());
-                return 1;
-            }
-            for (std::size_t i = 0; i < reports.size(); ++i)
-                prof::writeCollapsed(cf, reports[i], names[i]);
-            std::printf("collapsed stacks written to %s\n",
-                        profile_collapsed.c_str());
-        }
-    }
-    if (!trace_path.empty()) {
-        trace::stop();
-        std::printf("trace written to %s\n", trace_path.c_str());
-    }
-    if (!sample_path.empty())
-        std::printf("stats samples written to %s\n", sample_path.c_str());
+    session.finish();
 
     std::printf("%-16s %12s %9s %9s %14s %18s\n", "workload", "accesses",
                 "seconds", "wall_s", "Maccess/s", "simulated_ticks");
@@ -689,4 +536,20 @@ main(int argc, char **argv)
     writeJson(results, out, jobs, wall_seconds, best_of);
     std::printf("\nwrote %s\n", out.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runSuite(std::vector<std::string>(argv + 1, argv + argc),
+                        argv[0]);
+    } catch (const std::invalid_argument &e) {
+        // A malformed flag value or sink-flag combination (cli.hh,
+        // observe.hh).
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 1;
+    }
 }

@@ -8,6 +8,7 @@
 #define OVERLAYSIM_COMMON_TYPES_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace ovl
@@ -86,6 +87,24 @@ constexpr Addr
 lineBase(Addr addr)
 {
     return addr & ~kLineMask;
+}
+
+/**
+ * Split [vaddr, vaddr + len) at cache-line boundaries and call
+ * @p fn(chunk_vaddr, offset, chunk_len) for each piece, where @p offset
+ * is the piece's position within the caller's buffer.
+ */
+template <class Fn>
+void
+forEachLineChunk(Addr vaddr, std::size_t len, Fn &&fn)
+{
+    for (std::size_t off = 0; off < len;) {
+        std::size_t room = std::size_t(lineBase(vaddr) + kLineSize - vaddr);
+        std::size_t chunk = len - off < room ? len - off : room;
+        fn(vaddr, off, chunk);
+        vaddr += chunk;
+        off += chunk;
+    }
 }
 
 /** Functional contents of one 64 B cache line. */

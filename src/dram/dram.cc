@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/intmath.hh"
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -81,8 +80,6 @@ DramController::drainWrites(Tick when)
         return when;
     ++drains_;
     OVL_PROF_SCOPE(Dram);
-    ovl_trace(dram, "drain: %zu writes at t=%llu", writeBuffer_.size(),
-              (unsigned long long)when);
     // All buffered writes are issued to the banks at the drain start;
     // bank conflicts and data-bus occupancy serialize them inside the
     // DRAM model (this is FR-FCFS's point: drains pipeline across

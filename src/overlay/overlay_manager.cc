@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "sim/profile.hh"
 #include "sim/snapshot.hh"
@@ -237,8 +236,6 @@ OverlayManager::overlayingReadExclusive(Opn opn, unsigned line_in_page,
 void
 OverlayManager::allocateSegment(OmtEntry &entry, SegClass cls)
 {
-    ovl_trace(overlay, "segment alloc: %lluB",
-              (unsigned long long)segClassBytes(cls));
     entry.seg.baseAddr = allocator_.allocate(cls);
     entry.seg.cls = cls;
     entry.seg.meta = SegmentMeta();
@@ -268,14 +265,11 @@ OverlayManager::migrateSegment(OmtEntry &entry, Opn opn, Tick &when)
     ++migrations_;
     OVL_PROF_SCOPE(OmsAlloc);
 
-    ovl_trace(overlay, "migrate: opn=%llx from %lluB (obv=%u lines)",
-              (unsigned long long)opn,
-              (unsigned long long)segClassBytes(entry.seg.cls),
-              entry.obv.count());
     if (trace::active()) {
         trace::instant("overlay", "oms_migrate", when,
                        {{"opn", opn},
-                        {"from_bytes", segClassBytes(entry.seg.cls)}});
+                        {"from_bytes", segClassBytes(entry.seg.cls)},
+                        {"lines", entry.obv.count()}});
     }
     OmsSegment old_seg = entry.seg;
     omsBytesInUse_ -= segClassBytes(old_seg.cls);
@@ -322,6 +316,10 @@ OverlayManager::ensureSlot(OmtEntry &entry, Opn opn, unsigned line_in_page,
         SegClass cls = params_.fullPageSegments
                            ? SegClass::Seg4KB
                            : segClassFor(std::max(1u, entry.obv.count()));
+        if (trace::active()) {
+            trace::instant("overlay", "oms_alloc", when,
+                           {{"opn", opn}, {"bytes", segClassBytes(cls)}});
+        }
         allocateSegment(entry, cls);
         omtCache_.markModified(opn);
     }

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/debug.hh"
 
 namespace ovl
 {
@@ -123,18 +122,5 @@ ProgressReporter::workerDone(std::size_t worker, std::size_t workers,
                  worker + 1, workers, (unsigned long long)items,
                  items == 1 ? "" : "s", busy_seconds, idle_seconds);
 }
-
-namespace detail
-{
-
-void
-prepareForWorkers()
-{
-    // The debug-flag table is the one process-global the workers read;
-    // parse OVL_DEBUG now so no worker triggers the lazy init.
-    debug::initFromEnvironment();
-}
-
-} // namespace detail
 
 } // namespace ovl

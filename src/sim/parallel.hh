@@ -14,12 +14,13 @@
  * to the serial run regardless of the job count.
  *
  * Thread-safety boundary (DESIGN.md §8): everything reachable from a
- * `System` is per-instance. The only process-global mutable state in the
- * simulator is the debug-trace flag table (`common/debug.hh`), which
- * parallelMap force-initializes before spawning workers; lazily-built
- * suite singletons (e.g. forkBenchSuite()) use function-local statics,
- * whose initialization C++11 already serializes. Callers must not
- * enable/disable debug flags from inside worker closures.
+ * `System` is per-instance. The only process-global state the simulator
+ * touches is the trace sink (`sim/trace.hh`: emission is mutex-serialized)
+ * and the profiler registry (`sim/profile.hh`: threads register under a
+ * mutex, timers are thread-local); lazily-built suite singletons (e.g.
+ * forkBenchSuite()) use function-local statics, whose initialization
+ * C++11 already serializes. Callers must not open or close the trace
+ * sink, or enable or disable the profiler, inside worker closures.
  */
 
 #ifndef OVERLAYSIM_SIM_PARALLEL_HH
@@ -103,12 +104,6 @@ class ProgressReporter
     std::size_t done_ = 0;
 };
 
-namespace detail
-{
-/** One-time init of process-global state workers may read (debug flags). */
-void prepareForWorkers();
-} // namespace detail
-
 /**
  * Run `fn(0) .. fn(num_items - 1)` on a fixed pool of @p jobs worker
  * threads and return the results in input order. `fn` must be callable
@@ -155,7 +150,6 @@ parallelMap(std::size_t num_items, Fn &&fn, unsigned jobs,
         return results;
     }
 
-    detail::prepareForWorkers();
     std::atomic<std::size_t> cursor{0};
     std::vector<std::exception_ptr> errors(num_items);
     auto drain = [&](std::size_t worker) {

@@ -129,19 +129,6 @@ droppedCount()
     return gDropped;
 }
 
-std::string
-rowFilePath(const std::string &base, std::size_t row)
-{
-    std::string suffix = ".row" + std::to_string(row);
-    std::size_t dot = base.find_last_of('.');
-    std::size_t slash = base.find_last_of('/');
-    bool has_ext = dot != std::string::npos &&
-                   (slash == std::string::npos || dot > slash);
-    if (!has_ext)
-        return base + suffix;
-    return base.substr(0, dot) + suffix + base.substr(dot);
-}
-
 void
 instant(const char *cat, const char *name, Tick ts,
         std::initializer_list<Arg> args)

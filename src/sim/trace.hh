@@ -4,19 +4,19 @@
  * (loadable in Perfetto / chrome://tracing). Timestamps are simulated
  * ticks rendered as microseconds; durations are tick counts.
  *
- * The sink is process-global, like the debug-flag table: trace points
- * are sprinkled through the timing model (DRAM row activity, cache miss
- * cascades, TLB walks, ORE broadcasts, overlay create/promote) and all
- * of them share the single `active()` gate. Disabled tracing therefore
- * costs exactly one inlined boolean check per trace point — the same
- * guard discipline `ovl_trace` uses — so the access hot path is
- * unaffected when no sink is open (DESIGN.md §9).
+ * The sink is process-global: trace points are sprinkled through the
+ * timing model (DRAM row activity, cache miss cascades, TLB walks, ORE
+ * broadcasts, overlay create/promote) and all of them share the single
+ * `active()` gate. Disabled tracing therefore costs exactly one inlined
+ * boolean check per trace point, so the access hot path is unaffected
+ * when no sink is open (DESIGN.md §9). Tools open it through an
+ * observe::Session (`sim/observe.hh`), not directly.
  *
  *     if (trace::active())
  *         trace::complete("dram", "row_hit", start, dur, {{"bank", b}});
  *
  * Thread-safety: start()/stop() must be called with no worker threads
- * running (same contract as debug::setFlag). While a sink is open,
+ * running (DESIGN.md §8). While a sink is open,
  * emission from multiple threads is serialized by an internal mutex and
  * each thread gets its own "tid", so spans from concurrent sweep items
  * land on separate tracks instead of interleaving.
@@ -26,7 +26,6 @@
 #define OVERLAYSIM_SIM_TRACE_HH
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -72,14 +71,6 @@ std::uint64_t eventCount();
 
 /** Events dropped by the max_events cap since start(). */
 std::uint64_t droppedCount();
-
-/**
- * Per-row trace file name for sweeps: inserts ".row<k>" before @p
- * base's extension ("sweep.json", 3 → "sweep.row3.json"; no extension
- * appends ".row3"). A sweep tracing N rows opens one sink per row so
- * rows don't silently overwrite each other's file.
- */
-std::string rowFilePath(const std::string &base, std::size_t row);
 
 /** Instant event ("ph":"i"): a point in time. */
 void instant(const char *cat, const char *name, Tick ts,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "sim/profile.hh"
 #include "sim/snapshot.hh"
@@ -118,24 +117,6 @@ tlbEntryFrom(const Pte &pte)
     data.overlayEnabled = pte.overlayEnabled;
     data.metadataMode = pte.metadataMode;
     return data;
-}
-
-/**
- * Split [vaddr, vaddr + len) at cache-line boundaries and call
- * @p fn(chunk_vaddr, offset, chunk_len) for each piece, where @p offset
- * is the piece's position within the caller's buffer.
- */
-template <class Fn>
-void
-forEachLineChunk(Addr vaddr, std::size_t len, Fn &&fn)
-{
-    for (std::size_t off = 0; off < len;) {
-        std::size_t chunk = std::min<std::size_t>(
-            len - off, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        fn(vaddr, off, chunk);
-        vaddr += chunk;
-        off += chunk;
-    }
 }
 
 } // namespace
@@ -277,9 +258,6 @@ System::serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
     OVL_PROF_SCOPE_IF(kTimed, CowFault);
     outcome->cowFault = true;
     if constexpr (kTimed) {
-        ovl_trace(system, "CoW fault: asid=%u vaddr=%llx t=%llu",
-                  unsigned(asid), (unsigned long long)vaddr,
-                  (unsigned long long)t);
         if (trace::active()) {
             trace::begin("overlay", "cow_fault", t,
                          {{"asid", asid}, {"vaddr", vaddr}});
@@ -313,8 +291,7 @@ System::serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
     // Remap: update the PTE and shoot down stale TLB entries [6, 52].
     if constexpr (kTimed)
         t += config_.tlbShootdownCycles();
-    for (auto &tlb : tlbs_)
-        tlb->invalidate(asid, vpn, t);
+    forEachTlb([&](auto &tlb) { tlb.invalidate(asid, vpn, t); });
     entry = tlbs_[core]->fill(asid, vpn, tlbEntryFrom(*pte));
     if constexpr (kTimed) {
         if (trace::active())
@@ -341,8 +318,7 @@ System::broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t)
     // The overlaying-read-exclusive message travels the coherence
     // network: every TLB holding the mapping flips one OBitVector bit,
     // and the memory controller updates the OMT (§4.3.3). No shootdown.
-    for (auto &tlb : tlbs_)
-        tlb->updateObvBit(asid, vpn, line, true);
+    forEachTlb([&](auto &tlb) { tlb.updateObvBit(asid, vpn, line, true); });
     if constexpr (T == Timing::Functional)
         return t;
     // The write only waits for the TLB updates; the OMT update is
@@ -374,10 +350,6 @@ System::serviceOverlayingWrite(Asid asid, Addr vaddr, TlbEntryData *entry,
     OVL_PROF_SCOPE_IF(kTimed, OverlayingWrite);
     outcome->overlayingWrite = true;
     if constexpr (kTimed) {
-        ovl_trace(system,
-                  "overlaying write: asid=%u vaddr=%llx line=%u t=%llu",
-                  unsigned(asid), (unsigned long long)vaddr,
-                  lineInPage(vaddr), (unsigned long long)t);
         if (trace::active()) {
             trace::begin("overlay", "overlaying_write", t,
                          {{"asid", asid}, {"vaddr", vaddr}});
@@ -478,12 +450,12 @@ System::poke(Asid asid, Addr vaddr, const void *data, std::size_t len)
             !overlayMgr_.obitvector(opn).test(line)) {
             // Functional overlaying write (no timing charge).
             overlayLineFunctional(opn, line, physLineAddr(pte->ppn, va));
-            for (auto &tlb : tlbs_)
-                tlb->updateObvBit(asid, vpn, line, true);
+            forEachTlb([&](auto &tlb) {
+                tlb.updateObvBit(asid, vpn, line, true);
+            });
         } else if (pte->cow && !use_overlay) {
             vmm_.breakCow(asid, vpn);
-            for (auto &tlb : tlbs_)
-                tlb->invalidate(asid, vpn);
+            forEachTlb([&](auto &tlb) { tlb.invalidate(asid, vpn); });
         }
 
         if (use_overlay && overlayMgr_.obitvector(opn).test(line)) {
@@ -563,8 +535,9 @@ System::metadataPoke(Asid asid, Addr vaddr, const void *data,
             overlayMgr_.readLineData(opn, line, line_data);
         std::memcpy(line_data.data() + (va & kLineMask), src + off, chunk);
         overlayMgr_.writeLineData(opn, line, line_data);
-        for (auto &tlb : tlbs_)
-            tlb->updateObvBit(asid, vpn, line, true);
+        forEachTlb([&](auto &tlb) {
+            tlb.updateObvBit(asid, vpn, line, true);
+        });
     });
 }
 
@@ -603,12 +576,11 @@ System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
     forkPagesShared_ += pages;
     Tick t = when;
     if constexpr (kTimed) {
-        ovl_trace(system, "fork: parent=%u child=%u mode=%s",
-                  unsigned(parent), unsigned(child),
-                  mode == ForkMode::CopyOnWrite ? "cow" : "oow");
         if (trace::active()) {
             trace::begin("system", "fork", when,
-                         {{"parent", parent}, {"child", child}});
+                         {{"parent", parent},
+                          {"child", child},
+                          {"mode", std::uint64_t(mode)}});
         }
         t += config_.pageFaultTrapCycles; // syscall + bookkeeping
 
@@ -658,8 +630,7 @@ System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
     // them is architectural state; the shootdown's cost is timing.
     if constexpr (kTimed)
         t += config_.tlbShootdownCycles();
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(parent, t);
+    forEachTlb([&](auto &tlb) { tlb.invalidateAsid(parent, t); });
 
     if constexpr (kTimed) {
         if (trace::active())
@@ -687,8 +658,7 @@ System::unmapPage(Asid asid, Addr vpn, Tick when)
         caches_.invalidateLine<T>(
             (opn << kPageShift) | (Addr(l) << kLineShift), when);
     }
-    for (auto &tlb : tlbs_)
-        tlb->invalidate(asid, vpn);
+    forEachTlb([&](auto &tlb) { tlb.invalidate(asid, vpn); });
     // If this unmap frees the frame, its cached lines must not alias the
     // frame's next user.
     if (pte->ppn != PhysicalMemory::kZeroFrame &&
@@ -729,8 +699,7 @@ System::destroyProcess(Asid asid, Tick when)
     }
     for (Addr vpn : vpns)
         unmapPage<T>(asid, vpn, when);
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(asid);
+    forEachTlb([&](auto &tlb) { tlb.invalidateAsid(asid); });
 }
 
 template Tick System::access<Timing::Functional>(Asid, Addr, bool, Tick,
@@ -750,9 +719,6 @@ System::promoteOverlay(Asid asid, Addr vaddr, PromoteAction action,
 {
     ++promotions_;
     OVL_PROF_SCOPE(Promote);
-    ovl_trace(system, "promote: asid=%u page=%llx action=%d",
-              unsigned(asid), (unsigned long long)pageBase(vaddr),
-              int(action));
     if (trace::active()) {
         trace::begin("overlay", "promote", when,
                      {{"asid", asid},
@@ -834,8 +800,7 @@ System::promoteOverlay(Asid asid, Addr vaddr, PromoteAction action,
                                t);
     }
     t += config_.tlbShootdownCycles();
-    for (auto &tlb : tlbs_)
-        tlb->invalidate(asid, vpn, t);
+    forEachTlb([&](auto &tlb) { tlb.invalidate(asid, vpn, t); });
     if (trace::active())
         trace::end("overlay", "promote", t);
     return t;
@@ -886,8 +851,7 @@ System::reclaimZeroLine(Asid asid, Addr vaddr, Tick when)
     Addr oline = overlayLineAddr(asid, vaddr);
     caches_.invalidateLine(oline, when);
     overlayMgr_.clearLine(opn, line);
-    for (auto &tlb : tlbs_)
-        tlb->updateObvBit(asid, vpn, line, false);
+    forEachTlb([&](auto &tlb) { tlb.updateObvBit(asid, vpn, line, false); });
     overlayMgr_.omtCache().markModified(opn);
     if (overlayMgr_.obitvector(opn).none())
         overlayMgr_.discardOverlay(opn);
@@ -1048,7 +1012,8 @@ System::clone(const SystemConfig &config) const
 void
 System::attachStatsSampler(StatsSampler *sampler, Tick now)
 {
-    ovl_assert(sampler != nullptr, "attaching a null sampler");
+    if (sampler == nullptr)
+        return;
     ovl_assert(sampler_ == nullptr, "a sampler is already attached");
     sampler_ = sampler;
     forEachStatsGroup([&](const stats::Group *group) {
@@ -1059,8 +1024,10 @@ System::attachStatsSampler(StatsSampler *sampler, Tick now)
 }
 
 void
-System::detachStatsSampler()
+System::detachStatsSampler(Tick end)
 {
+    if (sampler_ != nullptr)
+        sampler_->finish(end);
     sampler_ = nullptr;
     samplerNext_ = kMaxTick;
 }

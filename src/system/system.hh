@@ -294,6 +294,19 @@ class System : public SimObject
     OverlayManager &overlayManager() { return overlayMgr_; }
     CacheHierarchy &caches() { return caches_; }
     TwoLevelTlb &tlb(unsigned idx = 0) { return *tlbs_[idx]; }
+
+    /**
+     * Apply @p fn to every core's TLB. A PTE or OBitVector change must
+     * reach all of them (shootdown or ORE broadcast, §4.3.3): updating
+     * tlb() alone leaves the other cores with stale entries.
+     */
+    template <class Fn>
+    void
+    forEachTlb(Fn &&fn)
+    {
+        for (auto &tlb : tlbs_)
+            fn(*tlb);
+    }
     DramController &dramController() { return dramCtrl_; }
 
     /**
@@ -329,11 +342,14 @@ class System : public SimObject
      * Attach a tick-domain sampler: registers every component stats
      * group and emits the first record at @p now. While attached, the
      * access path pumps the sampler whenever simulated time crosses a
-     * sample boundary (one integer compare when it doesn't). Call
-     * StatsSampler::finish and detach (nullptr) when the run ends.
+     * sample boundary (one integer compare when it doesn't). A null
+     * @p sampler attaches nothing, so callers can pass an optional one.
      */
     void attachStatsSampler(StatsSampler *sampler, Tick now = 0);
-    void detachStatsSampler();
+
+    /** Flush the attached sampler up to the run's @p end and detach it
+     *  (no-op when none is attached). */
+    void detachStatsSampler(Tick end);
 
     std::uint64_t cowFaults() const { return cowFaults_.value(); }
     std::uint64_t overlayingWrites() const { return overlayingWrites_.value(); }

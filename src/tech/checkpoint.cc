@@ -25,7 +25,7 @@ CheckpointManager::armPage(Addr vpn)
                "checkpointed pages must be private");
     pte->cow = true; // writes must trap to the capture mechanism
     pte->overlayEnabled = true;
-    system_.tlb().invalidate(asid_, vpn);
+    system_.forEachTlb([&](auto &tlb) { tlb.invalidate(asid_, vpn); });
 }
 
 void

@@ -163,12 +163,14 @@ DedupEngine::deduplicate(const std::vector<std::pair<Asid, Addr>> &pages)
             if (!base_pte->cow) {
                 base_pte->cow = true;
                 base_pte->overlayEnabled = true;
-                system_.tlb().invalidate(base.asid, pageNumber(base.vaddr));
+                system_.forEachTlb([&](auto &tlb) {
+                    tlb.invalidate(base.asid, pageNumber(base.vaddr));
+                });
             }
             remapToSharedFrame(system_, candidate.asid, candidate.vaddr,
                                base.ppn, ForkMode::OverlayOnWrite);
-            Opn opn = overlay_addr::pageFromVirtual(
-                candidate.asid, pageNumber(candidate.vaddr));
+            Addr vpn = pageNumber(candidate.vaddr);
+            Opn opn = overlay_addr::pageFromVirtual(candidate.asid, vpn);
             Tick t = 0;
             for (unsigned l : diffs) {
                 LineData line;
@@ -177,9 +179,9 @@ DedupEngine::deduplicate(const std::vector<std::pair<Asid, Addr>> &pages)
                                 std::size_t(l) * kLineSize,
                             kLineSize);
                 ovm.writeLineData(opn, l, line);
-                system_.tlb().updateObvBit(candidate.asid,
-                                           pageNumber(candidate.vaddr), l,
-                                           true);
+                system_.forEachTlb([&](auto &tlb) {
+                    tlb.updateObvBit(candidate.asid, vpn, l, true);
+                });
                 // Materialize the OMS slot (as the dirty line's eviction
                 // would).
                 t = ovm.writebackLine(

@@ -27,7 +27,9 @@ ShadowMemory::enable(Addr vaddr, std::uint64_t len)
                    "shadow range not mapped");
         pte->overlayEnabled = true;
         pte->metadataMode = true;
-        system_.tlb().invalidate(asid_, pageNumber(va));
+        system_.forEachTlb([&](auto &tlb) {
+            tlb.invalidate(asid_, pageNumber(va));
+        });
     }
 }
 
@@ -37,15 +39,11 @@ ShadowMemory::storeMeta(Addr vaddr, const void *meta, std::size_t len,
 {
     const auto *src = static_cast<const std::uint8_t *>(meta);
     Tick t = when;
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        t = system_.metadataAccess(asid_, vaddr, true, t);
-        system_.metadataPoke(asid_, vaddr, src, chunk);
-        vaddr += chunk;
-        src += chunk;
-        len -= chunk;
-    }
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        t = system_.metadataAccess(asid_, va, true, t);
+        system_.metadataPoke(asid_, va, src + off, chunk);
+    });
     return t;
 }
 
@@ -54,15 +52,11 @@ ShadowMemory::loadMeta(Addr vaddr, void *out, std::size_t len, Tick when)
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     Tick t = when;
-    while (len > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            len, std::size_t(lineBase(vaddr) + kLineSize - vaddr));
-        t = system_.metadataAccess(asid_, vaddr, false, t);
-        system_.metadataPeek(asid_, vaddr, dst, chunk);
-        vaddr += chunk;
-        dst += chunk;
-        len -= chunk;
-    }
+    forEachLineChunk(vaddr, len, [&](Addr va, std::size_t off,
+                                     std::size_t chunk) {
+        t = system_.metadataAccess(asid_, va, false, t);
+        system_.metadataPeek(asid_, va, dst + off, chunk);
+    });
     return t;
 }
 

@@ -29,7 +29,7 @@ sharePages(System &system, Asid owner, Asid borrower, Addr vaddr,
             system.physMem().addRef(pte->ppn);
         vmm.process(borrower).pageTable.set(vpn, *pte);
         // Owner's cached translation is stale (cow bit changed).
-        system.tlb().invalidate(owner, vpn);
+        system.forEachTlb([&](auto &tlb) { tlb.invalidate(owner, vpn); });
     }
 }
 
@@ -48,7 +48,7 @@ remapToSharedFrame(System &system, Asid asid, Addr vaddr, Addr base_ppn,
     pte->cow = true;
     if (mode == ForkMode::OverlayOnWrite)
         pte->overlayEnabled = true;
-    system.tlb().invalidate(asid, vpn);
+    system.forEachTlb([&](auto &tlb) { tlb.invalidate(asid, vpn); });
 }
 
 } // namespace tech

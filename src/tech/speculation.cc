@@ -40,7 +40,9 @@ SpeculativeRegion::begin(Addr vaddr, std::uint64_t len)
                    "speculative pages must be private");
         pte->cow = true; // divert writes into the overlay
         pte->overlayEnabled = true;
-        system_.tlb().invalidate(asid_, pageNumber(va));
+        system_.forEachTlb([&](auto &tlb) {
+            tlb.invalidate(asid_, pageNumber(va));
+        });
     }
 }
 
@@ -60,7 +62,9 @@ SpeculativeRegion::disarm()
         Pte *pte = system_.vmm().resolve(asid_, pageNumber(va));
         pte->cow = false;
         pte->overlayEnabled = false;
-        system_.tlb().invalidate(asid_, pageNumber(va));
+        system_.forEachTlb([&](auto &tlb) {
+            tlb.invalidate(asid_, pageNumber(va));
+        });
     }
     active_ = false;
 }

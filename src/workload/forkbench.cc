@@ -628,15 +628,10 @@ runForkBench(const ForkBenchParams &params, ForkMode mode,
              std::ostream *dump_stats_json)
 {
     ForkBenchMachine m(params, std::move(config));
-    if (sampler != nullptr)
-        m.system.attachStatsSampler(sampler, 0);
+    m.system.attachStatsSampler(sampler, 0);
     m.warmup(params);
     m.fork(mode);
-    Tick end = m.runPostFork(params, record);
-    if (sampler != nullptr) {
-        sampler->finish(end);
-        m.system.detachStatsSampler();
-    }
+    m.system.detachStatsSampler(m.runPostFork(params, record));
 
     ForkBenchResult res = measureResult(m, params, mode);
     if (dump_stats != nullptr) {
@@ -669,8 +664,7 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
     // ------------------------- sampled run ----------------------------
     {
         ForkBenchMachine m(params, config);
-        if (sampler != nullptr)
-            m.system.attachStatsSampler(sampler, 0);
+        m.system.attachStatsSampler(sampler, 0);
         m.warmup(params);
         m.fork(mode);
 
@@ -757,10 +751,7 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         if (win_instr > 0)
             close_window();
         cursor = m.finishPostFork(); // retire the epoch close_window armed
-        if (sampler != nullptr) {
-            sampler->finish(cursor);
-            m.system.detachStatsSampler();
-        }
+        m.system.detachStatsSampler(cursor);
 
         double est_cycles = 0.0;
         for (const SampledWindow &w : out.windows) {

@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit and property tests for src/common: BitVector64, integer math,
- * address geometry, and the deterministic RNG.
+ * address geometry, the command-line helpers, and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitvector64.hh"
+#include "common/cli.hh"
 #include "common/intmath.hh"
 #include "common/random.hh"
 #include "common/types.hh"
@@ -156,6 +161,70 @@ TEST(AddressGeometry, SixtyFourLinesPerPage)
     EXPECT_EQ(kLinesPerPage, 64u);
     EXPECT_EQ(kPageSize, 4096u);
     EXPECT_EQ(kLineSize, 64u);
+}
+
+TEST(AddressGeometry, LineChunksSplitAtLineBoundaries)
+{
+    // 10 bytes before a line boundary, one full line, then 6 bytes.
+    std::vector<std::pair<Addr, std::size_t>> chunks;
+    std::size_t expected_off = 0;
+    forEachLineChunk(0x1036, 80, [&](Addr va, std::size_t off,
+                                     std::size_t len) {
+        EXPECT_EQ(off, expected_off);
+        expected_off += len;
+        chunks.emplace_back(va, len);
+    });
+    using Chunk = std::pair<Addr, std::size_t>;
+    EXPECT_EQ(chunks, (std::vector<Chunk>{
+                          {0x1036, 10}, {0x1040, 64}, {0x1080, 6}}));
+    forEachLineChunk(0x1000, 0, [](Addr, std::size_t, std::size_t) {
+        ADD_FAILURE() << "empty range produced a chunk";
+    });
+}
+
+TEST(Cli, ParseCountAcceptsPlainDecimal)
+{
+    EXPECT_EQ(cli::parseCount("--n", "0"), 0u);
+    EXPECT_EQ(cli::parseCount("--n", "1000000"), 1'000'000u);
+    EXPECT_EQ(cli::parseCount("--n", "18446744073709551615"),
+              18446744073709551615ull);
+}
+
+TEST(Cli, ParseCountRejectsWhatStrtoullWouldTruncate)
+{
+    // strtoull would read each as a silent prefix (1e6 -> 1, 5k -> 5)
+    // or saturate; a flag value must be all digits and fit in 64 bits.
+    for (const char *bad : {"", "1e6", "5k", "12 ", " 12", "-1", "+1",
+                            "0x10", "18446744073709551616"}) {
+        EXPECT_THROW(cli::parseCount("--n", bad), std::invalid_argument)
+            << "'" << bad << "'";
+    }
+}
+
+TEST(Cli, ParseCountErrorNamesTheFlagAndValue)
+{
+    try {
+        cli::parseCount("--post-instr", "1e6");
+        FAIL() << "no exception";
+    } catch (const std::invalid_argument &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("--post-instr"), std::string::npos) << what;
+        EXPECT_NE(what.find("'1e6'"), std::string::npos) << what;
+    }
+}
+
+TEST(Cli, TakeFlagRemovesTheFirstPairOnly)
+{
+    std::vector<std::string> args = {"libq", "--mode", "cow", "--x",
+                                      "--mode", "oow"};
+    EXPECT_EQ(cli::takeFlag(args, "--mode"), "cow");
+    EXPECT_EQ(args, (std::vector<std::string>{"libq", "--x", "--mode",
+                                              "oow"}));
+    EXPECT_EQ(cli::takeFlag(args, "--absent"), std::nullopt);
+    // A trailing flag with no value is left in place.
+    std::vector<std::string> dangling = {"--mode"};
+    EXPECT_EQ(cli::takeFlag(dangling, "--mode"), std::nullopt);
+    EXPECT_EQ(dangling.size(), 1u);
 }
 
 TEST(Rng, Deterministic)

@@ -3,13 +3,19 @@
  * Multi-core TLB coherence tests (§4.3.3): a process running on several
  * cores keeps all its TLBs' OBitVectors coherent through the
  * `overlaying read exclusive` message, with no shootdown; the
- * copy-on-write baseline must invalidate remote entries on every remap.
+ * copy-on-write baseline must invalidate remote entries on every remap,
+ * and so must every Table 1 technique that rewrites a PTE.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cpu/ooo_core.hh"
 #include "system/system.hh"
+#include "tech/dedup.hh"
+#include "tech/speculation.hh"
 
 namespace ovl
 {
@@ -128,6 +134,54 @@ TEST(MultiCore, TwoCoresShareCachesCoherently)
     AccessOutcome out;
     sys.access(asid, kBase, false, t, &out, 1);
     EXPECT_EQ(out.level, HitLevel::L1);
+}
+
+TEST(MultiCore, SpeculationArmsRemoteTlbs)
+{
+    // Core 1 caches the translation before the region is armed; its
+    // write afterwards must still be diverted into the overlay.
+    System sys(dualCore());
+    Asid asid = sys.createProcess();
+    sys.mapAnon(asid, kBase, kPageSize);
+    sys.access(asid, kBase, false, 0, nullptr, 1);
+
+    tech::SpeculativeRegion region(sys, asid);
+    region.begin(kBase, kPageSize);
+    AccessOutcome out;
+    sys.access(asid, kBase, true, 10'000, &out, 1);
+    EXPECT_TRUE(out.overlayingWrite);
+    EXPECT_EQ(region.speculativeLines(), 1u);
+    region.abort(20'000);
+}
+
+TEST(MultiCore, DedupShootsDownRemoteTlbs)
+{
+    // Two identical pages, both cached in core 1's TLB, are merged onto
+    // one frame. Core 1 must then see the merged (CoW + overlay)
+    // mappings: a write to either page diverges into its overlay instead
+    // of mutating the shared frame through a stale writable entry.
+    System sys(dualCore());
+    Asid asid = sys.createProcess();
+    sys.mapAnon(asid, kBase, 2 * kPageSize);
+    std::vector<std::uint8_t> content(kPageSize, 0x5A);
+    sys.poke(asid, kBase, content.data(), kPageSize);
+    sys.poke(asid, kBase + kPageSize, content.data(), kPageSize);
+    sys.access(asid, kBase, false, 0, nullptr, 1);
+    sys.access(asid, kBase + kPageSize, false, 0, nullptr, 1);
+
+    tech::DedupEngine engine(sys, tech::DedupParams{});
+    tech::DedupReport report =
+        engine.deduplicate({{asid, kBase}, {asid, kBase + kPageSize}});
+    ASSERT_EQ(report.pagesDeduplicated, 1u);
+
+    AccessOutcome out;
+    Tick t = sys.access(asid, kBase + kPageSize, false, 10'000, &out, 1);
+    EXPECT_TRUE(out.tlbWalk); // the remapped page was shot down
+    for (Addr page : {kBase, kBase + kPageSize}) {
+        t = sys.access(asid, page, true, t, &out, 1);
+        EXPECT_TRUE(out.overlayingWrite) << std::hex << page;
+        EXPECT_EQ(sys.pageObv(asid, page).count(), 1u) << std::hex << page;
+    }
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the observability layer: tick-domain stats sampling
- * (src/sim/stats_sampler.hh) and Chrome trace-event output
- * (src/sim/trace.hh). The contracts under test:
+ * (src/sim/stats_sampler.hh), Chrome trace-event output
+ * (src/sim/trace.hh) and the sink session that owns both plus the
+ * profile (src/sim/observe.hh). The contracts under test:
  *
  *  - interval-N sampling emits exactly floor(end_tick/N)+1 records at
  *    monotone boundary ticks 0, N, 2N, ...;
@@ -10,20 +11,25 @@
  *    recursive-descent checker, same grammar json.tool accepts);
  *  - a traced fork workload produces a parseable trace whose B/E spans
  *    balance per thread track;
- *  - instrumentation never moves simulated time.
+ *  - instrumentation never moves simulated time;
+ *  - the session rejects bad sink-flag combinations and gives every
+ *    labelled run its own sampler stream and profile window.
  */
 
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
+#include "sim/observe.hh"
 #include "sim/stats.hh"
 #include "sim/stats_sampler.hh"
 #include "sim/trace.hh"
@@ -353,17 +359,13 @@ TEST(StatsSampler, SystemPumpSamplesWithoutMovingSimulatedTime)
         System sys;
         Asid p = sys.createProcess();
         sys.mapAnon(p, kBase, kPages * kPageSize);
-        if (sampler != nullptr)
-            sys.attachStatsSampler(sampler, 0);
+        sys.attachStatsSampler(sampler, 0);
         Tick t = 0;
         for (unsigned i = 0; i < 2000; ++i) {
             Addr va = kBase + (i % (kPages * kLinesPerPage)) * kLineSize;
             t = sys.access(p, va, i % 3 == 0, t);
         }
-        if (sampler != nullptr) {
-            sampler->finish(t);
-            sys.detachStatsSampler();
-        }
+        sys.detachStatsSampler(t);
         return t;
     };
 
@@ -441,6 +443,7 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
     // tid (the writer emits one event per line).
     std::map<unsigned, long> open_spans;
     bool saw_complete = false, saw_instant = false, saw_span = false;
+    bool saw_oms_alloc = false, saw_fork_mode = false;
     std::istringstream is(text);
     std::string line;
     while (std::getline(is, line)) {
@@ -452,6 +455,11 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
         if (line.find("\"ph\":\"B\"") != std::string::npos) {
             ++open_spans[unsigned(tid)];
             saw_span = true;
+            if (line.find("\"name\":\"fork\"") != std::string::npos) {
+                // ForkMode::OverlayOnWrite
+                EXPECT_EQ(extractInt(line, "mode"), 1) << line;
+                saw_fork_mode = true;
+            }
         } else if (line.find("\"ph\":\"E\"") != std::string::npos) {
             ASSERT_GT(open_spans[unsigned(tid)], 0)
                 << "E without B: " << line;
@@ -461,6 +469,11 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
             EXPECT_NE(line.find("\"dur\":"), std::string::npos) << line;
         } else if (line.find("\"ph\":\"i\"") != std::string::npos) {
             saw_instant = true;
+            if (line.find("\"name\":\"oms_alloc\"") != std::string::npos) {
+                EXPECT_GT(extractInt(line, "bytes"), 0) << line;
+                extractInt(line, "opn");
+                saw_oms_alloc = true;
+            }
         }
     }
     for (const auto &[tid, open] : open_spans)
@@ -468,6 +481,8 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
     EXPECT_TRUE(saw_span);     // fork / CoW / overlaying-write spans
     EXPECT_TRUE(saw_complete); // DRAM / cache-miss / ORE spans
     (void)saw_instant;         // shootdowns are mode-dependent
+    EXPECT_TRUE(saw_fork_mode); // the fork span says which mode forked
+    EXPECT_TRUE(saw_oms_alloc); // first OMS segment of an overlay
 
     std::remove(path.c_str());
 }
@@ -487,17 +502,6 @@ TEST(Trace, EventCapTruncatesAndRecordsTheDrop)
     EXPECT_NE(text.find("trace_truncated"), std::string::npos);
     EXPECT_NE(text.find("\"dropped_events\":7"), std::string::npos);
     std::remove(path.c_str());
-}
-
-TEST(Trace, RowFilePathSuffixesTheRowBeforeTheExtension)
-{
-    EXPECT_EQ(trace::rowFilePath("sweep.json", 3), "sweep.row3.json");
-    EXPECT_EQ(trace::rowFilePath("out/f8.trace.json", 0),
-              "out/f8.trace.row0.json");
-    // A dot inside a directory name is not an extension.
-    EXPECT_EQ(trace::rowFilePath("runs.v2/sweep", 12),
-              "runs.v2/sweep.row12");
-    EXPECT_EQ(trace::rowFilePath("plain", 7), "plain.row7");
 }
 
 TEST(Trace, DisabledSinkIgnoresEvents)
@@ -538,4 +542,118 @@ TEST(Trace, InstrumentationDoesNotMoveSimulatedTime)
     EXPECT_EQ(traced.cowFaults, plain.cowFaults);
     EXPECT_DOUBLE_EQ(traced.additionalMemoryMB, plain.additionalMemoryMB);
     EXPECT_GT(sampler.records(), 1u);
+}
+
+// ------------------------- observe::Session ----------------------------
+
+namespace
+{
+
+/** Construct a session from @p args and report whether it was refused. */
+bool
+sessionRejects(std::vector<std::string> args)
+{
+    try {
+        observe::Session session(args);
+    } catch (const std::invalid_argument &) {
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(ObserveSession, StatsOutWithoutSampleIntervalIsRejected)
+{
+    std::string path = testing::TempDir() + "/ovl_unused.jsonl";
+    EXPECT_TRUE(sessionRejects({"--stats-out", path}));
+    EXPECT_TRUE(sessionRejects({"--sample-interval", "1000"}));
+    EXPECT_TRUE(sessionRejects(
+        {"--sample-interval", "0", "--stats-out", path}));
+}
+
+TEST(ObserveSession, ProfileCollapsedWithoutProfileOutIsRejected)
+{
+    EXPECT_TRUE(sessionRejects(
+        {"--profile-collapsed", testing::TempDir() + "/ovl_unused.folded"}));
+}
+
+TEST(ObserveSession, TraceLimitNeedsTraceOutAndAPlainCount)
+{
+    std::string path = testing::TempDir() + "/ovl_unused_trace.json";
+    EXPECT_TRUE(sessionRejects({"--trace-limit", "100"}));
+    EXPECT_TRUE(sessionRejects({"--trace-out", path, "--trace-limit", "5k"}));
+    EXPECT_TRUE(sessionRejects(
+        {"--sample-interval", "1e6", "--stats-out", path}));
+    EXPECT_FALSE(trace::active()); // nothing was opened
+}
+
+TEST(ObserveSession, TakesOnlyTheSinkFlags)
+{
+    std::vector<std::string> args = {"libq", "--mode", "oow"};
+    observe::Session session(args);
+    EXPECT_FALSE(session.anySink());
+    EXPECT_EQ(args, (std::vector<std::string>{"libq", "--mode", "oow"}));
+    session.finish();
+}
+
+TEST(ObserveSession, TwoLabelledRunsShareOneProfileAndOneSampleStream)
+{
+    std::string samples = testing::TempDir() + "/ovl_session.jsonl";
+    std::string profile = testing::TempDir() + "/ovl_session_prof.json";
+    std::string folded = testing::TempDir() + "/ovl_session.folded";
+    std::vector<std::string> args = {
+        "--sample-interval", "20000", "--stats-out", samples,
+        "--profile-out", profile, "--profile-collapsed", folded, "libq"};
+
+    ForkBenchParams params = forkBenchByName("libq");
+    params.warmupInstructions = 5'000;
+    params.postForkInstructions = 20'000;
+    params.footprintPages /= 16;
+    params.hotPages /= 16;
+    params.dirtyPages /= 16;
+    {
+        observe::Session session(args);
+        EXPECT_EQ(args, std::vector<std::string>{"libq"});
+        EXPECT_TRUE(session.sampling() && session.profiling());
+        EXPECT_FALSE(session.tracing());
+        for (ForkMode mode :
+             {ForkMode::CopyOnWrite, ForkMode::OverlayOnWrite}) {
+            const char *label = mode == ForkMode::CopyOnWrite ? "libq/cow"
+                                                              : "libq/oow";
+            ForkBenchResult res =
+                session.run(label, [&](StatsSampler *sampler) {
+                    EXPECT_NE(sampler, nullptr);
+                    return runForkBench(params, mode, SystemConfig{},
+                                        nullptr, nullptr, sampler);
+                });
+            EXPECT_GT(res.cpi, 0.0);
+        }
+        session.finish();
+    }
+
+    std::string prof_text = slurp(profile);
+    EXPECT_TRUE(isValidJson(prof_text));
+    for (const char *key : {"\"_host\": ", "\"libq/cow\": ",
+                            "\"libq/oow\": "}) {
+        EXPECT_NE(prof_text.find(key), std::string::npos) << key;
+    }
+    EXPECT_LT(prof_text.find("\"_host\""), prof_text.find("\"libq/cow\""));
+    EXPECT_LT(prof_text.find("\"libq/cow\""),
+              prof_text.find("\"libq/oow\""));
+
+    std::set<std::string> runs;
+    for (const std::string &line : jsonlLines(slurp(samples))) {
+        EXPECT_TRUE(isValidJson(line)) << line;
+        std::string needle = "\"run\": \"";
+        std::size_t pos = line.find(needle);
+        ASSERT_NE(pos, std::string::npos) << line;
+        pos += needle.size();
+        runs.insert(line.substr(pos, line.find('"', pos) - pos));
+    }
+    EXPECT_EQ(runs, (std::set<std::string>{"libq/cow", "libq/oow"}));
+
+    std::remove(samples.c_str());
+    std::remove(profile.c_str());
+    std::remove(folded.c_str());
 }

@@ -35,15 +35,9 @@
  *   overlaysim config
  *       Print the Table 2 machine configuration.
  *
- *   overlaysim list-debug-flags
- *       Print the OVL_DEBUG flag table with descriptions.
- *
- * Observability (forkbench): `--sample-interval N --stats-out FILE`
- * streams a JSONL stats sample every N ticks (see DESIGN.md §9);
- * `--trace-out FILE [--trace-limit N]` writes a Chrome trace-event JSON
- * loadable in Perfetto / chrome://tracing; `--profile-out FILE
- * [--profile-collapsed FILE]` writes per-run host-time attribution
- * (DESIGN.md §12; needs a -DOVL_PROFILE=ON build to be non-empty).
+ * forkbench takes the observe::Session sink flags (src/sim/observe.hh):
+ * a JSONL stats time series, a Chrome trace (Perfetto) and a per-run
+ * host-time profile, one "<name>/<mode>" run each (DESIGN.md §9, §12).
  */
 
 #include <cstdio>
@@ -51,20 +45,18 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/debug.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "cpu/ooo_core.hh"
 #include "cpu/trace_io.hh"
-#include "sim/hostinfo.hh"
-#include "sim/profile.hh"
+#include "sim/observe.hh"
 #include "sim/snapshot.hh"
 #include "sim/stats_diff.hh"
-#include "sim/stats_sampler.hh"
-#include "sim/trace.hh"
 #include "sparse/csr.hh"
 #include "sparse/overlay_matrix.hh"
 #include "sparse/spmv.hh"
@@ -73,6 +65,8 @@
 #include "workload/matrixgen.hh"
 
 using namespace ovl;
+using cli::takeCount;
+using cli::takeFlag;
 
 namespace
 {
@@ -83,14 +77,11 @@ usage()
     std::fprintf(stderr,
                  "usage: overlaysim"
                  " <forkbench|checkpoint|restore|stats-diff|spmv|trace"
-                 "|config|list-debug-flags> ...\n"
+                 "|config> ...\n"
                  "  forkbench <name|all> [--mode cow|oow|both]"
                  " [--post-instr N] [--stats FILE] [--record FILE]\n"
                  "            [--json FILE (single benchmark + mode)]\n"
-                 "            [--sample-interval N] [--stats-out FILE]\n"
-                 "            [--trace-out FILE] [--trace-limit N]\n"
-                 "            [--profile-out FILE"
-                 " [--profile-collapsed FILE]]\n"
+                 "            %s\n"
                  "            [--checkpoint-every T --checkpoint-file"
                  " FILE]\n"
                  "  checkpoint <name> --mode cow|oow --at-tick T"
@@ -100,24 +91,9 @@ usage()
                  "  spmv --L X [--nnz N] [--rep overlay|csr|dense|all]\n"
                  "  trace info <file>\n"
                  "  trace run <file> [--pages N] [--json FILE]\n"
-                 "  config\n"
-                 "  list-debug-flags\n");
+                 "  config\n",
+                 observe::kUsage);
     return 2;
-}
-
-/** Pull `--flag value` out of an argument list. */
-std::optional<std::string>
-flagValue(std::vector<std::string> &args, const std::string &flag)
-{
-    for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == flag) {
-            std::string value = args[i + 1];
-            args.erase(args.begin() + std::ptrdiff_t(i),
-                       args.begin() + std::ptrdiff_t(i) + 2);
-            return value;
-        }
-    }
-    return std::nullopt;
 }
 
 void
@@ -152,25 +128,16 @@ printForkRow(const ForkBenchResult &res)
 int
 cmdForkbench(std::vector<std::string> args)
 {
-    std::optional<std::string> mode_str = flagValue(args, "--mode");
-    std::optional<std::string> post_str = flagValue(args, "--post-instr");
-    std::optional<std::string> ckpt_every_str =
-        flagValue(args, "--checkpoint-every");
+    std::optional<std::string> mode_str = takeFlag(args, "--mode");
+    std::optional<std::uint64_t> post = takeCount(args, "--post-instr");
+    std::optional<std::uint64_t> ckpt_every =
+        takeCount(args, "--checkpoint-every");
     std::optional<std::string> ckpt_file =
-        flagValue(args, "--checkpoint-file");
-    std::optional<std::string> stats_path = flagValue(args, "--stats");
-    std::optional<std::string> record_path = flagValue(args, "--record");
-    std::optional<std::string> interval_str =
-        flagValue(args, "--sample-interval");
-    std::optional<std::string> sample_path = flagValue(args, "--stats-out");
-    std::optional<std::string> trace_path = flagValue(args, "--trace-out");
-    std::optional<std::string> trace_limit_str =
-        flagValue(args, "--trace-limit");
-    std::optional<std::string> json_path = flagValue(args, "--json");
-    std::optional<std::string> profile_path =
-        flagValue(args, "--profile-out");
-    std::optional<std::string> profile_collapsed =
-        flagValue(args, "--profile-collapsed");
+        takeFlag(args, "--checkpoint-file");
+    std::optional<std::string> stats_path = takeFlag(args, "--stats");
+    std::optional<std::string> record_path = takeFlag(args, "--record");
+    std::optional<std::string> json_path = takeFlag(args, "--json");
+    observe::Session session(args);
     if (args.empty())
         return usage();
     std::ofstream stats_os;
@@ -185,32 +152,6 @@ cmdForkbench(std::vector<std::string> args)
         if (!json_os)
             ovl_fatal("cannot open %s for writing", json_path->c_str());
     }
-    if (profile_collapsed && !profile_path)
-        ovl_fatal("--profile-collapsed requires --profile-out");
-    if (profile_path && !hostInfo().profileCompiled) {
-        std::fprintf(stderr,
-                     "warn: profiler not compiled in (configure with "
-                     "-DOVL_PROFILE=ON); profile will be empty\n");
-    }
-
-    Tick sample_interval = 0;
-    if (interval_str)
-        sample_interval = std::strtoull(interval_str->c_str(), nullptr, 10);
-    if (bool(sample_path) != (sample_interval > 0))
-        ovl_fatal("--sample-interval and --stats-out go together");
-    std::ofstream sample_os;
-    if (sample_path) {
-        sample_os.open(*sample_path);
-        if (!sample_os)
-            ovl_fatal("cannot open %s for writing", sample_path->c_str());
-    }
-    if (trace_path) {
-        std::uint64_t limit =
-            trace_limit_str
-                ? std::strtoull(trace_limit_str->c_str(), nullptr, 10)
-                : 0;
-        trace::start(*trace_path, limit);
-    }
 
     std::vector<ForkBenchParams> selected;
     if (args[0] == "all") {
@@ -224,101 +165,62 @@ cmdForkbench(std::vector<std::string> args)
         ovl_fatal("--json needs a single benchmark and a single --mode"
                   " (the file holds one golden-stats dump)");
     }
+    if (post) {
+        for (ForkBenchParams &params : selected)
+            params.postForkInstructions = *post;
+    }
 
     ForkBenchCheckpointOptions ckpt;
-    if (bool(ckpt_every_str) != bool(ckpt_file))
+    if (bool(ckpt_every) != bool(ckpt_file))
         ovl_fatal("--checkpoint-every and --checkpoint-file go together");
     if (ckpt_file) {
         ckpt.path = *ckpt_file;
-        ckpt.everyTicks =
-            std::strtoull(ckpt_every_str->c_str(), nullptr, 10);
+        ckpt.everyTicks = *ckpt_every;
         if (ckpt.everyTicks == 0)
             ovl_fatal("--checkpoint-every needs a positive tick period");
         if (selected.size() != 1 || (run_cow && run_oow)) {
             ovl_fatal("--checkpoint-every needs a single benchmark and a"
                       " single --mode (a checkpoint file holds one run)");
         }
-        if (stats_path || record_path || sample_path || trace_path ||
-            json_path) {
+        if (stats_path || record_path || json_path || session.sampling() ||
+            session.tracing()) {
             ovl_fatal("--checkpoint-every is incompatible with --stats,"
                       " --record, --json, --sample-interval and"
                       " --trace-out");
         }
     }
 
-    // One attribution window per run; labels are "<name>/<mode>".
-    std::vector<std::pair<std::string, prof::Report>> profiles;
-    if (profile_path)
-        prof::enable();
-
     printForkRowHeader();
-    for (ForkBenchParams params : selected) {
-        if (post_str)
-            params.postForkInstructions =
-                std::strtoull(post_str->c_str(), nullptr, 10);
+    for (const ForkBenchParams &params : selected) {
         for (int pass = 0; pass < 2; ++pass) {
             if ((pass == 0 && !run_cow) || (pass == 1 && !run_oow))
                 continue;
             ForkMode mode = pass == 0 ? ForkMode::CopyOnWrite
                                       : ForkMode::OverlayOnWrite;
             std::vector<TraceOp> recorded;
-            // One sampler per run (column layout is per-System); all
-            // runs stream into the one JSONL file, distinguished by
-            // their "run" label.
-            std::optional<StatsSampler> sampler;
-            if (sample_path) {
-                sampler.emplace(sample_os, sample_interval,
-                                StatsSampler::Mode::Delta,
-                                params.name +
-                                    (pass == 0 ? "/cow" : "/oow"));
-            }
-            ForkBenchResult res;
-            if (ckpt_file) {
-                // Periodic mode always runs to completion; the observer
-                // checkpoints never perturb the simulated run.
-                res = *runForkBenchCheckpointed(params, mode,
-                                                SystemConfig{}, ckpt);
-            } else {
-                res = runForkBench(params, mode, SystemConfig{},
-                                   stats_path ? &stats_os : nullptr,
-                                   record_path ? &recorded : nullptr,
-                                   sampler ? &*sampler : nullptr,
-                                   json_path ? &json_os : nullptr);
-            }
-            if (profile_path) {
-                profiles.emplace_back(
-                    params.name + (pass == 0 ? "/cow" : "/oow"),
-                    prof::collect(true));
-            }
+            // One run per "<name>/<mode>" label: its own sampler and
+            // profile window.
+            ForkBenchResult res = session.run(
+                params.name + (pass == 0 ? "/cow" : "/oow"),
+                [&](StatsSampler *sampler) {
+                    // Periodic mode always runs to completion; the
+                    // observer checkpoints never perturb the run.
+                    if (ckpt_file) {
+                        return *runForkBenchCheckpointed(
+                            params, mode, SystemConfig{}, ckpt);
+                    }
+                    return runForkBench(
+                        params, mode, SystemConfig{},
+                        stats_path ? &stats_os : nullptr,
+                        record_path ? &recorded : nullptr, sampler,
+                        json_path ? &json_os : nullptr);
+                });
             if (record_path) {
                 saveTraceFile(*record_path, recorded);
                 std::printf("recorded %zu trace records to %s\n",
                             recorded.size(), record_path->c_str());
             }
             printForkRow(res);
-        }
-    }
-    if (profile_path) {
-        prof::disable();
-        std::ofstream pf(*profile_path);
-        if (!pf)
-            ovl_fatal("cannot open %s for writing", profile_path->c_str());
-        pf << "{\n\"_host\": " << hostInfoJson();
-        for (const auto &[label, report] : profiles) {
-            pf << ",\n\"" << label << "\": ";
-            prof::writeJson(pf, report);
-        }
-        pf << "}\n";
-        std::printf("profile written to %s\n", profile_path->c_str());
-        if (profile_collapsed) {
-            std::ofstream cf(*profile_collapsed);
-            if (!cf)
-                ovl_fatal("cannot open %s for writing",
-                          profile_collapsed->c_str());
-            for (const auto &[label, report] : profiles)
-                prof::writeCollapsed(cf, report, label);
-            std::printf("collapsed stacks written to %s\n",
-                        profile_collapsed->c_str());
         }
     }
     if (json_path)
@@ -330,30 +232,18 @@ cmdForkbench(std::vector<std::string> args)
     if (stats_path)
         std::printf("component stats appended to %s\n",
                     stats_path->c_str());
-    if (sample_path)
-        std::printf("stats samples written to %s\n", sample_path->c_str());
-    if (trace_path) {
-        std::uint64_t events = trace::eventCount();
-        std::uint64_t dropped = trace::droppedCount();
-        trace::stop();
-        std::printf("trace written to %s (%llu events",
-                    trace_path->c_str(), (unsigned long long)events);
-        if (dropped > 0)
-            std::printf(", %llu dropped at --trace-limit",
-                        (unsigned long long)dropped);
-        std::printf(")\n");
-    }
+    session.finish();
     return 0;
 }
 
 int
 cmdCheckpoint(std::vector<std::string> args)
 {
-    std::optional<std::string> mode_str = flagValue(args, "--mode");
-    std::optional<std::string> tick_str = flagValue(args, "--at-tick");
-    std::optional<std::string> out_path = flagValue(args, "--out");
-    std::optional<std::string> post_str = flagValue(args, "--post-instr");
-    if (args.size() != 1 || !mode_str || !tick_str || !out_path)
+    std::optional<std::string> mode_str = takeFlag(args, "--mode");
+    std::optional<std::uint64_t> at_tick = takeCount(args, "--at-tick");
+    std::optional<std::string> out_path = takeFlag(args, "--out");
+    std::optional<std::uint64_t> post = takeCount(args, "--post-instr");
+    if (args.size() != 1 || !mode_str || !at_tick || !out_path)
         return usage();
     if (*mode_str != "cow" && *mode_str != "oow")
         ovl_fatal("--mode must be cow or oow");
@@ -361,13 +251,12 @@ cmdCheckpoint(std::vector<std::string> args)
                                        : ForkMode::OverlayOnWrite;
 
     ForkBenchParams params = forkBenchByName(args[0]);
-    if (post_str)
-        params.postForkInstructions =
-            std::strtoull(post_str->c_str(), nullptr, 10);
+    if (post)
+        params.postForkInstructions = *post;
 
     ForkBenchCheckpointOptions ckpt;
     ckpt.path = *out_path;
-    ckpt.atTick = std::strtoull(tick_str->c_str(), nullptr, 10);
+    ckpt.atTick = *at_tick;
     if (ckpt.atTick == 0)
         ovl_fatal("--at-tick needs a positive simulated tick");
 
@@ -410,25 +299,11 @@ cmdRestore(std::vector<std::string> args)
 }
 
 int
-cmdListDebugFlags()
-{
-    std::printf("%-10s %s\n", "flag", "trace points");
-    for (unsigned i = 0; i < unsigned(debug::Flag::NumFlags); ++i) {
-        auto flag = debug::Flag(i);
-        std::printf("%-10s %s\n", debug::flagName(flag),
-                    debug::flagDescription(flag));
-    }
-    std::printf("\nEnable with OVL_DEBUG=<flag>[,<flag>...] or"
-                " OVL_DEBUG=all.\n");
-    return 0;
-}
-
-int
 cmdSpmv(std::vector<std::string> args)
 {
-    std::optional<std::string> l_str = flagValue(args, "--L");
-    std::optional<std::string> nnz_str = flagValue(args, "--nnz");
-    std::optional<std::string> rep = flagValue(args, "--rep");
+    std::optional<std::string> l_str = takeFlag(args, "--L");
+    std::optional<std::uint64_t> nnz = takeCount(args, "--nnz");
+    std::optional<std::string> rep = takeFlag(args, "--rep");
     if (!l_str)
         return usage();
 
@@ -441,8 +316,8 @@ cmdSpmv(std::vector<std::string> args)
         spec.family = MatrixFamily::BlockDense;
         spec.blockRunLines = 24;
     }
-    if (nnz_str)
-        spec.nnz = std::strtoull(nnz_str->c_str(), nullptr, 10);
+    if (nnz)
+        spec.nnz = *nnz;
     spec.name = "cli";
     CooMatrix coo = generateMatrix(spec);
     MatrixStats stats = analyzeMatrix(coo, kLineSize);
@@ -533,7 +408,7 @@ cmdTrace(std::vector<std::string> args)
         return 0;
     }
     if (verb == "run") {
-        std::optional<std::string> json_path = flagValue(args, "--json");
+        std::optional<std::string> json_path = takeFlag(args, "--json");
         Trace trace = loadTraceFile(path);
         TraceSummary s = summarizeTrace(trace);
         System sys((SystemConfig()));
@@ -596,15 +471,9 @@ cmdConfig()
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+dispatch(const std::string &cmd, std::vector<std::string> args)
 {
-    if (argc < 2)
-        return usage();
-    std::string cmd = argv[1];
-    std::vector<std::string> args(argv + 2, argv + argc);
     if (cmd == "forkbench")
         return cmdForkbench(std::move(args));
     if (cmd == "checkpoint")
@@ -619,7 +488,23 @@ main(int argc, char **argv)
         return cmdStatsDiff(std::move(args));
     if (cmd == "config")
         return cmdConfig();
-    if (cmd == "list-debug-flags")
-        return cmdListDebugFlags();
     return usage();
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    if (argc < 2)
+        return usage();
+    try {
+        return dispatch(argv[1], std::vector<std::string>(argv + 2,
+                                                          argv + argc));
+    } catch (const std::invalid_argument &e) {
+        // A malformed flag value or sink-flag combination (cli.hh,
+        // observe.hh).
+        std::fprintf(stderr, "overlaysim: %s\n", e.what());
+        return 1;
+    }
 }
