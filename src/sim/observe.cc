@@ -78,8 +78,7 @@ Session::beginRun(const std::string &label)
         prof::enable();
     if (!sampling())
         return nullptr;
-    return std::make_unique<StatsSampler>(statsOs_, sampleInterval_,
-                                          StatsSampler::Mode::Delta, label);
+    return std::make_unique<StatsSampler>(statsOs_, sampleInterval_, label);
 }
 
 void

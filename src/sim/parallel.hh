@@ -6,7 +6,7 @@
  * The evaluation sweeps (the 15-benchmark fork suite, the 87-matrix
  * L-sweep, the ablation grids) are embarrassingly parallel per data
  * point: each point is a fully self-contained `System` with its own
- * EventQueue, stats Groups, DRAM and caches, and its simulated timing is
+ * page tables, stats Groups, DRAM and caches, and its simulated timing is
  * deterministic per instance (DESIGN.md §7). parallelMap exploits that:
  * workers share *nothing* but the read-only inputs, results land in a
  * pre-sized vector slot per item, and the caller renders output only

@@ -13,11 +13,10 @@ const char *
 zoneName(Zone zone)
 {
     static const char *const kNames[kNumZones] = {
-        "access",          "tlb_walk",  "cache_lookup", "miss_cascade",
-        "omt_walk",        "oms_alloc", "ore_broadcast", "overlaying_write",
-        "cow_fault",       "dram",      "event_queue",  "snapshot_io",
-        "functional_ff",   "fork",      "teardown",     "promote",
-        "tlb_maint",
+        "access",        "tlb_walk",  "cache_lookup", "miss_cascade",
+        "omt_walk",      "oms_alloc", "ore_broadcast", "overlaying_write",
+        "cow_fault",     "dram",      "snapshot_io",  "functional_ff",
+        "fork",          "teardown",  "promote",      "tlb_maint",
     };
     std::size_t i = std::size_t(zone);
     return i < kNumZones ? kNames[i] : "root";

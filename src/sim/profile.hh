@@ -74,7 +74,6 @@ enum class Zone : std::uint8_t
     OverlayingWrite, ///< overlay-on-write slow path
     CowFault,        ///< copy-on-write fault service
     Dram,            ///< DRAM controller reads + write-buffer drains
-    EventQueue,      ///< event-queue callback dispatch
     SnapshotIo,      ///< snapshot serialize/deserialize + file IO
     FunctionalFf,    ///< functional fast-forward (sampled mode)
     Fork,            ///< System::fork / Vmm::fork

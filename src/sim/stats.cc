@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <iomanip>
-#include <limits>
 
 #include "common/logging.hh"
 #include "sim/snapshot.hh"
@@ -97,14 +96,6 @@ Histogram::reset()
 }
 
 void
-Formula::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << std::left << std::setw(44) << (prefix + name())
-       << std::right << std::setw(16) << std::fixed << std::setprecision(4)
-       << value() << "  # " << desc() << "\n";
-}
-
-void
 Counter::dumpJsonValue(std::ostream &os) const
 {
     os << value_;
@@ -143,19 +134,6 @@ Histogram::dumpJsonValue(std::ostream &os) const
 }
 
 void
-Formula::dumpJsonValue(std::ostream &os) const
-{
-    double v = value();
-    // JSON has no NaN/Inf; clamp non-finite values to null.
-    if (v != v || v == std::numeric_limits<double>::infinity() ||
-        v == -std::numeric_limits<double>::infinity()) {
-        os << "null";
-        return;
-    }
-    os << v;
-}
-
-void
 Counter::eachScalar(const ScalarVisitor &fn) const
 {
     fn("", double(value_), true);
@@ -174,17 +152,6 @@ Histogram::eachScalar(const ScalarVisitor &fn) const
     // and means; per-bucket time series would bloat every record.
     fn(".samples", double(samples_), true);
     fn(".sum", double(sum_), true);
-}
-
-void
-Formula::eachScalar(const ScalarVisitor &fn) const
-{
-    double v = value();
-    // Keep records JSON-clean: non-finite derived values sample as 0.
-    if (v != v || v == std::numeric_limits<double>::infinity() ||
-        v == -std::numeric_limits<double>::infinity())
-        v = 0.0;
-    fn("", v, false);
 }
 
 void

@@ -1,8 +1,7 @@
 /**
  * @file
- * A small gem5-flavoured statistics package: scalar counters, distribution
- * histograms, and formula (derived) statistics, grouped per SimObject and
- * dumpable as text.
+ * A small gem5-flavoured statistics package: scalar counters, gauges and
+ * distribution histograms, grouped per SimObject and dumpable as text.
  */
 
 #ifndef OVERLAYSIM_SIM_STATS_HH
@@ -163,30 +162,6 @@ class Histogram : public Info
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~std::uint64_t(0);
     std::uint64_t max_ = 0;
-};
-
-/** Derived statistic evaluated lazily at dump time. */
-class Formula : public Info
-{
-  public:
-    Formula(Group *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : Info(parent, std::move(name), std::move(desc)), fn_(std::move(fn))
-    {
-    }
-
-    double value() const { return fn_(); }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJsonValue(std::ostream &os) const override;
-    void eachScalar(const ScalarVisitor &fn) const override;
-    void reset() override {}
-    // Formulas derive from other stats; they carry no state of their own.
-    void valueIo(snapshot::Writer &) const override {}
-    void valueIo(snapshot::Reader &) override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 /**

@@ -23,7 +23,7 @@ struct Scalar
 {
     std::string path;
     double value = 0.0;
-    bool isNull = false; ///< the JSON literal null (non-finite Formula)
+    bool isNull = false; ///< the JSON literal null
 };
 
 /** A parsed stats document: leaves flattened in file order. */

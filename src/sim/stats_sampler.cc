@@ -47,9 +47,9 @@ writeJsonNumber(std::ostream &os, double v)
 
 } // namespace
 
-StatsSampler::StatsSampler(std::ostream &out, Tick interval, Mode mode,
+StatsSampler::StatsSampler(std::ostream &out, Tick interval,
                            std::string label)
-    : out_(out), interval_(interval), mode_(mode), label_(std::move(label))
+    : out_(out), interval_(interval), label_(std::move(label))
 {
     ovl_assert(interval_ > 0, "sample interval must be positive");
 }
@@ -106,19 +106,9 @@ StatsSampler::finish(Tick end)
 void
 StatsSampler::rebase()
 {
-    if (!begun_ || mode_ != Mode::Delta)
+    if (!begun_)
         return;
     snapshot(prev_);
-}
-
-void
-StatsSampler::scheduleOn(EventQueue &eq)
-{
-    ovl_assert(begun_, "scheduleOn before begin()");
-    eq.schedule(nextDue_, [this, &eq](Tick now) {
-        observe(now);
-        scheduleOn(eq);
-    });
 }
 
 void
@@ -147,7 +137,7 @@ StatsSampler::emitRecord(Tick tick)
         out_ << ", \"run\": \"" << jsonEscape(label_) << "\"";
     for (std::size_t i = 0; i < columns_.size(); ++i) {
         double v = scratch_[i];
-        if (mode_ == Mode::Delta && columns_[i].monotonic) {
+        if (columns_[i].monotonic) {
             double delta = v - prev_[i];
             prev_[i] = v;
             v = delta;

@@ -6,20 +6,16 @@
  *     {"tick": T, "<path>.<stat>": v, ...}
  *
  * record per sample boundary. Counters and histogram accumulators are
- * monotonic and can be reported either cumulatively or as per-interval
- * deltas (Mode::Delta), which is what plots of "activity per window"
- * want; gauges and formulas are always instantaneous.
+ * monotonic and report per-interval deltas (value - value at the
+ * previous record), which is what plots of "activity per window" want;
+ * gauges are always instantaneous.
  *
  * Sampling is driven by the simulated clock, never the host clock, so a
  * sampled run records exactly floor(end_tick/N)+1 records at ticks
- * 0, N, 2N, ..., regardless of host scheduling. Two drive styles:
- *
- *  - pull: System::access keeps a cached next-due tick and calls
- *    observe(t) only when t crosses it — one integer compare on the
- *    hot path, nothing at all when no sampler is attached;
- *  - event-driven: scheduleOn(EventQueue&) arms a self-rearming event
- *    that fires on each boundary during EventQueue::runUntil (use
- *    runUntil, not drain(): a self-rearming event never drains).
+ * 0, N, 2N, ..., regardless of host scheduling. System::access drives
+ * it by pull: it keeps a cached next-due tick and calls observe(t) only
+ * when t crosses it — one integer compare on the hot path, nothing at
+ * all when no sampler is attached.
  *
  * The record schema is fixed at begin(): the column set is derived once
  * from Info::eachScalar, and addGroup afterwards is an error.
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
 namespace ovl
@@ -42,19 +37,12 @@ namespace ovl
 class StatsSampler
 {
   public:
-    enum class Mode
-    {
-        Delta,      ///< monotonic stats report value - value(previous sample)
-        Cumulative, ///< every stat reports its current value
-    };
-
     /**
      * @p out receives one JSON object per line; it must outlive the
      * sampler. @p label, when non-empty, is emitted as a "run" key in
      * every record so several runs can share one output file.
      */
-    StatsSampler(std::ostream &out, Tick interval, Mode mode,
-                 std::string label = "");
+    StatsSampler(std::ostream &out, Tick interval, std::string label = "");
 
     StatsSampler(const StatsSampler &) = delete;
     StatsSampler &operator=(const StatsSampler &) = delete;
@@ -83,19 +71,16 @@ class StatsSampler
     std::uint64_t records() const { return records_; }
 
     /**
-     * Re-read baselines after an external stats reset so Delta mode
-     * doesn't report negative intervals (System::resetStats calls this).
+     * Re-read baselines after an external stats reset so deltas don't
+     * go negative (System::resetStats calls this).
      */
     void rebase();
-
-    /** Arm a self-rearming sample event on @p eq (event-driven style). */
-    void scheduleOn(EventQueue &eq);
 
   private:
     struct Column
     {
         std::string name; ///< "<path>.<stat><suffix>", JSON-escaped
-        bool monotonic;   ///< eligible for Delta reporting
+        bool monotonic;   ///< reported as a per-interval delta
     };
 
     void emitRecord(Tick tick);
@@ -103,12 +88,11 @@ class StatsSampler
 
     std::ostream &out_;
     Tick interval_;
-    Mode mode_;
     std::string label_;
 
     std::vector<std::pair<std::string, const stats::Group *>> groups_;
     std::vector<Column> columns_;
-    std::vector<double> prev_;    ///< baselines for Delta mode
+    std::vector<double> prev_;    ///< values at the previous record
     std::vector<double> scratch_; ///< reused per sample; no steady-state alloc
     Tick nextDue_ = 0;
     std::uint64_t records_ = 0;

@@ -152,19 +152,6 @@ CheckpointManager::restore(std::size_t index, Tick when)
     return t;
 }
 
-void
-CheckpointManager::schedulePeriodic(EventQueue &queue, Tick interval,
-                                    unsigned count)
-{
-    if (count == 0)
-        return;
-    queue.schedule(queue.now() + interval, [this, &queue, interval,
-                                            count](Tick now) {
-        takeCheckpoint(now);
-        schedulePeriodic(queue, interval, count - 1);
-    });
-}
-
 std::uint64_t
 CheckpointManager::backingStoreBytes() const
 {

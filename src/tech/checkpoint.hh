@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hh"
-
 #include "system/system.hh"
 
 namespace ovl
@@ -70,14 +68,6 @@ class CheckpointManager
 
     /** Bytes held in the (host-modeled) backing store. */
     std::uint64_t backingStoreBytes() const;
-
-    /**
-     * Checkpoint daemon: schedule takeCheckpoint() on @p queue every
-     * @p interval ticks, @p count times (the periodic-checkpointing
-     * deployment of §5.3.2). Fires as the queue's clock advances.
-     */
-    void schedulePeriodic(EventQueue &queue, Tick interval,
-                          unsigned count);
 
   private:
     struct Range

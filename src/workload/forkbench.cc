@@ -872,7 +872,7 @@ runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
     return res;
 }
 
-std::optional<ForkBenchResult>
+ForkBenchCheckpointedRun
 runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
                          SystemConfig config,
                          const ForkBenchCheckpointOptions &ckpt)
@@ -893,10 +893,12 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
 
     // Saving observes the machine without touching it, so the executed
     // run is op-for-op the uninterrupted run.
+    ForkBenchCheckpointedRun run;
     auto write_checkpoint = [&]() {
         snapshot::Writer w;
         snapshot::visit(ck, w);
         snapshot::writeSnapshotFile(ckpt.path, w.buffer());
+        ++run.checkpointsWritten;
     };
 
     Tick next_periodic =
@@ -920,10 +922,11 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     streamPhaseGenResumable(
         [&](const TraceOp &op) { m.core.executeOp(m.parent, op); }, params,
         m.rng, ck.phase, stop);
-    if (stopped)
-        return std::nullopt;
-    m.finishPostFork();
-    return measureResult(m, params, mode);
+    if (!stopped) {
+        m.finishPostFork();
+        run.result = measureResult(m, params, mode);
+    }
+    return run;
 }
 
 ForkBenchResult

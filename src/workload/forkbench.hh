@@ -180,7 +180,7 @@ std::vector<Addr> buildWriteSchedule(const ForkBenchParams &params,
  * When @p sampler is non-null it is attached to the run's System for
  * the whole run (warmup included) and finished/detached at the end;
  * the sampler must be freshly constructed (no groups added yet). The
- * post-fork resetStats() rebases a Delta-mode sampler automatically.
+ * post-fork resetStats() rebases the sampler's deltas automatically.
  * When @p dump_stats_json is non-null, the post-fork System stats are
  * dumped there in the dumpAllStatsJson grammar — the input format of
  * `overlaysim stats-diff` (golden-stats forensics).
@@ -280,13 +280,21 @@ struct ForkBenchCheckpointOptions
     Tick atTick = 0;
 };
 
+/** What runForkBenchCheckpointed() did. */
+struct ForkBenchCheckpointedRun
+{
+    /** The run's result; nullopt when a one-shot checkpoint stopped it. */
+    std::optional<ForkBenchResult> result;
+    /** Checkpoints written; each overwrote the last, and 0 means none. */
+    std::uint64_t checkpointsWritten = 0;
+};
+
 /**
  * runForkBench with checkpointing. The executed run is op-for-op
  * identical to runForkBench(params, mode, config); checkpoints observe
- * the run without perturbing it. Returns the result, or nullopt when a
- * one-shot checkpoint stopped the run early.
+ * the run without perturbing it.
  */
-std::optional<ForkBenchResult> runForkBenchCheckpointed(
+ForkBenchCheckpointedRun runForkBenchCheckpointed(
     const ForkBenchParams &params, ForkMode mode, SystemConfig config,
     const ForkBenchCheckpointOptions &ckpt);
 

@@ -161,7 +161,7 @@ runCowWorkload()
  * Miniature random_mix slice: the bench workload's exact access
  * recipe (fixed-seed 2:1 read/write mix, same Rng stream) over a
  * smaller footprint, timing path only. Extends the tick-identity gate
- * to the workload the DRAM/event-queue fast paths target.
+ * to the workload the DRAM fast paths target.
  */
 Golden
 runRandomMixSlice()

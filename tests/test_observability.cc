@@ -28,7 +28,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
 #include "sim/observe.hh"
 #include "sim/stats.hh"
 #include "sim/stats_sampler.hh"
@@ -246,7 +245,7 @@ TEST(StatsSampler, RecordCountIsFloorEndOverNPlusOne)
     constexpr Tick kInterval = 100;
     constexpr Tick kEnd = 1034; // not a boundary on purpose
     std::ostringstream os;
-    StatsSampler sampler(os, kInterval, StatsSampler::Mode::Cumulative);
+    StatsSampler sampler(os, kInterval);
     sampler.addGroup("g", &group);
     sampler.begin(0);
     // Irregular observation points; the record grid must stay N-aligned.
@@ -273,7 +272,7 @@ TEST(StatsSampler, DeltaModeReportsPerIntervalActivity)
     stats::Counter counter(&group, "count", "");
 
     std::ostringstream os;
-    StatsSampler sampler(os, 10, StatsSampler::Mode::Delta, "run-a");
+    StatsSampler sampler(os, 10, "run-a");
     sampler.addGroup("g", &group);
     sampler.begin(0);
     counter += 5;
@@ -297,7 +296,7 @@ TEST(StatsSampler, RebaseAfterResetKeepsDeltasNonNegative)
     stats::Counter counter(&group, "count", "");
 
     std::ostringstream os;
-    StatsSampler sampler(os, 10, StatsSampler::Mode::Delta);
+    StatsSampler sampler(os, 10);
     sampler.addGroup("g", &group);
     sampler.begin(0);
     counter += 8;
@@ -323,32 +322,20 @@ TEST(StatsSampler, HistogramSamplesAsCountAndSum)
     hist.sample(7);
 
     std::ostringstream os;
-    StatsSampler sampler(os, 5, StatsSampler::Mode::Cumulative);
+    StatsSampler sampler(os, 5);
     sampler.addGroup("g", &group);
     sampler.begin(0);
-    sampler.finish(0);
+    hist.sample(30);
+    sampler.finish(5);
 
+    // Both columns are monotonic, so the second record holds only the
+    // interval's one sample.
     std::vector<std::string> lines = jsonlLines(os.str());
-    ASSERT_EQ(lines.size(), 1u);
+    ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(extractInt(lines[0], "g.lat.samples"), 2);
     EXPECT_EQ(extractInt(lines[0], "g.lat.sum"), 22);
-}
-
-TEST(StatsSampler, ScheduledOnEventQueueFiresEachBoundary)
-{
-    stats::Group group("g");
-    stats::Counter counter(&group, "count", "");
-
-    std::ostringstream os;
-    StatsSampler sampler(os, 50, StatsSampler::Mode::Cumulative);
-    sampler.addGroup("g", &group);
-    sampler.begin(0);
-    EventQueue eq;
-    sampler.scheduleOn(eq);
-    // runUntil (not drain: the sample event re-arms itself forever).
-    eq.runUntil(275);
-    EXPECT_EQ(sampler.records(), 1u + 275 / 50);
-    EXPECT_EQ(sampler.nextDue(), Tick(300));
+    EXPECT_EQ(extractInt(lines[1], "g.lat.samples"), 1);
+    EXPECT_EQ(extractInt(lines[1], "g.lat.sum"), 30);
 }
 
 TEST(StatsSampler, SystemPumpSamplesWithoutMovingSimulatedTime)
@@ -372,7 +359,7 @@ TEST(StatsSampler, SystemPumpSamplesWithoutMovingSimulatedTime)
     Tick plain = run(nullptr);
 
     std::ostringstream os;
-    StatsSampler sampler(os, 1000, StatsSampler::Mode::Delta);
+    StatsSampler sampler(os, 1000);
     Tick sampled = run(&sampler);
 
     // The sampler observed the run (records beyond the begin record)
@@ -528,8 +515,7 @@ TEST(Trace, InstrumentationDoesNotMoveSimulatedTime)
 
     std::string trace_path = testing::TempDir() + "/ovl_ab_trace.json";
     std::ostringstream samples;
-    StatsSampler sampler(samples, 10'000, StatsSampler::Mode::Delta,
-                         "libq/cow");
+    StatsSampler sampler(samples, 10'000, "libq/cow");
     trace::start(trace_path);
     ForkBenchResult traced =
         runForkBench(params, ForkMode::CopyOnWrite, SystemConfig{},

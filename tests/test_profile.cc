@@ -160,22 +160,22 @@ TEST(Profile, ReentrantSameZoneChainsNest)
 {
     prof::enable();
     {
-        prof::ScopedTimer a(prof::Zone::EventQueue);
+        prof::ScopedTimer a(prof::Zone::Promote);
         {
-            prof::ScopedTimer b(prof::Zone::EventQueue);
-            prof::ScopedTimer c(prof::Zone::EventQueue);
+            prof::ScopedTimer b(prof::Zone::Promote);
+            prof::ScopedTimer c(prof::Zone::Promote);
         }
         {
-            prof::ScopedTimer d(prof::Zone::EventQueue);
+            prof::ScopedTimer d(prof::Zone::Promote);
         }
     }
     prof::disable();
     prof::Report report = prof::collect(true);
 
-    const prof::ZoneRow *top = findRow(report, "event_queue");
-    const prof::ZoneRow *mid = findRow(report, "event_queue;event_queue");
+    const prof::ZoneRow *top = findRow(report, "promote");
+    const prof::ZoneRow *mid = findRow(report, "promote;promote");
     const prof::ZoneRow *leaf =
-        findRow(report, "event_queue;event_queue;event_queue");
+        findRow(report, "promote;promote;promote");
     ASSERT_NE(top, nullptr);
     ASSERT_NE(mid, nullptr);
     ASSERT_NE(leaf, nullptr);

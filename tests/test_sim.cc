@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the simulation kernel: statistics and the event queue.
+ * Tests for the simulation kernel: statistics and SimObject naming.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -51,19 +50,6 @@ TEST(Stats, HistogramMoments)
     EXPECT_DOUBLE_EQ(h.mean(), (5.0 + 15.0 + 1000.0) / 3.0);
 }
 
-TEST(Stats, FormulaEvaluatesLazily)
-{
-    stats::Group group("g");
-    stats::Counter num(&group, "num", "numerator");
-    stats::Counter den(&group, "den", "denominator");
-    stats::Formula ratio(&group, "ratio", "num/den", [&] {
-        return den.value() ? double(num.value()) / double(den.value()) : 0.0;
-    });
-    num += 6;
-    den += 3;
-    EXPECT_DOUBLE_EQ(ratio.value(), 2.0);
-}
-
 TEST(Stats, GroupDumpContainsNamesAndValues)
 {
     stats::Group group("sys.cache");
@@ -98,88 +84,6 @@ TEST(SimObject, NamePropagatesToStats)
     Obj obj("system.widget");
     EXPECT_EQ(obj.name(), "system.widget");
     EXPECT_EQ(obj.statGroup().name(), "system.widget");
-}
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(30, [&](Tick) { order.push_back(3); });
-    eq.schedule(10, [&](Tick) { order.push_back(1); });
-    eq.schedule(20, [&](Tick) { order.push_back(2); });
-    eq.drain();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30u);
-}
-
-TEST(EventQueue, TiesBreakByInsertionOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        eq.schedule(7, [&order, i](Tick) { order.push_back(i); });
-    eq.drain();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&](Tick) { ++fired; });
-    eq.schedule(20, [&](Tick) { ++fired; });
-    eq.runUntil(15);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 15u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.runUntil(25);
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue eq;
-    int depth = 0;
-    std::function<void(Tick)> chain = [&](Tick now) {
-        if (++depth < 5)
-            eq.schedule(now + 1, chain);
-    };
-    eq.schedule(0, chain);
-    eq.drain();
-    EXPECT_EQ(depth, 5);
-    EXPECT_EQ(eq.now(), 4u);
-}
-
-// Callbacks scheduled from inside a callback for the *same* tick must
-// still run this tick, after everything already queued for it, in
-// insertion order. Pins the (when, seq) tie-break across queue rewrites.
-TEST(EventQueue, NestedSameTickCallbacksRunInDeterministicOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&](Tick now) {
-        order.push_back(0);
-        // Same-tick children: must run after events 1 and 2 below,
-        // which were enqueued first, and in their own insertion order.
-        eq.schedule(now, [&](Tick) { order.push_back(3); });
-        eq.schedule(now, [&](Tick now2) {
-            order.push_back(4);
-            eq.schedule(now2, [&](Tick) { order.push_back(5); });
-        });
-    });
-    eq.schedule(10, [&](Tick) { order.push_back(1); });
-    eq.schedule(10, [&](Tick) { order.push_back(2); });
-    eq.runUntil(10);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, NextEventTick)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.nextEventTick(), kMaxTick);
-    eq.schedule(42, [](Tick) {});
-    EXPECT_EQ(eq.nextEventTick(), 42u);
 }
 
 } // namespace

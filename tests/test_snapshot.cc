@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -217,7 +218,8 @@ TEST(CheckpointRestore, GoldenTwinsAcrossTheWholeSuite)
             ckpt.path = path;
             ckpt.everyTicks = 50'000;
             std::optional<ForkBenchResult> full =
-                runForkBenchCheckpointed(p, mode, SystemConfig{}, ckpt);
+                runForkBenchCheckpointed(p, mode, SystemConfig{}, ckpt)
+                    .result;
             ASSERT_TRUE(full.has_value());
             expectSameResult(twin, *full);
 
@@ -237,10 +239,44 @@ TEST(CheckpointRestore, OneShotStopsAndResumesToTheSameResult)
     ForkBenchCheckpointOptions ckpt;
     ckpt.path = path;
     ckpt.atTick = twin.forkLatency + 60'000; // mid-measurement-phase
-    std::optional<ForkBenchResult> stopped =
+    ForkBenchCheckpointedRun stopped =
         runForkBenchCheckpointed(p, ForkMode::CopyOnWrite,
                                  SystemConfig{}, ckpt);
-    EXPECT_FALSE(stopped.has_value());
+    EXPECT_FALSE(stopped.result.has_value());
+    EXPECT_EQ(stopped.checkpointsWritten, 1u);
+    expectSameResult(twin, resumeForkBenchCheckpoint(path));
+}
+
+TEST(CheckpointRestore, PeriodicRunCountsTheCheckpointsItWrote)
+{
+    ForkBenchParams p = smallParams("libq");
+    ForkBenchResult twin =
+        runForkBench(p, ForkMode::OverlayOnWrite, SystemConfig{});
+
+    // A period longer than the whole run never elapses: no checkpoint,
+    // no file, and the run still completes unperturbed.
+    const std::string never = ::testing::TempDir() + "ovl_never.ckpt";
+    std::remove(never.c_str());
+    ForkBenchCheckpointOptions ckpt;
+    ckpt.path = never;
+    ckpt.everyTicks = 100'000'000'000;
+    ForkBenchCheckpointedRun run = runForkBenchCheckpointed(
+        p, ForkMode::OverlayOnWrite, SystemConfig{}, ckpt);
+    EXPECT_EQ(run.checkpointsWritten, 0u);
+    ASSERT_TRUE(run.result.has_value());
+    expectSameResult(twin, *run.result);
+    EXPECT_FALSE(std::ifstream(never).good());
+
+    // A short period writes at least one, and the last one resumes to
+    // the uninterrupted result.
+    const std::string path = ::testing::TempDir() + "ovl_periodic.ckpt";
+    ckpt.path = path;
+    ckpt.everyTicks = 50'000;
+    run = runForkBenchCheckpointed(p, ForkMode::OverlayOnWrite,
+                                   SystemConfig{}, ckpt);
+    EXPECT_GE(run.checkpointsWritten, 1u);
+    ASSERT_TRUE(run.result.has_value());
+    expectSameResult(twin, *run.result);
     expectSameResult(twin, resumeForkBenchCheckpoint(path));
 }
 
@@ -265,20 +301,24 @@ writeFileBytes(const std::string &path,
               std::streamsize(bytes.size()));
 }
 
-/** A small but real checkpoint file to mangle. */
+/**
+ * A small but real checkpoint file to mangle, at TempDir()/@p name.
+ * ctest runs each test in its own process, concurrently, so every test
+ * passes its own name: a shared file could be read mid-rewrite.
+ */
 std::string
-makeCheckpointFile()
+makeCheckpointFile(const std::string &name)
 {
-    std::string path = ::testing::TempDir() + "ovl_fuzz.ckpt";
+    std::string path = ::testing::TempDir() + name;
     ForkBenchParams p = forkBenchByName("libq");
     p.warmupInstructions = 20'000;
     p.postForkInstructions = 40'000;
     ForkBenchCheckpointOptions ckpt;
     ckpt.path = path;
     ckpt.atTick = 1; // first post-fork op boundary
-    std::optional<ForkBenchResult> r = runForkBenchCheckpointed(
+    ForkBenchCheckpointedRun r = runForkBenchCheckpointed(
         p, ForkMode::OverlayOnWrite, SystemConfig{}, ckpt);
-    EXPECT_FALSE(r.has_value());
+    EXPECT_FALSE(r.result.has_value());
     return path;
 }
 
@@ -324,7 +364,8 @@ TEST(SnapshotFormat, BytesArePinned)
     // makeCheckpointFile uses the same benchmark and phase lengths. The
     // checkpoint follows the post-fork resetStats, so its hash also pins
     // which statistics that reset zeroes (every stats group).
-    std::vector<std::uint8_t> file = readFileBytes(makeCheckpointFile());
+    std::vector<std::uint8_t> file =
+        readFileBytes(makeCheckpointFile("ovl_pin.ckpt"));
     EXPECT_EQ(file.size(), 879000u);
     EXPECT_EQ(fnv1a(file), 4109648923026810726ull);
 }
@@ -439,7 +480,7 @@ TEST(SnapshotHardening, MissingFileThrows)
 
 TEST(SnapshotHardening, TruncationsAlwaysThrow)
 {
-    const std::string path = makeCheckpointFile();
+    const std::string path = makeCheckpointFile("ovl_trunc_src.ckpt");
     const std::vector<std::uint8_t> good = readFileBytes(path);
     ASSERT_GT(good.size(), 64u);
 
@@ -457,7 +498,7 @@ TEST(SnapshotHardening, TruncationsAlwaysThrow)
 
 TEST(SnapshotHardening, EnvelopeCorruptionAlwaysThrows)
 {
-    const std::string path = makeCheckpointFile();
+    const std::string path = makeCheckpointFile("ovl_env_src.ckpt");
     const std::vector<std::uint8_t> good = readFileBytes(path);
     const std::string bad = ::testing::TempDir() + "ovl_env.ckpt";
 

@@ -228,37 +228,5 @@ TEST(TechInteraction, SpeculationInsideCheckpointInterval)
     EXPECT_EQ(got, 5u);
 }
 
-TEST(CheckpointDaemon, PeriodicCheckpointsFireOnTheEventQueue)
-{
-    System sys((SystemConfig()));
-    Asid asid = sys.createProcess();
-    sys.mapAnon(asid, kBase, kPageSize);
-    tech::CheckpointManager ckpt(sys, asid);
-    ckpt.addRange(kBase, kPageSize);
-
-    EventQueue queue;
-    ckpt.schedulePeriodic(queue, 10'000, 3);
-
-    std::uint64_t v = 1;
-    sys.poke(asid, kBase, &v, 8);
-    queue.runUntil(10'000); // daemon fires checkpoint 1
-    EXPECT_EQ(ckpt.checkpointsTaken(), 1u);
-
-    v = 2;
-    sys.poke(asid, kBase, &v, 8);
-    queue.runUntil(25'000); // checkpoint 2 at t=20k
-    EXPECT_EQ(ckpt.checkpointsTaken(), 2u);
-
-    queue.drain(); // checkpoint 3; no further events
-    EXPECT_EQ(ckpt.checkpointsTaken(), 3u);
-    EXPECT_EQ(queue.pending(), 0u);
-
-    // The daemon's snapshots are restorable like manual ones.
-    ckpt.restore(1, queue.now());
-    std::uint64_t got = 0;
-    sys.peek(asid, kBase, &got, 8);
-    EXPECT_EQ(got, 1u);
-}
-
 } // namespace
 } // namespace ovl

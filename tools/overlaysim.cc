@@ -7,7 +7,8 @@
  *       Run one (or all) of the 15 synthetic fork benchmarks. With
  *       `--checkpoint-every T --checkpoint-file FILE` (one benchmark,
  *       one mode) a crash-resumable snapshot is rewritten every T
- *       simulated ticks while the run proceeds unperturbed.
+ *       simulated ticks while the run proceeds unperturbed; a run that
+ *       ends before its first period writes none and exits 1.
  *
  *   overlaysim checkpoint <name> --mode cow|oow --at-tick T --out FILE
  *                                [--post-instr N]
@@ -137,6 +138,9 @@ cmdForkbench(std::vector<std::string> args)
     std::optional<std::string> stats_path = takeFlag(args, "--stats");
     std::optional<std::string> record_path = takeFlag(args, "--record");
     std::optional<std::string> json_path = takeFlag(args, "--json");
+    if (mode_str && *mode_str != "cow" && *mode_str != "oow" &&
+        *mode_str != "both")
+        ovl_fatal("--mode must be cow, oow or both");
     observe::Session session(args);
     if (args.empty())
         return usage();
@@ -190,6 +194,7 @@ cmdForkbench(std::vector<std::string> args)
         }
     }
 
+    std::uint64_t ckpts_written = 0;
     printForkRowHeader();
     for (const ForkBenchParams &params : selected) {
         for (int pass = 0; pass < 2; ++pass) {
@@ -206,8 +211,11 @@ cmdForkbench(std::vector<std::string> args)
                     // Periodic mode always runs to completion; the
                     // observer checkpoints never perturb the run.
                     if (ckpt_file) {
-                        return *runForkBenchCheckpointed(
-                            params, mode, SystemConfig{}, ckpt);
+                        ForkBenchCheckpointedRun run =
+                            runForkBenchCheckpointed(params, mode,
+                                                     SystemConfig{}, ckpt);
+                        ckpts_written = run.checkpointsWritten;
+                        return *run.result;
                     }
                     return runForkBench(
                         params, mode, SystemConfig{},
@@ -225,9 +233,20 @@ cmdForkbench(std::vector<std::string> args)
     }
     if (json_path)
         std::printf("golden stats written to %s\n", json_path->c_str());
+    if (ckpt_file && ckpts_written == 0) {
+        // The run retired all post-fork instructions before its first
+        // period elapsed, so there is nothing to resume.
+        std::fprintf(stderr,
+                     "%s/%s finished within one %llu-tick period;"
+                     " no checkpoint written\n",
+                     selected[0].name.c_str(), run_cow ? "cow" : "oow",
+                     (unsigned long long)ckpt.everyTicks);
+        session.finish();
+        return 1;
+    }
     if (ckpt_file)
-        std::printf("checkpoints written to %s every %llu ticks\n",
-                    ckpt.path.c_str(),
+        std::printf("%llu checkpoints written to %s every %llu ticks\n",
+                    (unsigned long long)ckpts_written, ckpt.path.c_str(),
                     (unsigned long long)ckpt.everyTicks);
     if (stats_path)
         std::printf("component stats appended to %s\n",
@@ -261,7 +280,7 @@ cmdCheckpoint(std::vector<std::string> args)
         ovl_fatal("--at-tick needs a positive simulated tick");
 
     std::optional<ForkBenchResult> res =
-        runForkBenchCheckpointed(params, mode, SystemConfig{}, ckpt);
+        runForkBenchCheckpointed(params, mode, SystemConfig{}, ckpt).result;
     if (res) {
         // The run retired all post-fork instructions before reaching the
         // requested tick, so there is nothing left to resume.
