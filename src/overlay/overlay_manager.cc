@@ -1,6 +1,7 @@
 #include "overlay_manager.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "sim/profile.hh"
@@ -9,6 +10,14 @@
 
 namespace ovl
 {
+
+namespace
+{
+
+/** What an overlay page without a line array reads as. */
+const std::array<LineData, kLinesPerPage> kZeroLines{};
+
+} // namespace
 
 OverlayManager::OverlayManager(std::string name, OverlayManagerParams params,
                                DramController &dram_ctrl,
@@ -85,7 +94,12 @@ OverlayManager::writeLineData(Opn opn, unsigned line_in_page,
     entry.obv.set(line_in_page);
     OverlayPageData &page = ensurePageData(entry);
     page.present.set(line_in_page);
-    page.lines[line_in_page] = data;
+    if (!page.lines) {
+        if (data == LineData{})
+            return;
+        page.lines = std::make_unique<LineArray>();
+    }
+    (*page.lines)[line_in_page] = data;
 }
 
 void
@@ -96,7 +110,7 @@ OverlayManager::readLineData(Opn opn, unsigned line_in_page,
     ovl_assert(page != nullptr, "reading a line of a missing overlay");
     ovl_assert(page->present.test(line_in_page),
                "reading an unmapped overlay line");
-    out = page->lines[line_in_page];
+    out = page->lines ? (*page->lines)[line_in_page] : LineData{};
 }
 
 bool
@@ -364,7 +378,14 @@ OverlayManager::io(Self &self, Ar &ar)
             if constexpr (Ar::kLoading)
                 page = std::make_unique<OverlayPageData>();
             ar.u64(page->present.raw());
-            ar.blob(page->lines);
+            if constexpr (Ar::kLoading) {
+                LineArray lines{};
+                ar.blob(lines);
+                if (std::memcmp(&lines, &kZeroLines, sizeof(lines)) != 0)
+                    page->lines = std::make_unique<LineArray>(lines);
+            } else {
+                ar.blob(page->lines ? *page->lines : kZeroLines);
+            }
         });
         ar.seq(self.freePages_, 4, [&](auto &idx) { ar.u32(idx); });
         ar.u64(self.omsBytesInUse_);
@@ -389,6 +410,15 @@ OverlayManager::io(Self &self, Ar &ar)
 }
 
 OVL_SNAPSHOT_IO(OverlayManager);
+
+std::uint64_t
+OverlayManager::lineArraysInUse() const
+{
+    std::uint64_t count = 0;
+    for (const auto &page : pageStore_)
+        count += page != nullptr && page->lines != nullptr;
+    return count;
+}
 
 std::uint64_t
 OverlayManager::segmentCount(SegClass cls) const

@@ -136,6 +136,9 @@ class OverlayManager : public SimObject
 
     std::uint64_t migrations() const { return migrations_.value(); }
 
+    /** Overlay pages (live or recycled) holding a host line array. */
+    std::uint64_t lineArraysInUse() const;
+
     /**
      * Snapshot visitor over the whole engine: OMT + OMT cache +
      * allocator, the functional page-data store (slot-for-slot, since
@@ -169,18 +172,22 @@ class OverlayManager : public SimObject
     OmtCache omtCache_;
     OmsAllocator allocator_;
 
+    using LineArray = std::array<LineData, kLinesPerPage>;
+
     /**
      * Logical contents of one overlay page, flattened: a presence bitmap
      * plus a dense line array. The OMT entry carries the index of its
      * page in pageStore_ (data ⊆ table: page data never outlives the
      * entry), so resolving a line is the OMT's chunk-indexed lookup plus
      * one array read — no separate hash map; poke/peek hit this once per
-     * 64 B chunk.
+     * 64 B chunk. The line array is allocated by the page's first nonzero
+     * line; until then every line reads (and serializes) as zero. A
+     * recycled page keeps its array and the stale bytes in it.
      */
     struct OverlayPageData
     {
         BitVector64 present;
-        std::array<LineData, kLinesPerPage> lines;
+        std::unique_ptr<LineArray> lines;
     };
 
     /** Find the page data of @p opn; nullptr if absent. */

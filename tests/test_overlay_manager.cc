@@ -10,6 +10,7 @@
 
 #include "dram/dram.hh"
 #include "overlay/overlay_manager.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -71,6 +72,51 @@ TEST_F(OverlayManagerTest, WriteThenReadLineData)
     LineData out{};
     ovm.readLineData(kOpn, 13, out);
     EXPECT_EQ(out, in);
+}
+
+TEST_F(OverlayManagerTest, ZeroLinesAllocateNoLineArray)
+{
+    ovm.writeLineData(kOpn, 3, LineData{});
+    ovm.writeLineData(kOpn, 9, LineData{});
+    EXPECT_TRUE(ovm.hasLineData(kOpn, 3));
+    EXPECT_EQ(ovm.lineArraysInUse(), 0u);
+    LineData out = pattern(5);
+    ovm.readLineData(kOpn, 3, out);
+    EXPECT_EQ(out, LineData{});
+
+    // The first nonzero line allocates the array; zero lines still
+    // read as zero beside it.
+    ovm.writeLineData(kOpn, 4, pattern(1));
+    EXPECT_EQ(ovm.lineArraysInUse(), 1u);
+    ovm.readLineData(kOpn, 9, out);
+    EXPECT_EQ(out, LineData{});
+    ovm.readLineData(kOpn, 4, out);
+    EXPECT_EQ(out, pattern(1));
+}
+
+TEST_F(OverlayManagerTest, RestoredZeroLinesAllocateNoLineArray)
+{
+    Opn other = kOpn + 1;
+    ovm.writeLineData(kOpn, 3, LineData{});
+    ovm.writeLineData(other, 0, pattern(2));
+    snapshot::Writer w;
+    snapshot::visit(ovm, w);
+
+    Addr next_page = 0x200'0000;
+    DramController dram2("dram2", DramTimingParams{});
+    OverlayManager restored("ovm", OverlayManagerParams{}, dram2,
+                            PageAllocFn{&bumpPage, &next_page});
+    snapshot::Reader r(w.buffer());
+    snapshot::visit(restored, r);
+    EXPECT_EQ(restored.lineArraysInUse(), 1u);
+    LineData out = pattern(5);
+    restored.readLineData(kOpn, 3, out);
+    EXPECT_EQ(out, LineData{});
+    restored.readLineData(other, 0, out);
+    EXPECT_EQ(out, pattern(2));
+    snapshot::Writer again;
+    snapshot::visit(restored, again);
+    EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 TEST_F(OverlayManagerTest, NoOmsSpaceUntilWriteback)

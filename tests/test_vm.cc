@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "sim/snapshot.hh"
 #include "vm/vmm.hh"
 
 namespace ovl
@@ -108,6 +109,66 @@ TEST(PhysicalMemory, CopyFrameDuplicatesContents)
     std::uint64_t got = 0;
     mem.readBytes((b << kPageShift) + 8, &got, 8);
     EXPECT_EQ(got, magic);
+}
+
+TEST(PhysicalMemory, ZeroWritesMapTheZeroPage)
+{
+    // Zeros stored into a frame that reads as zero allocate no buffer,
+    // yet the frame counts as materialized: it serializes as a 4 KB
+    // page of zeros, exactly as a zero-filled private buffer would.
+    PhysicalMemory mem("mem", 64_MiB);
+    Addr untouched = mem.allocFrame();
+    Addr zeroed = mem.allocFrame();
+    const LineData zeros{};
+    mem.writeLine(zeroed << kPageShift, zeros);
+    EXPECT_EQ(mem.pageBuffersInUse(), 0u);
+    snapshot::Writer with_page;
+    snapshot::visit(mem, with_page);
+
+    PhysicalMemory bare("mem", 64_MiB);
+    bare.allocFrame();
+    bare.allocFrame();
+    snapshot::Writer without_page;
+    snapshot::visit(bare, without_page);
+    EXPECT_EQ(with_page.buffer().size(),
+              without_page.buffer().size() + 8 + kPageSize);
+
+    // A nonzero write then gives the frame its own buffer.
+    std::uint8_t one = 1;
+    mem.writeBytes((zeroed << kPageShift) + 5, &one, 1);
+    EXPECT_EQ(mem.pageBuffersInUse(), 1u);
+    LineData got{};
+    mem.readLine(zeroed << kPageShift, got);
+    EXPECT_EQ(got[5], 1);
+    EXPECT_EQ(got[4], 0);
+    mem.readLine(untouched << kPageShift, got);
+    EXPECT_EQ(got, zeros);
+}
+
+TEST(PhysicalMemory, RestoredZeroPagesAllocateNothing)
+{
+    // One frame holds a private buffer of zeros (written, then zeroed),
+    // one the zero page: both restore onto the zero page, and the
+    // restored memory serializes to the same bytes.
+    PhysicalMemory mem("mem", 64_MiB);
+    Addr a = mem.allocFrame();
+    Addr b = mem.allocFrame();
+    std::uint64_t value = 0xC0FFEE;
+    mem.writeBytes(a << kPageShift, &value, 8);
+    value = 0;
+    mem.writeBytes(a << kPageShift, &value, 8);
+    mem.writeBytes(b << kPageShift, &value, 8);
+    EXPECT_EQ(mem.pageBuffersInUse(), 1u);
+    snapshot::Writer w;
+    snapshot::visit(mem, w);
+
+    PhysicalMemory restored("mem", 64_MiB);
+    snapshot::Reader r(w.buffer());
+    snapshot::visit(restored, r);
+    EXPECT_EQ(restored.pageBuffersInUse(), 0u);
+    snapshot::Writer again;
+    snapshot::visit(restored, again);
+    EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 TEST(PageTable, SetFindErase)
@@ -219,6 +280,48 @@ TEST_F(VmmTest, BreakCowCopiesWhenShared)
     EXPECT_EQ(vmm.resolve(parent, pageNumber(0x10000))->ppn, shared_ppn);
     EXPECT_EQ(mem.refCount(shared_ppn), 1u);
     EXPECT_FALSE(vmm.resolve(child, pageNumber(0x10000))->cow);
+}
+
+TEST_F(VmmTest, CowFaultOnNeverWrittenFrameAllocatesNoBuffer)
+{
+    Asid parent = vmm.createProcess();
+    vmm.mapAnon(parent, 0x10000, kPageSize);
+    Asid child = vmm.fork(parent, ForkMode::CopyOnWrite);
+    bool copied = false;
+    Addr ppn = vmm.breakCow(child, pageNumber(0x10000), &copied);
+    EXPECT_TRUE(copied);
+    EXPECT_EQ(mem.pageBuffersInUse(), 0u);
+    LineData line{};
+    line.fill(0xFF);
+    mem.readLine(ppn << kPageShift, line);
+    EXPECT_EQ(line, LineData{});
+}
+
+TEST_F(VmmTest, CowCopySharesItsBufferUntilWritten)
+{
+    Asid parent = vmm.createProcess();
+    vmm.mapAnon(parent, 0x10000, kPageSize);
+    Addr parent_ppn = vmm.resolve(parent, pageNumber(0x10000))->ppn;
+    std::uint64_t magic = 0xFEEDFACE;
+    mem.writeBytes(parent_ppn << kPageShift, &magic, 8);
+    EXPECT_EQ(mem.pageBuffersInUse(), 1u);
+
+    Asid child = vmm.fork(parent, ForkMode::CopyOnWrite);
+    Addr child_ppn = vmm.breakCow(child, pageNumber(0x10000));
+    ASSERT_NE(child_ppn, parent_ppn);
+    EXPECT_EQ(mem.pageBuffersInUse(), 1u); // the copy shares the buffer
+    std::uint64_t got = 0;
+    mem.readBytes(child_ppn << kPageShift, &got, 8);
+    EXPECT_EQ(got, magic);
+
+    std::uint64_t other = 0xBADC0DE;
+    mem.writeBytes((child_ppn << kPageShift) + 4, &other, 8);
+    EXPECT_EQ(mem.pageBuffersInUse(), 2u); // the first write copied it
+    mem.readBytes(parent_ppn << kPageShift, &got, 8);
+    EXPECT_EQ(got, magic);
+    std::uint64_t child_got = 0;
+    mem.readBytes((child_ppn << kPageShift) + 4, &child_got, 8);
+    EXPECT_EQ(child_got, other);
 }
 
 TEST_F(VmmTest, BreakCowLastSharerKeepsFrame)
