@@ -15,8 +15,6 @@ SetAssocCache::SetAssocCache(std::string name, CacheParams params)
       ways_(params.associativity),
       tags_(std::size_t(numSets_) * ways_, kInvalidAddr),
       state_(std::size_t(numSets_) * ways_),
-      replLru_(std::size_t(numSets_) * ways_, 0),
-      replRrpv_(std::size_t(numSets_) * ways_, 0),
       repl_(params.replPolicy, numSets_),
       hits_(&statGroup(), "hits", "demand hits"),
       misses_(&statGroup(), "misses", "demand misses"),
@@ -30,6 +28,10 @@ SetAssocCache::SetAssocCache(std::string name, CacheParams params)
     ovl_assert(params.sizeBytes % (kLineSize * params.associativity) == 0,
                "cache size must be a whole number of sets");
     ovl_assert(isPowerOf2(numSets_), "set count must be a power of two");
+    if (repl_.usesLru())
+        replLru_.assign(tags_.size(), 0);
+    if (repl_.usesRrpv())
+        replRrpv_.assign(tags_.size(), 0);
 }
 
 std::optional<Eviction>
@@ -65,10 +67,27 @@ SetAssocCache::io(Self &self, Ar &ar)
             ar.b(st.prefetched);
         }
         // The interleaved {lruSeq, rrpv} pairs of the pre-split layout
-        // keep snapshots byte-compatible across the layout change.
-        for (std::size_t i = 0; i < self.replLru_.size(); ++i) {
-            ar.u64(self.replLru_[i]);
-            ar.u8(self.replRrpv_[i]);
+        // keep snapshots byte-compatible across the layout change; the
+        // field the policy does not allocate is written as 0 and must
+        // load as 0.
+        const bool has_lru = !self.replLru_.empty();
+        const bool has_rrpv = !self.replRrpv_.empty();
+        for (std::size_t i = 0; i < self.tags_.size(); ++i) {
+            std::uint64_t lru = has_lru ? self.replLru_[i] : 0;
+            std::uint8_t rrpv = has_rrpv ? self.replRrpv_[i] : 0;
+            ar.u64(lru);
+            ar.u8(rrpv);
+            if constexpr (Ar::kLoading) {
+                if ((!has_lru && lru != 0) || (!has_rrpv && rrpv != 0)) {
+                    ar.fail("cache '" + self.name() + "' line " +
+                            std::to_string(i) + " sets a replacement field "
+                            "its policy does not use");
+                }
+                if (has_lru)
+                    self.replLru_[i] = lru;
+                if (has_rrpv)
+                    self.replRrpv_[i] = rrpv;
+            }
         }
         snapshot::visit(self.repl_, ar);
     });

@@ -219,10 +219,11 @@ class SetAssocCache : public SimObject
     /**
      * Replacement metadata, parallel to tags_, split by policy field:
      * LRU sequence numbers and RRIP prediction values in separate dense
-     * arrays. The victim scan reads only the field its policy uses, so a
-     * set's metadata spans 8 (LRU) or 1 (RRIP) byte per way instead of a
-     * padded 16-byte struct, and RRIP aging touches a contiguous byte
-     * run the compiler can vectorize.
+     * arrays, of which only the one the policy uses is allocated (the
+     * other stays empty; Random allocates neither). A set's metadata
+     * spans 8 (LRU) or 1 (RRIP) byte per way instead of a padded 16-byte
+     * struct, and RRIP aging touches a contiguous byte run the compiler
+     * can vectorize.
      */
     std::vector<std::uint64_t> replLru_;
     std::vector<std::uint8_t> replRrpv_;
@@ -266,7 +267,8 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
     if (way == ways_) {
         // All ways valid: consult the replacement policy. RRIP aging
         // mutates the set's states in place.
-        way = repl_.selectVictim(&replLru_[base], &replRrpv_[base], ways_);
+        way = repl_.selectVictim(replLru_.data(), replRrpv_.data(), base,
+                                 ways_);
         evicted = Eviction{tags_[base + way], state_[base + way].dirty};
         if (kTimed && state_[base + way].dirty)
             ++writebacks_;
@@ -276,7 +278,7 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
     LineState &st = state_[base + way];
     st.dirty = dirty;
     st.prefetched = is_prefetch;
-    repl_.onInsert(replLru_[base + way], replRrpv_[base + way], set_idx,
+    repl_.onInsert(replLru_.data(), replRrpv_.data(), base + way, set_idx,
                    is_prefetch);
     if (kTimed && is_prefetch)
         ++prefetchFills_;
@@ -304,7 +306,7 @@ SetAssocCache::access(Addr line_addr, bool is_write)
                     ++prefetchHits_;
                 st.prefetched = false;
             }
-            repl_.onHit(replLru_[base + w], replRrpv_[base + w]);
+            repl_.onHit(replLru_.data(), replRrpv_.data(), base + w);
             if (is_write)
                 st.dirty = true;
             return CacheAccessResult{true, std::nullopt};

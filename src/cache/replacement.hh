@@ -8,6 +8,7 @@
 #ifndef OVERLAYSIM_CACHE_REPLACEMENT_HH
 #define OVERLAYSIM_CACHE_REPLACEMENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,11 +30,11 @@ enum class ReplPolicy
 /** Human-readable policy name (for config dumps). */
 const char *replPolicyName(ReplPolicy policy);
 
-// Per-line replacement metadata lives in the cache as two parallel dense
-// arrays — one std::uint64_t LRU sequence number and one std::uint8_t
-// re-reference prediction value per line — instead of a padded 16-byte
-// struct. The victim scan only reads the field its policy cares about, so
-// the split layout touches 8 (LRU) or 1 (RRIP) byte per way instead of 16.
+// Per-line replacement metadata lives in the cache as one dense array
+// per field — std::uint64_t LRU sequence numbers, std::uint8_t
+// re-reference prediction values — and a cache allocates only the array
+// its policy uses (usesLru/usesRrpv): the hooks below take both arrays
+// plus a line index and touch only that one, so the other may be null.
 
 /**
  * Policy engine shared by all sets of one cache. Stateless per access
@@ -48,17 +49,28 @@ class ReplacementEngine
 
     ReplPolicy policy() const { return policy_; }
 
+    /** True if the policy reads and writes LRU sequence numbers. */
+    bool usesLru() const { return policy_ == ReplPolicy::LRU; }
+
+    /** True if the policy reads and writes RRIP prediction values. */
+    bool
+    usesRrpv() const
+    {
+        return policy_ == ReplPolicy::SRRIP ||
+               policy_ == ReplPolicy::BRRIP || policy_ == ReplPolicy::DRRIP;
+    }
+
     // The per-access hooks are defined inline so the cache's hot path
     // (access/fill/victim-choice on every simulated memory reference)
     // compiles into straight-line code instead of cross-TU calls.
 
-    /** Called when a line is hit. */
+    /** Called when line @p i is hit. */
     void
-    onHit(std::uint64_t &lru_seq, std::uint8_t &rrpv)
+    onHit(std::uint64_t *lru_seqs, std::uint8_t *rrpvs, std::size_t i)
     {
         switch (policy_) {
           case ReplPolicy::LRU:
-            lru_seq = ++lruCounter_;
+            lru_seqs[i] = ++lruCounter_;
             break;
           case ReplPolicy::Random:
             break;
@@ -66,61 +78,63 @@ class ReplacementEngine
           case ReplPolicy::BRRIP:
           case ReplPolicy::DRRIP:
             // Hit promotion: predict near-immediate re-reference [27].
-            rrpv = 0;
+            rrpvs[i] = 0;
             break;
         }
     }
 
     /**
-     * Called when a line is inserted. @p set_index selects DRRIP leader
-     * sets; @p is_prefetch inserts prefetched lines with distant RRPV so
-     * inaccurate prefetches do not pollute the LLC.
+     * Called when line @p i is inserted. @p set_index selects DRRIP
+     * leader sets; @p is_prefetch inserts prefetched lines with distant
+     * RRPV so inaccurate prefetches do not pollute the LLC.
      */
     void
-    onInsert(std::uint64_t &lru_seq, std::uint8_t &rrpv, unsigned set_index,
-             bool is_prefetch)
+    onInsert(std::uint64_t *lru_seqs, std::uint8_t *rrpvs, std::size_t i,
+             unsigned set_index, bool is_prefetch)
     {
         switch (policy_) {
           case ReplPolicy::LRU:
-            lru_seq = ++lruCounter_;
+            lru_seqs[i] = ++lruCounter_;
             break;
           case ReplPolicy::Random:
             break;
           case ReplPolicy::SRRIP:
-            insertRrip(rrpv, false);
+            insertRrip(rrpvs[i], false);
             break;
           case ReplPolicy::BRRIP:
-            insertRrip(rrpv, true);
+            insertRrip(rrpvs[i], true);
             break;
           case ReplPolicy::DRRIP:
             if (is_prefetch) {
                 // Prefetches always insert with a distant prediction so
                 // that useless prefetches are evicted first.
-                rrpv = kMaxRrpv;
+                rrpvs[i] = kMaxRrpv;
             } else if (isSrripLeader(set_index)) {
-                insertRrip(rrpv, false);
+                insertRrip(rrpvs[i], false);
             } else if (isBrripLeader(set_index)) {
-                insertRrip(rrpv, true);
+                insertRrip(rrpvs[i], true);
             } else {
-                insertRrip(rrpv, brripWinning());
+                insertRrip(rrpvs[i], brripWinning());
             }
             break;
         }
     }
 
     /**
-     * Choose a victim among @p ways lines of a set; invalid lines must be
-     * handled by the caller first. For RRIP policies this ages lines
-     * in-place until a candidate reaches RRPV=3.
+     * Choose a victim among the @p ways lines starting at line @p base;
+     * invalid lines must be handled by the caller first. For RRIP
+     * policies this ages lines in-place until a candidate reaches
+     * RRPV=3.
      *
      * @return the way index of the victim.
      */
     unsigned
     selectVictim(const std::uint64_t *lru_seqs, std::uint8_t *rrpvs,
-                 unsigned ways)
+                 std::size_t base, unsigned ways)
     {
         switch (policy_) {
           case ReplPolicy::LRU: {
+            lru_seqs += base;
             unsigned victim = 0;
             for (unsigned w = 1; w < ways; ++w) {
                 if (lru_seqs[w] < lru_seqs[victim])
@@ -137,6 +151,7 @@ class ReplacementEngine
             // every RRPV until one reaches 3") is the first way holding
             // the set's maximum RRPV, and every way ages by exactly
             // 3 - max. Find the first max, then apply the uniform delta.
+            rrpvs += base;
             unsigned victim = 0;
             std::uint8_t max = rrpvs[0];
             for (unsigned w = 1; w < ways; ++w) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "cache/cache.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -249,6 +251,88 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 4u, 8u),
         ::testing::Values(ReplPolicy::LRU, ReplPolicy::SRRIP,
                           ReplPolicy::DRRIP, ReplPolicy::Random)));
+
+// ----- snapshots of the per-policy replacement arrays ---------------------
+
+constexpr ReplPolicy kAllPolicies[] = {ReplPolicy::LRU, ReplPolicy::Random,
+                                       ReplPolicy::SRRIP, ReplPolicy::BRRIP,
+                                       ReplPolicy::DRRIP};
+
+/** Conflict-heavy traffic: 4 sets' worth of lines cycling through 16 sets. */
+void
+churn(SetAssocCache &cache, unsigned rounds)
+{
+    for (unsigned i = 0; i < rounds; ++i) {
+        Addr line = Addr((i * 7) % 96) * kLineSize * 16;
+        cache.access(line, i % 3 == 0);
+    }
+}
+
+std::vector<std::uint8_t>
+save(const SetAssocCache &cache)
+{
+    snapshot::Writer w;
+    snapshot::visit(cache, w);
+    return w.takeBuffer();
+}
+
+TEST(CacheSnapshot, EveryPolicyRoundTripsByteIdentically)
+{
+    for (ReplPolicy policy : kAllPolicies) {
+        SCOPED_TRACE(replPolicyName(policy));
+        CacheParams p = smallCache();
+        p.replPolicy = policy;
+        SetAssocCache cache("c", p);
+        churn(cache, 500);
+        const std::vector<std::uint8_t> bytes = save(cache);
+
+        SetAssocCache restored("c", p);
+        snapshot::Reader r(bytes);
+        snapshot::visit(restored, r);
+        EXPECT_EQ(save(restored), bytes);
+
+        // Both copies keep choosing the same victims.
+        churn(cache, 300);
+        churn(restored, 300);
+        EXPECT_EQ(save(restored), save(cache));
+    }
+}
+
+TEST(CacheSnapshot, NonzeroUnusedReplacementFieldIsRejected)
+{
+    // CACH body: line count (u64), tags (u64 each), {dirty, prefetched}
+    // flag pairs, then one {lruSeq u64, rrpv u8} pair per line.
+    constexpr std::size_t kSectionHeader = 12;
+    const std::size_t lines = smallCache().sizeBytes / kLineSize;
+    const std::size_t pairs = kSectionHeader + 8 + 8 * lines + 2 * lines;
+    const std::size_t last = pairs + 9 * (lines - 1);
+    for (ReplPolicy policy : kAllPolicies) {
+        SCOPED_TRACE(replPolicyName(policy));
+        CacheParams p = smallCache();
+        p.replPolicy = policy;
+        SetAssocCache cache("c", p);
+        churn(cache, 500);
+        const std::vector<std::uint8_t> good = save(cache);
+
+        const bool lru_unused = policy != ReplPolicy::LRU;
+        const bool rrpv_unused = policy == ReplPolicy::LRU ||
+                                 policy == ReplPolicy::Random;
+        std::vector<std::size_t> unused_at;
+        if (lru_unused)
+            unused_at.push_back(last);
+        if (rrpv_unused)
+            unused_at.push_back(last + 8);
+        for (std::size_t at : unused_at) {
+            ASSERT_EQ(good[at], 0u) << "offset " << at;
+            std::vector<std::uint8_t> bad = good;
+            bad[at] = 1;
+            SetAssocCache fresh("c", p);
+            snapshot::Reader r(bad);
+            EXPECT_THROW(snapshot::visit(fresh, r), snapshot::SnapshotError)
+                << "offset " << at;
+        }
+    }
+}
 
 } // namespace
 } // namespace ovl

@@ -2,7 +2,8 @@
  * @file
  * Tests for the replacement policies: LRU, Random, SRRIP, BRRIP and
  * set-dueling DRRIP [27]. The engine operates on the cache's split
- * per-line metadata arrays (LRU sequence numbers / RRIP values).
+ * per-line metadata arrays (LRU sequence numbers / RRIP values), by
+ * line index.
  */
 
 #include <gtest/gtest.h>
@@ -34,22 +35,22 @@ TEST(Replacement, LruEvictsLeastRecentlyUsed)
     ReplacementEngine engine(ReplPolicy::LRU, 64);
     Set<4> set;
     for (unsigned w = 0; w < 4; ++w)
-        engine.onInsert(set.lru[w], set.rrpv[w], 0, false);
+        engine.onInsert(set.lru, set.rrpv, w, 0, false);
     // Touch everything except way 2.
-    engine.onHit(set.lru[0], set.rrpv[0]);
-    engine.onHit(set.lru[1], set.rrpv[1]);
-    engine.onHit(set.lru[3], set.rrpv[3]);
-    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 4), 2u);
+    engine.onHit(set.lru, set.rrpv, 0);
+    engine.onHit(set.lru, set.rrpv, 1);
+    engine.onHit(set.lru, set.rrpv, 3);
+    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 0, 4), 2u);
 }
 
 TEST(Replacement, LruHitRefreshesRecency)
 {
     ReplacementEngine engine(ReplPolicy::LRU, 64);
     Set<2> set;
-    engine.onInsert(set.lru[0], set.rrpv[0], 0, false);
-    engine.onInsert(set.lru[1], set.rrpv[1], 0, false);
-    engine.onHit(set.lru[0], set.rrpv[0]); // 0 is now more recent than 1
-    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 2), 1u);
+    engine.onInsert(set.lru, set.rrpv, 0, 0, false);
+    engine.onInsert(set.lru, set.rrpv, 1, 0, false);
+    engine.onHit(set.lru, set.rrpv, 0); // 0 is now more recent than 1
+    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 0, 2), 1u);
 }
 
 TEST(Replacement, RandomStaysInRange)
@@ -57,16 +58,16 @@ TEST(Replacement, RandomStaysInRange)
     ReplacementEngine engine(ReplPolicy::Random, 64);
     Set<8> set;
     for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(engine.selectVictim(set.lru, set.rrpv, 8), 8u);
+        EXPECT_LT(engine.selectVictim(set.lru, set.rrpv, 0, 8), 8u);
 }
 
 TEST(Replacement, SrripHitPromotesToNearImmediate)
 {
     ReplacementEngine engine(ReplPolicy::SRRIP, 64);
     Set<1> set;
-    engine.onInsert(set.lru[0], set.rrpv[0], 0, false);
+    engine.onInsert(set.lru, set.rrpv, 0, 0, false);
     EXPECT_EQ(set.rrpv[0], 2); // long re-reference on insert
-    engine.onHit(set.lru[0], set.rrpv[0]);
+    engine.onHit(set.lru, set.rrpv, 0);
     EXPECT_EQ(set.rrpv[0], 0);
 }
 
@@ -75,12 +76,12 @@ TEST(Replacement, SrripVictimIsDistantLine)
     ReplacementEngine engine(ReplPolicy::SRRIP, 64);
     Set<4> set;
     for (unsigned w = 0; w < 4; ++w)
-        engine.onInsert(set.lru[w], set.rrpv[w], 0, false);
-    engine.onHit(set.lru[0], set.rrpv[0]);
-    engine.onHit(set.lru[1], set.rrpv[1]);
-    engine.onHit(set.lru[2], set.rrpv[2]);
+        engine.onInsert(set.lru, set.rrpv, w, 0, false);
+    engine.onHit(set.lru, set.rrpv, 0);
+    engine.onHit(set.lru, set.rrpv, 1);
+    engine.onHit(set.lru, set.rrpv, 2);
     // Lines 0-2 have RRPV 0; line 3 has RRPV 2 and ages to 3 first.
-    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 4), 3u);
+    EXPECT_EQ(engine.selectVictim(set.lru, set.rrpv, 0, 4), 3u);
 }
 
 TEST(Replacement, SrripAgingTerminates)
@@ -88,10 +89,10 @@ TEST(Replacement, SrripAgingTerminates)
     ReplacementEngine engine(ReplPolicy::SRRIP, 64);
     Set<16> set;
     for (unsigned w = 0; w < 16; ++w) {
-        engine.onInsert(set.lru[w], set.rrpv[w], 0, false);
-        engine.onHit(set.lru[w], set.rrpv[w]); // everything at RRPV 0
+        engine.onInsert(set.lru, set.rrpv, w, 0, false);
+        engine.onHit(set.lru, set.rrpv, w); // everything at RRPV 0
     }
-    unsigned victim = engine.selectVictim(set.lru, set.rrpv, 16);
+    unsigned victim = engine.selectVictim(set.lru, set.rrpv, 0, 16);
     EXPECT_LT(victim, 16u);
     // Aging must have raised the victim to the distant value.
     EXPECT_GE(set.rrpv[victim], 3);
@@ -123,7 +124,7 @@ TEST(Replacement, RripSinglePassMatchesRoundBasedAging)
         }
 
         ReplacementEngine engine(ReplPolicy::SRRIP, 64);
-        unsigned victim = engine.selectVictim(lru, ours, 4);
+        unsigned victim = engine.selectVictim(lru, ours, 0, 4);
         EXPECT_EQ(victim, ref_victim) << "combo " << combo;
         for (unsigned w = 0; w < 4; ++w)
             EXPECT_EQ(ours[w], ref[w]) << "combo " << combo << " way " << w;
@@ -137,7 +138,7 @@ TEST(Replacement, BrripMostlyInsertsDistant)
     for (int i = 0; i < 320; ++i) {
         std::uint64_t lru = 0;
         std::uint8_t rrpv = 0;
-        engine.onInsert(lru, rrpv, 0, false);
+        engine.onInsert(&lru, &rrpv, 0, 0, false);
         distant += (rrpv == 3);
     }
     // 31 of every 32 inserts are distant.
@@ -180,7 +181,7 @@ TEST(Replacement, DrripFollowerInsertsTrackWinner)
         engine.onMiss(16); // push toward SRRIP
     std::uint64_t lru = 0;
     std::uint8_t rrpv = 0;
-    engine.onInsert(lru, rrpv, 1, false); // set 1 is a follower
+    engine.onInsert(&lru, &rrpv, 0, 1, false); // set 1 is a follower
     EXPECT_EQ(rrpv, 2);                   // SRRIP-style insert
 }
 
@@ -189,7 +190,7 @@ TEST(Replacement, DrripPrefetchesInsertDistant)
     ReplacementEngine engine(ReplPolicy::DRRIP, 2048);
     std::uint64_t lru = 0;
     std::uint8_t rrpv = 0;
-    engine.onInsert(lru, rrpv, 1, true);
+    engine.onInsert(&lru, &rrpv, 0, 1, true);
     EXPECT_EQ(rrpv, 3);
 }
 
