@@ -8,7 +8,7 @@
  * work).
  *
  * The six grid points are independent System pairs and fan out over the
- * parallel sweep runner (`--jobs N`, OVL_JOBS).
+ * parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>

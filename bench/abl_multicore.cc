@@ -8,7 +8,7 @@
  * translations survive (§4.3.3).
  *
  * The two mechanism runs are independent Systems and fan out over the
- * parallel sweep runner (`--jobs N`, OVL_JOBS).
+ * parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>

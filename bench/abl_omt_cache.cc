@@ -5,7 +5,7 @@
  * and reports CPI and walk counts — showing why 64 entries suffice.
  *
  * The seven cache sizes are independent Systems and fan out over the
- * parallel sweep runner (`--jobs N`, OVL_JOBS).
+ * parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>

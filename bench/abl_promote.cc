@@ -11,7 +11,7 @@
  * exists before the fork — so each benchmark warms up once and all five
  * thresholds fork from clones of the one warm machine (byte-identical
  * to per-cell cold runs, one warmup instead of five). The two benchmark
- * items fan out over the parallel sweep runner (`--jobs N`, OVL_JOBS).
+ * items fan out over the parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>

@@ -7,7 +7,7 @@
  * both protocols as the TLB count scales.
  *
  * The five TLB counts are independent System pairs and fan out over the
- * parallel sweep runner (`--jobs N`, OVL_JOBS).
+ * parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>

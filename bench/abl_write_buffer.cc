@@ -7,7 +7,7 @@
  * that the buffer must absorb.
  *
  * The four buffer sizes are independent System pairs and fan out over
- * the parallel sweep runner (`--jobs N`, OVL_JOBS). The buffer depth is
+ * the parallel sweep runner (`--jobs N`). The buffer depth is
  * structural (it shapes the DRAM controller), so warm states cannot be
  * shared across sizes — but within a size the warmup prefix is
  * mode-independent, so each size warms up once and forks both modes

@@ -10,7 +10,7 @@
  * machine — the prefix is mode-independent, so the rows are byte-
  * identical to cold runs at half the warmup cost. The 15 benchmark
  * items are independent and fan out over the parallel sweep runner
- * (`--jobs N`, OVL_JOBS); output is byte-identical to the serial run.
+ * (`--jobs N`); output is byte-identical to the serial run.
  *
  * `overlaysim forkbench <name> --mode cow|oow|both --trace-out FILE`
  * traces the same runs.

@@ -8,86 +8,74 @@
  * simulates its warmup prefix once and runs both fork modes from a
  * clone of the warm machine — byte-identical rows at half the warmup
  * cost. The benchmark items are independent, so they fan out over the
- * parallel sweep runner (`--jobs N`, OVL_JOBS); rows render in suite
- * order afterwards, byte-identical to `--jobs 1`.
+ * parallel sweep runner (`--jobs N`); rows render in suite order
+ * afterwards, byte-identical to `--jobs 1`.
  *
  * `--sample-interval N` switches the suite to sampled simulation
  * (DESIGN.md §10): each window of N post-fork instructions runs a
  * detailed prefix (`--detail M`, default N/10) and fast-forwards the
  * rest functionally; CPI is extrapolated per window. `--sample-check`
  * additionally runs the full-detail twin of every row and reports the
- * extrapolation error, failing if the mean CPI error exceeds
- * `--sample-check-threshold PCT` (default 5). Sampled mode also prints
- * the host-time split of the post-fork phase (detailed prefix vs
- * functional fast-forward wall seconds) — the measured cost of the
- * detail the sampling skips.
+ * extrapolation error, failing if the mean CPI error exceeds 5%.
+ * Sampled mode also prints the host-time split of the post-fork phase
+ * (detailed prefix vs functional fast-forward wall seconds) — the
+ * measured cost of the detail the sampling skips. N and M are strict
+ * decimals: `1e6` or `5k` exits 1 with a diagnostic.
  *
  * `overlaysim forkbench <name> --mode cow|oow|both --trace-out FILE`
  * traces the same runs.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "sim/parallel.hh"
 #include "system/config.hh"
 #include "workload/forkbench.hh"
 
 using namespace ovl;
 
+namespace
+{
+
+/** `--sample-check` fails the run above this mean CPI error (%). */
+constexpr double kSampleCheckThresholdPct = 5.0;
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = defaultJobs();
+    std::vector<std::string> args(argv + 1, argv + argc);
+    unsigned jobs = 1;
     SampledSimParams sampled;
-    double check_threshold = 5.0;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                             flag);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--progress") == 0) {
-            setProgressEnabled(true);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = unsigned(std::strtoul(value("--jobs"), nullptr, 10));
-            if (jobs == 0) {
-                std::fprintf(stderr, "%s: invalid --jobs value\n", argv[0]);
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--sample-interval") == 0) {
-            sampled.intervalInstructions =
-                std::strtoull(value("--sample-interval"), nullptr, 10);
-        } else if (std::strcmp(argv[i], "--detail") == 0) {
-            sampled.detailedInstructions =
-                std::strtoull(value("--detail"), nullptr, 10);
-        } else if (std::strcmp(argv[i], "--sample-check") == 0) {
-            check = true;
-        } else if (std::strcmp(argv[i], "--sample-check-threshold") == 0) {
-            check_threshold =
-                std::strtod(value("--sample-check-threshold"), nullptr);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--progress]"
-                         " [--sample-interval N [--detail M]"
-                         " [--sample-check"
-                         " [--sample-check-threshold PCT]]]\n",
-                         argv[0]);
-            return 1;
-        }
+    try {
+        jobs = takeJobs(args);
+        sampled.intervalInstructions =
+            cli::takeCount(args, "--sample-interval").value_or(0);
+        sampled.detailedInstructions =
+            cli::takeCount(args, "--detail").value_or(0);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 1;
     }
-    if (check && sampled.intervalInstructions == 0) {
+    sampled.compareFull = cli::takeSwitch(args, "--sample-check");
+    if (!args.empty()) {
+        std::fprintf(stderr,
+                     "usage: %s [--jobs N] [--progress]"
+                     " [--sample-interval N [--detail M]"
+                     " [--sample-check]]\n",
+                     argv[0]);
+        return 1;
+    }
+    if (sampled.compareFull && sampled.intervalInstructions == 0) {
         std::fprintf(stderr, "%s: --sample-check needs --sample-interval\n",
                      argv[0]);
         return 1;
     }
-    sampled.compareFull = check;
 
     const bool sampling = sampled.intervalInstructions != 0;
     std::printf("Figure 9: CPI after a fork (lower is better)%s\n\n",
@@ -176,7 +164,7 @@ main(int argc, char **argv)
                     total > 0 ? 100.0 * ff / total : 0.0);
     }
 
-    if (check) {
+    if (sampled.compareFull) {
         std::printf("\nSampled-vs-full extrapolation error (CPI %% / mean"
                     " window %% / max window %%):\n");
         double mean_cpi_err = 0;
@@ -193,12 +181,12 @@ main(int argc, char **argv)
         }
         mean_cpi_err /= double(suite.size() * 2);
         std::printf("mean CPI error: %.2f%% (threshold %.2f%%)\n",
-                    mean_cpi_err, check_threshold);
-        if (mean_cpi_err > check_threshold) {
+                    mean_cpi_err, kSampleCheckThresholdPct);
+        if (mean_cpi_err > kSampleCheckThresholdPct) {
             std::fprintf(stderr,
                          "sample-check FAILED: mean CPI error %.2f%% >"
                          " %.2f%%\n",
-                         mean_cpi_err, check_threshold);
+                         mean_cpi_err, kSampleCheckThresholdPct);
             return 1;
         }
     }

@@ -1,15 +1,17 @@
 /**
  * @file
  * Command-line helpers shared by the tools and benches: pulling a
- * `--flag value` pair out of an argument list, and the one strict parser
- * for numeric flag values. Bad input throws std::invalid_argument, so a
- * tool's main() turns every malformed flag into one diagnostic and exit
- * status 1 instead of silently running with a truncated value.
+ * `--flag value` pair or a bare switch out of an argument list, and the
+ * one strict parser for numeric flag values. Bad input throws
+ * std::invalid_argument, so a tool's main() turns every malformed flag
+ * into one diagnostic and exit status 1 instead of silently running with
+ * a truncated value.
  */
 
 #ifndef OVERLAYSIM_COMMON_CLI_HH
 #define OVERLAYSIM_COMMON_CLI_HH
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <optional>
@@ -33,6 +35,16 @@ takeFlag(std::vector<std::string> &args, const std::string &flag)
         }
     }
     return std::nullopt;
+}
+
+/** Remove every bare @p flag from @p args; whether there was one. */
+inline bool
+takeSwitch(std::vector<std::string> &args, const std::string &flag)
+{
+    auto it = std::remove(args.begin(), args.end(), flag);
+    bool found = it != args.end();
+    args.erase(it, args.end());
+    return found;
 }
 
 /**

@@ -85,19 +85,13 @@ DramController::drainWrites(Tick when)
     // DRAM model (this is FR-FCFS's point: drains pipeline across
     // banks [34]).
     Tick start = std::max(when, drainBusyUntil_);
-    Tick done;
-    std::uint64_t drained = writeBuffer_.size();
+    Tick done =
+        dram_.drainBatch(writeBuffer_.data(), writeBuffer_.size(), start);
+    // The drain summary follows the per-write row events, exactly as the
+    // golden traces pin.
     if (trace::active()) {
-        // Per-entry path: each write emits its own row event before the
-        // drain summary, exactly as the golden traces pin.
-        done = start;
-        for (Addr addr : writeBuffer_)
-            done = std::max(done, dram_.access(addr, true, start));
         trace::complete("dram", "wb_drain", start, done - start,
-                        {{"writes", drained}});
-    } else {
-        done = dram_.drainBatch(writeBuffer_.data(), writeBuffer_.size(),
-                                start);
+                        {{"writes", std::uint64_t(writeBuffer_.size())}});
     }
     writeBuffer_.clear();
     drainBusyUntil_ = done;

@@ -87,11 +87,10 @@ class DramModel : public SimObject
     /**
      * Issue @p n buffered writes at drain start @p start and return the
      * completion of the last burst — the batched body of a write-buffer
-     * drain. Tick-for-tick and counter-for-counter identical to calling
-     * access(addr, true, start) per entry and folding the max, but with
-     * the statistics accumulated in registers and added once; callers
-     * with an active trace sink use the per-entry path instead so each
-     * write still emits its own row event.
+     * drain. Tick-for-tick, counter-for-counter and event-for-event
+     * identical to calling access(addr, true, start) per entry and
+     * folding the max, but with the statistics accumulated in registers
+     * and added once, and the trace sink checked once per drain.
      */
     Tick drainBatch(const Addr *addrs, std::size_t n, Tick start);
 
@@ -159,6 +158,19 @@ class DramModel : public SimObject
      */
     Tick timeAccess(Bank &bank, Addr row, bool is_write, Tick when,
                     RowOutcome &outcome, Tick &start);
+
+    /** Emit the row event of one access to the active trace sink. */
+    static void
+    traceRow(RowOutcome outcome, Tick start, Tick done, unsigned bank,
+             Addr row, bool is_write)
+    {
+        static constexpr const char *kOutcomeNames[3] = {
+            "row_hit", "row_activate", "row_conflict"};
+        trace::complete("dram", kOutcomeNames[outcome], start, done - start,
+                        {{"bank", bank},
+                         {"row", row},
+                         {"write", is_write ? 1u : 0u}});
+    }
 
     DramTimingParams params_;
     std::vector<Bank> banks_;
@@ -291,14 +303,8 @@ DramModel::access(Addr line_addr, bool is_write, Tick when)
         ++writes_;
     else
         ++reads_;
-    if (trace::active()) {
-        static constexpr const char *kOutcomeNames[3] = {
-            "row_hit", "row_activate", "row_conflict"};
-        trace::complete("dram", kOutcomeNames[outcome], start, done - start,
-                        {{"bank", bank_idx},
-                         {"row", row},
-                         {"write", is_write ? 1u : 0u}});
-    }
+    if (trace::active())
+        traceRow(outcome, start, done, bank_idx, row, is_write);
     return done;
 }
 
@@ -310,16 +316,19 @@ DramModel::drainBatch(const Addr *addrs, std::size_t n, Tick start)
     // accesses), so the deferral is invisible.
     std::uint64_t outcomes[3] = {0, 0, 0};
     Tick done = start;
+    const bool tracing = trace::active();
     for (std::size_t i = 0; i < n; ++i) {
         Addr line = addrs[i] >> kLineShift;
+        unsigned bank_idx = unsigned(line >> bankShift_) & bankMask_;
+        Addr row = line >> rowShift_;
         RowOutcome outcome;
         Tick cmd_start;
-        Tick wr_done = timeAccess(banks_[unsigned(line >> bankShift_) &
-                                         bankMask_],
-                                  line >> rowShift_, true, start, outcome,
-                                  cmd_start);
+        Tick wr_done = timeAccess(banks_[bank_idx], row, true, start,
+                                  outcome, cmd_start);
         done = std::max(done, wr_done);
         ++outcomes[outcome];
+        if (tracing)
+            traceRow(outcome, cmd_start, wr_done, bank_idx, row, true);
     }
     rowHits_ += outcomes[kRowHit];
     rowClosed_ += outcomes[kRowActivate];

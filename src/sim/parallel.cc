@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <stdexcept>
 
+#include "common/cli.hh"
 
 namespace ovl
 {
@@ -16,78 +18,55 @@ hardwareJobs()
 }
 
 unsigned
-defaultJobs()
+takeJobs(std::vector<std::string> &args)
 {
-    const char *env = std::getenv("OVL_JOBS");
-    if (env != nullptr && *env != '\0') {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != nullptr && *end == '\0' && v >= 1)
-            return unsigned(v);
-        std::fprintf(stderr, "warn: ignoring invalid OVL_JOBS='%s'\n", env);
+    if (cli::takeSwitch(args, "--progress"))
+        setProgressEnabled(true);
+    std::optional<std::uint64_t> jobs = cli::takeCount(args, "--jobs");
+    if (!jobs)
+        return hardwareJobs();
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    if (*jobs < 1 || *jobs > kMax) {
+        throw std::invalid_argument("--jobs expects a count from 1 to " +
+                                    std::to_string(kMax) + ", got " +
+                                    std::to_string(*jobs));
     }
-    return hardwareJobs();
+    return unsigned(*jobs);
 }
 
 unsigned
 jobsFromCommandLine(int argc, char **argv)
 {
-    unsigned jobs = defaultJobs();
-    for (int i = 1; i < argc; ++i) {
-        const char *value = nullptr;
-        if (std::strcmp(argv[i], "--progress") == 0) {
-            setProgressEnabled(true);
-            continue;
-        }
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            value = argv[++i];
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            value = argv[i] + 7;
-        } else {
-            std::fprintf(stderr, "usage: %s [--jobs N] [--progress]\n",
-                         argv[0]);
-            std::exit(1);
-        }
-        char *end = nullptr;
-        unsigned long v = std::strtoul(value, &end, 10);
-        if (end == nullptr || *end != '\0' || v < 1) {
-            std::fprintf(stderr, "%s: invalid --jobs value '%s'\n", argv[0],
-                         value);
-            std::exit(1);
-        }
-        jobs = unsigned(v);
+    std::vector<std::string> args(argv + 1, argv + argc);
+    try {
+        unsigned jobs = takeJobs(args);
+        if (args.empty())
+            return jobs;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        std::exit(1);
     }
-    return jobs;
+    std::fprintf(stderr, "usage: %s [--jobs N] [--progress]\n", argv[0]);
+    std::exit(1);
 }
 
 namespace
 {
 
-bool
-progressDefault()
-{
-    const char *env = std::getenv("OVL_PROGRESS");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
-
-/** -1 = unset (fall back to OVL_PROGRESS), else 0/1. */
-std::atomic<int> gProgress{-1};
+std::atomic<bool> gProgress{false};
 
 } // namespace
 
 bool
 progressEnabled()
 {
-    int v = gProgress.load(std::memory_order_relaxed);
-    if (v < 0)
-        return progressDefault();
-    return v != 0;
+    return gProgress.load(std::memory_order_relaxed);
 }
 
 void
 setProgressEnabled(bool enabled)
 {
-    gProgress.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    gProgress.store(enabled, std::memory_order_relaxed);
 }
 
 ProgressReporter::ProgressReporter(std::size_t total, LabelFn label)

@@ -46,25 +46,25 @@ namespace ovl
 unsigned hardwareJobs();
 
 /**
- * The default job count of every sweep bench: the OVL_JOBS environment
- * variable when set (and >= 1), otherwise hardwareJobs(). `OVL_JOBS=1`
- * forces the serial path everywhere without editing command lines.
+ * Take the sweep benches' shared flags out of @p args: `--jobs N`, a
+ * strict decimal from 1 to UINT_MAX (absent: hardwareJobs()), and
+ * `--progress`, which turns progress on (see setProgressEnabled). A
+ * malformed `--jobs` value throws std::invalid_argument naming it.
  */
-unsigned defaultJobs();
+unsigned takeJobs(std::vector<std::string> &args);
 
 /**
- * Shared `--jobs N` flag of the sweep benches. Accepts `--jobs N` and
- * `--jobs=N`, plus `--progress` (see setProgressEnabled); no flag means
- * defaultJobs(). Unknown arguments print a usage line and exit(1).
+ * The command line of a sweep bench whose only flags are `--jobs N` and
+ * `--progress` (see takeJobs). Anything else — an unknown argument or a
+ * malformed value — prints one diagnostic and exits with status 1.
  */
 unsigned jobsFromCommandLine(int argc, char **argv);
 
 /**
- * Whether parallelMap emits per-item progress lines. Defaults to the
- * OVL_PROGRESS environment variable (any value but "" / "0" enables);
- * the benches' `--progress` flag turns it on explicitly. Progress goes
- * to stderr only — a sweep's stdout stays byte-identical at every job
- * count, with or without progress.
+ * Whether parallelMap emits per-item progress lines: off unless a
+ * bench's `--progress` flag (or setProgressEnabled) turns it on.
+ * Progress goes to stderr only — a sweep's stdout stays byte-identical
+ * at every job count, with or without progress.
  */
 bool progressEnabled();
 void setProgressEnabled(bool enabled);

@@ -4,8 +4,7 @@
  * System::dumpAllStatsJson grammar — an object of stat groups whose
  * values are numbers, null, or nested objects like histograms) and
  * localize drift to the *first diverging scalar* instead of an opaque
- * byte-compare failure. Backs `overlaysim stats-diff a.json b.json`
- * and scripts/stats_diff.py mirrors it for arbitrary JSON.
+ * byte-compare failure. Backs `overlaysim stats-diff a.json b.json`.
  */
 
 #ifndef OVERLAYSIM_SIM_STATS_DIFF_HH

@@ -35,14 +35,6 @@ struct WriteSchedule
     }
 };
 
-WriteSchedule
-buildSchedule(const ForkBenchParams &p, Rng &rng)
-{
-    WriteSchedule sched;
-    sched.addrs = buildWriteSchedule(p, rng);
-    return sched;
-}
-
 } // namespace
 
 std::vector<Addr>
@@ -212,26 +204,29 @@ struct StreamPhaseState
     }
 };
 
-/** Phase-start state: full budget, cursors at zero, pacing computed. */
+/** Post-fork phase start: full budget, schedule drawn, pacing set. */
 StreamPhaseState
-makePhaseState(const ForkBenchParams &p, std::uint64_t num_instructions,
-               WriteSchedule schedule, bool has_schedule)
+postForkPhase(const ForkBenchParams &p, Rng &rng)
 {
     StreamPhaseState st;
-    st.budget = num_instructions;
-    st.schedule = std::move(schedule);
-    st.hasSchedule = has_schedule;
-    if (has_schedule) {
-        double expected_writes = double(num_instructions) *
-                                 p.memOpFraction * p.writeFraction;
-        st.freshFraction = expected_writes > 0
-                               ? double(st.schedule.addrs.size()) /
-                                     expected_writes
-                               : 1.0;
-        st.freshFraction = std::min(1.0, st.freshFraction);
-    }
+    st.budget = p.postForkInstructions;
+    st.schedule.addrs = buildWriteSchedule(p, rng);
+    st.hasSchedule = true;
+    double expected_writes =
+        double(st.budget) * p.memOpFraction * p.writeFraction;
+    st.freshFraction =
+        expected_writes > 0
+            ? double(st.schedule.addrs.size()) / expected_writes
+            : 1.0;
+    st.freshFraction = std::min(1.0, st.freshFraction);
     return st;
 }
+
+/** The stop predicate of a phase that runs to its end. */
+struct RunToEnd
+{
+    bool operator()() const { return false; }
+};
 
 /**
  * Emit the benchmark's steady-state mix until @p st.budget runs out. The
@@ -355,41 +350,9 @@ streamPhaseGenResumable(Exec &&execute, const ForkBenchParams &p, Rng &rng,
     }
 }
 
-/** Run a whole phase in one go (the non-checkpointing callers). */
-template <typename Exec>
-void
-streamPhaseGen(Exec &&execute, const ForkBenchParams &p, Rng &rng,
-               std::uint64_t num_instructions, WriteSchedule *schedule)
-{
-    StreamPhaseState st = makePhaseState(
-        p, num_instructions,
-        schedule != nullptr ? std::move(*schedule) : WriteSchedule{},
-        schedule != nullptr);
-    streamPhaseGenResumable(std::forward<Exec>(execute), p, rng, st,
-                            [] { return false; });
-    if (schedule != nullptr)
-        *schedule = std::move(st.schedule);
-}
-
-/** The classic detailed-only phase: every op goes through the core. */
-void
-streamPhase(OooCore &core, Asid asid, const ForkBenchParams &p, Rng &rng,
-            std::uint64_t num_instructions, WriteSchedule *schedule,
-            std::vector<TraceOp> *record = nullptr)
-{
-    streamPhaseGen(
-        [&](const TraceOp &op) {
-            core.executeOp(asid, op);
-            if (record != nullptr)
-                record->push_back(op);
-        },
-        p, rng, num_instructions, schedule);
-}
-
 /**
  * The machine one fork-bench run drives — System, core and generator
  * RNG, named and seeded after the benchmark — and the run's fork timing.
- * Every run variant starts with warmup() then fork().
  */
 struct ForkBenchMachine
 {
@@ -409,6 +372,7 @@ struct ForkBenchMachine
     /**
      * Map the heap and run the warmup epoch: populate caches/TLBs and
      * dirty the address space so the fork has real pages to share.
+     * Warmup writes have no schedule: they land anywhere in the heap.
      */
     void
     warmup(const ForkBenchParams &p)
@@ -416,7 +380,11 @@ struct ForkBenchMachine
         parent = system.createProcess();
         system.mapAnon(parent, kHeapBase, p.footprintPages * kPageSize);
         core.beginEpoch(0);
-        streamPhase(core, parent, p, rng, p.warmupInstructions, nullptr);
+        StreamPhaseState st;
+        st.budget = p.warmupInstructions;
+        streamPhaseGenResumable(
+            [&](const TraceOp &op) { core.executeOp(parent, op); }, p, rng,
+            st, RunToEnd{});
         forkStart = core.finishEpoch();
     }
 
@@ -428,31 +396,6 @@ struct ForkBenchMachine
         system.fork(parent, mode, forkStart, &forkDone);
         system.markMemoryBaseline();
         system.resetStats();
-    }
-
-    /** Run the whole detailed post-fork epoch; returns its end tick. */
-    Tick
-    runPostFork(const ForkBenchParams &p, std::vector<TraceOp> *record)
-    {
-        WriteSchedule schedule = buildSchedule(p, rng);
-        core.beginEpoch(forkDone);
-        streamPhase(core, parent, p, rng, p.postForkInstructions, &schedule,
-                    record);
-        return finishPostFork();
-    }
-
-    /**
-     * Close the post-fork epoch. Memory accounting happens at steady
-     * state: dirty overlay lines still in the caches get their OMS slots
-     * on eviction (§4.3.3), so force the writebacks before measuring
-     * (the flush is excluded from the measured epoch).
-     */
-    Tick
-    finishPostFork()
-    {
-        Tick end = core.finishEpoch();
-        system.caches().flushAll(end);
-        return end;
     }
 
     /** The WARM payload: the warmed machine, core and RNG. */
@@ -469,44 +412,135 @@ struct ForkBenchMachine
     }
 };
 
-/** The shared measurement tail of every full-detail run variant. */
-ForkBenchResult
-measureResult(const ForkBenchMachine &m, const ForkBenchParams &params,
-              ForkMode mode)
-{
-    ForkBenchResult res;
-    res.name = params.name;
-    res.type = params.type;
-    res.mode = mode;
-    res.additionalMemoryMB =
-        double(m.system.additionalMemoryBytes()) / double(1_MiB);
-    res.cpi = m.core.epochCpi();
-    res.cowFaults = m.system.cowFaults();
-    res.overlayingWrites = m.system.overlayingWrites();
-    res.forkLatency = m.forkDone - m.forkStart;
-    return res;
-}
-
 /**
- * The FKCP checkpoint record: which run (benchmark, mode, post-fork
- * length), the suspended generator, and the machine it drives. Loading
- * builds the machine once the benchmark name is known, as the default
- * SystemConfig that `overlaysim forkbench` runs; structural mismatches
- * with the checkpointed machine are caught by the component visitors.
+ * One post-fork run of the fork experiment — benchmark, fork mode,
+ * suspended generator and the machine it drives. Every fork-bench
+ * driver is start (cold, warm or checkpoint file), advance (feed the op
+ * stream to a sink until it ends or a stop predicate suspends it), then
+ * finish (DESIGN.md §11.3).
+ *
+ * The io visitor is the FKCP checkpoint record. Loading builds the
+ * machine once the benchmark name is known, as the default SystemConfig
+ * that `overlaysim forkbench` runs; structural mismatches with the
+ * checkpointed machine are caught by the component visitors.
  */
-struct ForkCheckpoint
+struct ForkRun
 {
     ForkBenchParams params;
     ForkMode mode = ForkMode::CopyOnWrite;
     StreamPhaseState phase;
     std::optional<ForkBenchMachine> machine;
 
+    /**
+     * Cold start: warm up a fresh machine, fork, arm the post-fork
+     * phase. @p sampler (optional, freshly constructed) observes the
+     * whole run, warmup included; finish() detaches it.
+     */
+    void
+    startCold(const ForkBenchParams &p, ForkMode fork_mode,
+              SystemConfig config, StatsSampler *sampler = nullptr)
+    {
+        params = p;
+        ForkBenchMachine &m = machine.emplace(p, std::move(config));
+        m.system.attachStatsSampler(sampler, 0);
+        m.warmup(p);
+        forkAndArm(fork_mode);
+    }
+
+    /** Warm start: restore the warmup prefix under @p config, fork, arm. */
+    void
+    startWarm(const ForkBenchWarmState &warm, ForkMode fork_mode,
+              const SystemConfig &config)
+    {
+        params = warm.params;
+        ForkBenchMachine &m = machine.emplace(params, config);
+        snapshot::Reader r(warm.machine);
+        snapshot::visit(m, r);
+        if (!r.atEnd())
+            r.fail("trailing bytes after warm-state payload");
+        m.parent = warm.parent;
+        m.forkStart = warm.warmupEnd;
+        forkAndArm(fork_mode);
+    }
+
+    /** Checkpoint start: load the suspended run an FKCP file holds. */
+    void
+    startFromCheckpoint(const std::string &path)
+    {
+        std::vector<std::uint8_t> payload = snapshot::readSnapshotFile(path);
+        snapshot::Reader r(payload);
+        snapshot::visit(*this, r);
+        if (!r.atEnd())
+            r.fail("trailing bytes after checkpoint payload");
+    }
+
+    /** The detailed sink: every op goes through the core. */
+    auto
+    detailed()
+    {
+        ForkBenchMachine &m = *machine;
+        return [&m](const TraceOp &op) { m.core.executeOp(m.parent, op); };
+    }
+
+    /**
+     * Feed the rest of the post-fork op stream to @p execute, polling
+     * @p stop between ops. Returns false when @p stop suspended the
+     * phase (a later advance continues the identical stream).
+     */
+    template <typename Exec, typename Stop = RunToEnd>
+    bool
+    advance(Exec &&execute, Stop &&stop = Stop{})
+    {
+        streamPhaseGenResumable(std::forward<Exec>(execute), params,
+                                machine->rng, phase,
+                                std::forward<Stop>(stop));
+        return phase.budget == 0;
+    }
+
+    /**
+     * Close the post-fork epoch, detach the stats sampler, measure, and
+     * dump the post-fork stats to @p dump_stats (text) and
+     * @p dump_stats_json (the dumpAllStatsJson grammar) when given.
+     */
+    ForkBenchResult
+    finish(std::ostream *dump_stats = nullptr,
+           std::ostream *dump_stats_json = nullptr)
+    {
+        ForkBenchMachine &m = *machine;
+        // Memory accounting happens at steady state: dirty overlay lines
+        // still in the caches get their OMS slots on eviction (§4.3.3),
+        // so force the writebacks before measuring (the flush is
+        // excluded from the measured epoch).
+        Tick end = m.core.finishEpoch();
+        m.system.caches().flushAll(end);
+        m.system.detachStatsSampler(end);
+
+        ForkBenchResult res;
+        res.name = params.name;
+        res.type = params.type;
+        res.mode = mode;
+        res.additionalMemoryMB =
+            double(m.system.additionalMemoryBytes()) / double(1_MiB);
+        res.cpi = m.core.epochCpi();
+        res.cowFaults = m.system.cowFaults();
+        res.overlayingWrites = m.system.overlayingWrites();
+        res.forkLatency = m.forkDone - m.forkStart;
+        if (dump_stats != nullptr) {
+            m.system.dumpAllStats(*dump_stats);
+            m.core.dumpStats(*dump_stats);
+        }
+        if (dump_stats_json != nullptr)
+            m.system.dumpAllStatsJson(*dump_stats_json);
+        return res;
+    }
+
+    /** The FKCP checkpoint record (DESIGN.md §11.1). */
     template <class Self, class Ar>
     static void
-    io(Self &ck, Ar &ar)
+    io(Self &run, Ar &ar)
     {
         ar.section("FKCP", [&] {
-            std::string name = ck.params.name;
+            std::string name = run.params.name;
             ar.str(name);
             if constexpr (Ar::kLoading) {
                 const auto &suite = forkBenchSuite();
@@ -517,24 +551,24 @@ struct ForkCheckpoint
                 if (it == suite.end())
                     ar.fail("checkpoint names unknown benchmark '" + name +
                             "'");
-                ck.params = *it;
+                run.params = *it;
             }
-            std::uint8_t mode = ck.mode == ForkMode::CopyOnWrite ? 0 : 1;
+            std::uint8_t mode = run.mode == ForkMode::CopyOnWrite ? 0 : 1;
             ar.u8(mode);
             if constexpr (Ar::kLoading) {
                 if (mode > 1)
                     ar.fail("invalid fork mode " + std::to_string(mode));
-                ck.mode = mode == 0 ? ForkMode::CopyOnWrite
-                                    : ForkMode::OverlayOnWrite;
+                run.mode = mode == 0 ? ForkMode::CopyOnWrite
+                                      : ForkMode::OverlayOnWrite;
             }
-            ar.u64(ck.params.postForkInstructions);
+            ar.u64(run.params.postForkInstructions);
             if constexpr (Ar::kLoading)
-                ck.machine.emplace(ck.params, SystemConfig{});
-            auto &m = *ck.machine;
+                run.machine.emplace(run.params, SystemConfig{});
+            auto &m = *run.machine;
             ar.u16(m.parent);
             ar.u64(m.forkStart);
             ar.u64(m.forkDone);
-            snapshot::visit(ck.phase, ar);
+            snapshot::visit(run.phase, ar);
             for (auto &word : m.rng.rawState())
                 ar.u64(word);
             snapshot::visit(m.core, ar);
@@ -548,6 +582,17 @@ struct ForkCheckpoint
                 }
             }
         });
+    }
+
+    /** Fork the warmed machine, draw the schedule, open the epoch. */
+    void
+    forkAndArm(ForkMode fork_mode)
+    {
+        mode = fork_mode;
+        ForkBenchMachine &m = *machine;
+        m.fork(fork_mode);
+        phase = postForkPhase(params, m.rng);
+        m.core.beginEpoch(m.forkDone);
     }
 };
 
@@ -627,20 +672,15 @@ runForkBench(const ForkBenchParams &params, ForkMode mode,
              std::vector<TraceOp> *record, StatsSampler *sampler,
              std::ostream *dump_stats_json)
 {
-    ForkBenchMachine m(params, std::move(config));
-    m.system.attachStatsSampler(sampler, 0);
-    m.warmup(params);
-    m.fork(mode);
-    m.system.detachStatsSampler(m.runPostFork(params, record));
-
-    ForkBenchResult res = measureResult(m, params, mode);
-    if (dump_stats != nullptr) {
-        m.system.dumpAllStats(*dump_stats);
-        m.core.dumpStats(*dump_stats);
-    }
-    if (dump_stats_json != nullptr)
-        m.system.dumpAllStatsJson(*dump_stats_json);
-    return res;
+    ForkRun run;
+    run.startCold(params, mode, std::move(config), sampler);
+    auto detailed = run.detailed();
+    run.advance([&](const TraceOp &op) {
+        detailed(op);
+        if (record != nullptr)
+            record->push_back(op);
+    });
+    return run.finish(dump_stats, dump_stats_json);
 }
 
 ForkBenchSampledResult
@@ -663,16 +703,14 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
 
     // ------------------------- sampled run ----------------------------
     {
-        ForkBenchMachine m(params, config);
-        m.system.attachStatsSampler(sampler, 0);
-        m.warmup(params);
-        m.fork(mode);
-
-        WriteSchedule schedule = buildSchedule(params, m.rng);
+        ForkRun run;
+        run.startCold(params, mode, config, sampler);
+        ForkBenchMachine &m = *run.machine;
 
         // Windowed sink: a detailed prefix measured as its own core
         // epoch, then functional fast-forward to the window boundary.
-        // Simulated time only advances inside detailed prefixes.
+        // Simulated time only advances inside detailed prefixes. The
+        // first prefix runs in the epoch startCold() opened.
         Tick cursor = m.forkDone;
         Tick detail_start = cursor;
         std::uint64_t win_instr = 0;
@@ -683,7 +721,6 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         // it badly. Sampling applies to the steady state that follows.
         bool first_window = true;
         SampledWindow win;
-        m.core.beginEpoch(cursor);
 
         // Host-time split: one steady_clock stamp per segment boundary
         // (detailed→functional, window close), charged to the segment
@@ -724,34 +761,29 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             m.core.beginEpoch(cursor);
         };
 
-        streamPhaseGen(
-            [&](const TraceOp &op) {
-                if (in_detail) {
-                    m.core.executeOp(m.parent, op);
-                } else if (op.kind != TraceOp::Kind::Compute) {
-                    m.system.accessFunctional(
-                        m.parent, op.vaddr,
-                        op.kind == TraceOp::Kind::Store,
-                        m.core.coreIndex());
-                }
-                win_instr += op.kind == TraceOp::Kind::Compute
-                                 ? op.count
-                                 : 1;
-                std::uint64_t cur_detail =
-                    first_window ? sampled.intervalInstructions : detail;
-                if (in_detail && win_instr >= cur_detail &&
-                    cur_detail < sampled.intervalInstructions) {
-                    close_detail();
-                    in_detail = false;
-                }
-                if (win_instr >= sampled.intervalInstructions)
-                    close_window();
-            },
-            params, m.rng, params.postForkInstructions, &schedule);
+        run.advance([&](const TraceOp &op) {
+            if (in_detail) {
+                m.core.executeOp(m.parent, op);
+            } else if (op.kind != TraceOp::Kind::Compute) {
+                m.system.accessFunctional(m.parent, op.vaddr,
+                                          op.kind == TraceOp::Kind::Store,
+                                          m.core.coreIndex());
+            }
+            win_instr +=
+                op.kind == TraceOp::Kind::Compute ? op.count : 1;
+            std::uint64_t cur_detail =
+                first_window ? sampled.intervalInstructions : detail;
+            if (in_detail && win_instr >= cur_detail &&
+                cur_detail < sampled.intervalInstructions) {
+                close_detail();
+                in_detail = false;
+            }
+            if (win_instr >= sampled.intervalInstructions)
+                close_window();
+        });
         if (win_instr > 0)
             close_window();
-        cursor = m.finishPostFork(); // retire the epoch close_window armed
-        m.system.detachStatsSampler(cursor);
+        out.sampled = run.finish(); // retires the epoch close_window armed
 
         double est_cycles = 0.0;
         for (const SampledWindow &w : out.windows) {
@@ -761,7 +793,6 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             out.detailedHostSeconds += w.detailedHostSeconds;
             out.functionalHostSeconds += w.functionalHostSeconds;
         }
-        out.sampled = measureResult(m, params, mode);
         out.sampled.cpi = out.totalInstructions != 0
                               ? est_cycles / double(out.totalInstructions)
                               : 0.0;
@@ -771,39 +802,34 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         return out;
 
     // ----------------------- full-detail twin -------------------------
-    // One monolithic epoch over the identical op stream — byte-identical
-    // to runForkBench — with issue-cursor snapshots at the same window
-    // boundaries the sampled run used.
+    // A detailed run — byte-identical to runForkBench — whose sink marks
+    // the issue cursor at the window boundaries the sampled run used.
     {
-        ForkBenchMachine m(params, std::move(config));
-        m.warmup(params);
-        m.fork(mode);
-
-        WriteSchedule schedule = buildSchedule(params, m.rng);
-        m.core.beginEpoch(m.forkDone);
+        ForkRun run;
+        run.startCold(params, mode, std::move(config));
+        const ForkBenchMachine &m = *run.machine;
         std::size_t wi = 0;
         std::uint64_t win_instr = 0;
         Tick last_mark = m.forkDone;
-        streamPhaseGen(
-            [&](const TraceOp &op) {
-                m.core.executeOp(m.parent, op);
-                win_instr += op.kind == TraceOp::Kind::Compute
-                                 ? op.count
-                                 : 1;
-                if (win_instr >= sampled.intervalInstructions) {
-                    Tick now = m.core.currentCycle();
-                    if (wi < out.windows.size())
-                        out.windows[wi].fullCycles = now - last_mark;
-                    last_mark = now;
-                    ++wi;
-                    win_instr = 0;
-                }
-            },
-            params, m.rng, params.postForkInstructions, &schedule);
-        Tick end = m.finishPostFork();
-        if (win_instr > 0 && wi < out.windows.size())
-            out.windows[wi].fullCycles = end - last_mark;
-        out.fullCpi = m.core.epochCpi();
+        auto mark = [&](Tick now) {
+            if (wi < out.windows.size())
+                out.windows[wi].fullCycles = now - last_mark;
+            last_mark = now;
+            ++wi;
+            win_instr = 0;
+        };
+        auto detailed = run.detailed();
+        run.advance([&](const TraceOp &op) {
+            detailed(op);
+            win_instr +=
+                op.kind == TraceOp::Kind::Compute ? op.count : 1;
+            if (win_instr >= sampled.intervalInstructions)
+                mark(m.core.currentCycle());
+        });
+        out.fullCpi = run.finish().cpi;
+        // The epoch opened at forkDone, so it closed epochCycles() later.
+        if (win_instr > 0)
+            mark(m.forkDone + m.core.epochCycles());
     }
 
     double err_sum = 0.0;
@@ -846,30 +872,14 @@ prepareForkBenchWarmState(const ForkBenchParams &params, SystemConfig config)
 ForkBenchResult
 runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
                           const SystemConfig *config_override,
-                          std::ostream *dump_stats,
-                          std::vector<TraceOp> *record)
+                          std::ostream *dump_stats)
 {
-    const ForkBenchParams &params = warm.params;
-    ForkBenchMachine m(params, config_override != nullptr ? *config_override
-                                                          : warm.config);
-    snapshot::Reader r(warm.machine);
-    snapshot::visit(m, r);
-    if (!r.atEnd())
-        r.fail("trailing bytes after warm-state payload");
-
-    // From here on the run is instruction-for-instruction the tail of
-    // runForkBench: fork, rebase the stats, measure the post-fork epoch.
-    m.parent = warm.parent;
-    m.forkStart = warm.warmupEnd;
-    m.fork(mode);
-    m.runPostFork(params, record);
-
-    ForkBenchResult res = measureResult(m, params, mode);
-    if (dump_stats != nullptr) {
-        m.system.dumpAllStats(*dump_stats);
-        m.core.dumpStats(*dump_stats);
-    }
-    return res;
+    ForkRun run;
+    run.startWarm(warm, mode,
+                  config_override != nullptr ? *config_override
+                                             : warm.config);
+    run.advance(run.detailed());
+    return run.finish(dump_stats);
 }
 
 ForkBenchCheckpointedRun
@@ -881,29 +891,22 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     ovl_assert(ckpt.everyTicks != 0 || ckpt.atTick != 0,
                "checkpointing needs --checkpoint-every or --at-tick");
 
-    ForkCheckpoint ck;
-    ck.params = params;
-    ck.mode = mode;
-    ForkBenchMachine &m = ck.machine.emplace(params, std::move(config));
-    m.warmup(params);
-    m.fork(mode);
-    ck.phase = makePhaseState(params, params.postForkInstructions,
-                              buildSchedule(params, m.rng), true);
-    m.core.beginEpoch(m.forkDone);
+    ForkRun run;
+    run.startCold(params, mode, std::move(config));
+    const ForkBenchMachine &m = *run.machine;
 
     // Saving observes the machine without touching it, so the executed
     // run is op-for-op the uninterrupted run.
-    ForkBenchCheckpointedRun run;
+    ForkBenchCheckpointedRun out;
     auto write_checkpoint = [&]() {
         snapshot::Writer w;
-        snapshot::visit(ck, w);
+        snapshot::visit(run, w);
         snapshot::writeSnapshotFile(ckpt.path, w.buffer());
-        ++run.checkpointsWritten;
+        ++out.checkpointsWritten;
     };
 
     Tick next_periodic =
         ckpt.everyTicks != 0 ? m.forkDone + ckpt.everyTicks : 0;
-    bool stopped = false;
     auto stop = [&]() -> bool {
         Tick now = m.core.currentCycle();
         if (ckpt.everyTicks != 0 && now >= next_periodic) {
@@ -913,38 +916,23 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
         }
         if (ckpt.atTick != 0 && now >= ckpt.atTick) {
             write_checkpoint();
-            stopped = true;
             return true;
         }
         return false;
     };
 
-    streamPhaseGenResumable(
-        [&](const TraceOp &op) { m.core.executeOp(m.parent, op); }, params,
-        m.rng, ck.phase, stop);
-    if (!stopped) {
-        m.finishPostFork();
-        run.result = measureResult(m, params, mode);
-    }
-    return run;
+    if (run.advance(run.detailed(), stop))
+        out.result = run.finish();
+    return out;
 }
 
 ForkBenchResult
 resumeForkBenchCheckpoint(const std::string &path)
 {
-    std::vector<std::uint8_t> payload = snapshot::readSnapshotFile(path);
-    snapshot::Reader r(payload);
-    ForkCheckpoint ck;
-    snapshot::visit(ck, r);
-    if (!r.atEnd())
-        r.fail("trailing bytes after checkpoint payload");
-
-    ForkBenchMachine &m = *ck.machine;
-    streamPhaseGenResumable(
-        [&](const TraceOp &op) { m.core.executeOp(m.parent, op); },
-        ck.params, m.rng, ck.phase, [] { return false; });
-    m.finishPostFork();
-    return measureResult(m, ck.params, ck.mode);
+    ForkRun run;
+    run.startFromCheckpoint(path);
+    run.advance(run.detailed());
+    return run.finish();
 }
 
 } // namespace ovl

@@ -256,8 +256,7 @@ ForkBenchWarmState prepareForkBenchWarmState(const ForkBenchParams &params,
 ForkBenchResult runForkBenchFromWarmState(
     const ForkBenchWarmState &warm, ForkMode mode,
     const SystemConfig *config_override = nullptr,
-    std::ostream *dump_stats = nullptr,
-    std::vector<TraceOp> *record = nullptr);
+    std::ostream *dump_stats = nullptr);
 
 // ----- crash-resumable checkpoint/restore (DESIGN.md §11) --------------
 

@@ -110,21 +110,20 @@ TEST(Parallel, JobsFromCommandLineParsesForms)
         EXPECT_EQ(jobsFromCommandLine(3, const_cast<char **>(argv)), 3u);
     }
     {
-        const char *argv[] = {"prog", "--jobs=5"};
-        EXPECT_EQ(jobsFromCommandLine(2, const_cast<char **>(argv)), 5u);
-    }
-    {
         const char *argv[] = {"prog"};
         EXPECT_GE(jobsFromCommandLine(1, const_cast<char **>(argv)), 1u);
     }
 }
 
-TEST(Parallel, DefaultJobsHonorsEnvironment)
+TEST(ParallelDeathTest, JobsFromCommandLineRejectsMalformedValues)
 {
-    ASSERT_EQ(setenv("OVL_JOBS", "6", 1), 0);
-    EXPECT_EQ(defaultJobs(), 6u);
-    ASSERT_EQ(unsetenv("OVL_JOBS"), 0);
-    EXPECT_GE(defaultJobs(), 1u);
+    // A strtoul-based parser turns these into 4294967295, 1 and 4 jobs.
+    for (const char *value : {"-1", "4294967297", " 4"}) {
+        const char *argv[] = {"prog", "--jobs", value};
+        EXPECT_EXIT(jobsFromCommandLine(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1), "--jobs expects")
+            << "value '" << value << "'";
+    }
 }
 
 TEST(Parallel, ProgressFlagParsesAndEnables)
