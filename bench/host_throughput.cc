@@ -35,8 +35,8 @@
  *     the measurement-isolation default for this harness).
  *   The sink flags of observe::Session (src/sim/observe.hh: JSONL stats
  *     samples, Chrome trace, host-time profile; DESIGN.md §9.4) give each
- *     workload its own run label. The sampler and the profile require
- *     --jobs 1 (one shared stream, per-workload attribution windows).
+ *     workload its own run label. Every sink requires --jobs 1 (one
+ *     stream per sink, per-workload attribution windows).
  *
  * The "_run" record also carries host/build metadata (CPU, cores,
  * compiler, flags, build type) so bench_compare.py can flag cross-host
@@ -68,6 +68,7 @@
 using namespace ovl;
 using cli::takeCount;
 using cli::takeFlag;
+using cli::takePositiveCount;
 
 namespace
 {
@@ -411,8 +412,8 @@ runSuite(std::vector<std::string> args, const char *prog)
     std::uint64_t scale = takeCount(args, "--scale").value_or(1);
     // Unlike the sweep benches, this harness measures host throughput,
     // so it defaults to jobs=1 (serial) for measurement isolation.
-    unsigned jobs = unsigned(takeCount(args, "--jobs").value_or(1));
-    unsigned best_of = unsigned(takeCount(args, "--best-of").value_or(1));
+    unsigned jobs = takePositiveCount(args, "--jobs").value_or(1);
+    unsigned best_of = takePositiveCount(args, "--best-of").value_or(1);
     std::vector<std::string> only;
     while (std::optional<std::string> name = takeFlag(args, "--only"))
         only.push_back(*name);
@@ -421,11 +422,6 @@ runSuite(std::vector<std::string> args, const char *prog)
                      "usage: %s [-o out.json] [--scale N] [--jobs N]"
                      " [--only NAME] [--best-of N] %s\n",
                      prog, observe::kUsage);
-        return 1;
-    }
-    if (jobs == 0 || best_of == 0) {
-        std::fprintf(stderr, "%s: --jobs and --best-of must be positive\n",
-                     prog);
         return 1;
     }
     if (best_of > 1 && session.anySink()) {
@@ -437,12 +433,13 @@ runSuite(std::vector<std::string> args, const char *prog)
                      prog);
         return 1;
     }
-    if (jobs != 1 && (session.sampling() || session.profiling())) {
-        // Parallel workloads would interleave records in the one JSONL
-        // stream, and per-workload attribution windows only make sense
-        // when workloads run one at a time.
+    if (jobs != 1 && session.anySink()) {
+        // Each sink is one stream bound to one run at a time: parallel
+        // workloads would interleave their records, and per-workload
+        // attribution windows need workloads to run one at a time.
         std::fprintf(stderr,
-                     "%s: --stats-out and --profile-out require --jobs 1\n",
+                     "%s: --stats-out, --trace-out and --profile-out"
+                     " require --jobs 1\n",
                      prog);
         return 1;
     }

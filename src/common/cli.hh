@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -73,6 +74,25 @@ takeCount(std::vector<std::string> &args, const std::string &flag)
     if (!text)
         return std::nullopt;
     return parseCount(flag, *text);
+}
+
+/**
+ * takeCount() for a job or repeat count: anything outside 1..UINT_MAX
+ * is rejected, not truncated to 32 bits.
+ */
+inline std::optional<unsigned>
+takePositiveCount(std::vector<std::string> &args, const std::string &flag)
+{
+    std::optional<std::uint64_t> value = takeCount(args, flag);
+    if (!value)
+        return std::nullopt;
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    if (*value < 1 || *value > kMax) {
+        throw std::invalid_argument(flag + " expects a count from 1 to " +
+                                    std::to_string(kMax) + ", got " +
+                                    std::to_string(*value));
+    }
+    return unsigned(*value);
 }
 
 } // namespace ovl::cli

@@ -10,23 +10,6 @@ namespace ovl
 namespace logging_detail
 {
 
-namespace
-{
-bool gQuiet = false;
-} // namespace
-
-void
-setQuiet(bool q)
-{
-    gQuiet = q;
-}
-
-bool
-quiet()
-{
-    return gQuiet;
-}
-
 std::string
 formatString(const char *fmt, ...)
 {
@@ -63,15 +46,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!gQuiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!gQuiet)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace logging_detail

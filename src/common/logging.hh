@@ -27,10 +27,6 @@ void informImpl(const std::string &msg);
 std::string formatString(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Globally silence warn()/inform() (used by tests and sweeps). */
-void setQuiet(bool quiet);
-bool quiet();
-
 } // namespace logging_detail
 
 } // namespace ovl

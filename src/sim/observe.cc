@@ -7,7 +7,6 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "sim/hostinfo.hh"
-#include "sim/trace.hh"
 
 namespace ovl::observe
 {
@@ -55,7 +54,8 @@ Session::Session(std::vector<std::string> &args)
     if (sampling())
         statsOs_ = openOrDie(statsOut_);
     if (tracing())
-        trace::start(traceOut_, trace_limit.value_or(0));
+        trace_ = std::make_unique<trace::Sink>(traceOut_,
+                                               trace_limit.value_or(0));
     if (profiling() && !hostInfo().profileCompiled) {
         std::fprintf(stderr,
                      "warn: profiler not compiled in (configure with "
@@ -65,8 +65,6 @@ Session::Session(std::vector<std::string> &args)
 
 Session::~Session()
 {
-    if (tracing())
-        trace::stop();
     if (profiling())
         prof::disable();
 }
@@ -114,10 +112,10 @@ Session::finish()
         statsOs_.flush();
         std::printf("stats samples written to %s\n", statsOut_.c_str());
     }
-    if (tracing()) {
-        std::uint64_t events = trace::eventCount();
-        std::uint64_t dropped = trace::droppedCount();
-        trace::stop();
+    if (trace_) {
+        std::uint64_t events = trace_->eventCount();
+        std::uint64_t dropped = trace_->droppedCount();
+        trace_.reset();
         std::printf("trace written to %s (%llu events, %llu dropped at"
                     " --trace-limit)\n",
                     traceOut_.c_str(), (unsigned long long)events,

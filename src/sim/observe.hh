@@ -12,10 +12,13 @@
  *
  * Each labelled run gets its own StatsSampler (null unless sampling;
  * its records carry the label as "run") and its own profile window
- * (one key per label in the profile JSON). The sinks are process-global
- * or shared streams, so construct and finish a session on the main
- * thread; run() may be called from parallelMap workers only while no
- * sampler or profile is open (the trace sink serializes itself).
+ * (one key per label in the profile JSON), and runs with the session's
+ * trace sink bound to the calling thread. The session owns its sample
+ * stream and its trace sink; the profiler registry is process-global.
+ * So construct and finish a session on the main thread, and call run()
+ * from parallelMap workers only while no sink is open (anySink() is
+ * false). A parallel job that wants a trace opens and binds its own
+ * trace::Sink instead.
  */
 
 #ifndef OVERLAYSIM_SIM_OBSERVE_HH
@@ -30,6 +33,7 @@
 #include "common/types.hh"
 #include "sim/profile.hh"
 #include "sim/stats_sampler.hh"
+#include "sim/trace.hh"
 
 namespace ovl::observe
 {
@@ -46,7 +50,7 @@ class Session
     /**
      * Take the sink flags out of @p args, validate them together (a
      * bad value or combination throws std::invalid_argument before any
-     * sink opens), then open the trace and the stats-sample file.
+     * sink opens), then open the trace sink and the stats-sample file.
      */
     explicit Session(std::vector<std::string> &args);
 
@@ -67,6 +71,7 @@ class Session
     run(const std::string &label, Fn &&fn)
     {
         std::unique_ptr<StatsSampler> sampler = beginRun(label);
+        trace::Sink::Bind bind(trace_.get());
         auto result = fn(sampler.get());
         endRun(label);
         return result;
@@ -74,7 +79,8 @@ class Session
 
     /**
      * Write the profile JSON (`_host`, then one key per run label) and
-     * collapsed stacks, stop the trace, and print one line per sink.
+     * collapsed stacks, close the trace sink, and print one line per
+     * sink.
      */
     void finish();
 
@@ -88,6 +94,7 @@ class Session
     std::string profileCollapsed_;
     Tick sampleInterval_ = 0;
     std::ofstream statsOs_;
+    std::unique_ptr<trace::Sink> trace_;
     std::vector<std::pair<std::string, prof::Report>> profiles_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 #include "common/cli.hh"
@@ -22,16 +21,8 @@ takeJobs(std::vector<std::string> &args)
 {
     if (cli::takeSwitch(args, "--progress"))
         setProgressEnabled(true);
-    std::optional<std::uint64_t> jobs = cli::takeCount(args, "--jobs");
-    if (!jobs)
-        return hardwareJobs();
-    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
-    if (*jobs < 1 || *jobs > kMax) {
-        throw std::invalid_argument("--jobs expects a count from 1 to " +
-                                    std::to_string(kMax) + ", got " +
-                                    std::to_string(*jobs));
-    }
-    return unsigned(*jobs);
+    std::optional<unsigned> jobs = cli::takePositiveCount(args, "--jobs");
+    return jobs ? *jobs : hardwareJobs();
 }
 
 unsigned

@@ -14,13 +14,14 @@
  * to the serial run regardless of the job count.
  *
  * Thread-safety boundary (DESIGN.md §8): everything reachable from a
- * `System` is per-instance. The only process-global state the simulator
- * touches is the trace sink (`sim/trace.hh`: emission is mutex-serialized)
- * and the profiler registry (`sim/profile.hh`: threads register under a
- * mutex, timers are thread-local); lazily-built suite singletons (e.g.
- * forkBenchSuite()) use function-local statics, whose initialization
- * C++11 already serializes. Callers must not open or close the trace
- * sink, or enable or disable the profiler, inside worker closures.
+ * `System` is per-instance, and a trace sink (`sim/trace.hh`) belongs
+ * to the job that binds it to its thread: an item that wants a trace
+ * opens and binds its own. The only process-global state the simulator
+ * touches is the profiler registry (`sim/profile.hh`: threads register
+ * under a mutex, timers are thread-local); lazily-built suite singletons
+ * (e.g. forkBenchSuite()) use function-local statics, whose
+ * initialization C++11 already serializes. Callers must not enable or
+ * disable the profiler inside worker closures.
  */
 
 #ifndef OVERLAYSIM_SIM_PARALLEL_HH

@@ -12,9 +12,8 @@
  *     defines `OVL_PROFILE` (`cmake -DOVL_PROFILE=ON`). A default build
  *     carries zero instructions, zero branches, zero data.
  *  2. **One predicted branch when compiled in but idle.** The scope
- *     constructor checks `prof::active()` — the same process-global
- *     atomic gate idiom as `trace::active()` — and does nothing else
- *     when no profile is being collected.
+ *     constructor checks `prof::active()`, a process-global atomic
+ *     gate, and does nothing else when no profile is being collected.
  *  3. **Never moves a tick.** The profiler observes host time only; it
  *     neither schedules events nor touches any simulated state, so an
  *     enabled run is simulated-tick- and golden-stats-identical to a
@@ -28,10 +27,10 @@
  * convertible to JSON (writeJson) or Brendan-Gregg collapsed stacks
  * (writeCollapsed) for flamegraph.pl / speedscope.
  *
- * Thread-safety: enable()/disable()/collect() must be called with no
- * scopes open and no worker threads running (the trace::start contract).
- * Scope enter/exit itself is lock-free and touches only thread-local
- * state.
+ * Thread-safety: the registry is process-global (DESIGN.md §8), so
+ * enable()/disable()/collect() must be called with no scopes open and
+ * no worker threads running. Scope enter/exit itself is lock-free and
+ * touches only thread-local state.
  */
 
 #ifndef OVERLAYSIM_SIM_PROFILE_HH

@@ -1,8 +1,5 @@
 #include "trace.hh"
 
-#include <cstdio>
-#include <mutex>
-
 #include "common/logging.hh"
 
 namespace ovl::trace
@@ -10,124 +7,73 @@ namespace ovl::trace
 
 namespace detail
 {
-std::atomic<bool> gActive{false};
+constinit thread_local Sink *tBound = nullptr;
 } // namespace detail
+
+Sink::Sink(const std::string &path, std::uint64_t max_events)
+    : file_(std::fopen(path.c_str(), "w")), maxEvents_(max_events)
+{
+    if (file_ == nullptr)
+        ovl_fatal("cannot open trace file %s", path.c_str());
+    std::fprintf(file_, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+}
+
+Sink::~Sink()
+{
+    // Record the truncation inside the trace itself, past the cap that
+    // caused it.
+    if (dropped_ > 0) {
+        maxEvents_ = 0;
+        record('i', "trace", "trace_truncated", 0, -1,
+               {{"dropped_events", dropped_}});
+    }
+    std::fprintf(file_, "\n]}\n");
+    std::fclose(file_);
+}
+
+void
+Sink::record(char phase, const char *cat, const char *name, Tick ts,
+             std::int64_t dur, std::initializer_list<Arg> args)
+{
+    if (maxEvents_ != 0 && eventCount_ >= maxEvents_) {
+        ++dropped_;
+        return;
+    }
+    std::fprintf(file_, "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\","
+                        "\"ts\":%llu",
+                 firstEvent_ ? "\n" : ",\n", name, cat, phase,
+                 (unsigned long long)ts);
+    if (dur >= 0)
+        std::fprintf(file_, ",\"dur\":%llu", (unsigned long long)dur);
+    std::fprintf(file_, ",\"pid\":0,\"tid\":1");
+    if (args.size() > 0) {
+        std::fprintf(file_, ",\"args\":{");
+        bool first = true;
+        for (const Arg &arg : args) {
+            std::fprintf(file_, "%s\"%s\":%llu", first ? "" : ",", arg.key,
+                         (unsigned long long)arg.value);
+            first = false;
+        }
+        std::fputc('}', file_);
+    }
+    std::fputc('}', file_);
+    firstEvent_ = false;
+    ++eventCount_;
+}
 
 namespace
 {
 
-std::mutex gMutex;
-std::FILE *gFile = nullptr;
-bool gFirstEvent = true;
-std::uint64_t gMaxEvents = 0;
-std::uint64_t gEventCount = 0;
-std::uint64_t gDropped = 0;
-
-/** Small per-thread track id so concurrent sweep items don't interleave. */
-std::atomic<unsigned> gNextTid{0};
-
-unsigned
-threadTid()
-{
-    thread_local unsigned tid = gNextTid.fetch_add(1) + 1;
-    return tid;
-}
-
-/**
- * Write one event record. Caller holds gMutex and has already applied
- * the cap. @p dur < 0 means "no dur field" (non-"X" phases).
- */
-void
-writeEvent(char phase, const char *cat, const char *name, Tick ts,
-           std::int64_t dur, std::initializer_list<Arg> args)
-{
-    std::fprintf(gFile, "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\","
-                        "\"ts\":%llu",
-                 gFirstEvent ? "\n" : ",\n", name, cat, phase,
-                 (unsigned long long)ts);
-    if (dur >= 0)
-        std::fprintf(gFile, ",\"dur\":%llu", (unsigned long long)dur);
-    std::fprintf(gFile, ",\"pid\":0,\"tid\":%u", threadTid());
-    if (args.size() > 0) {
-        std::fprintf(gFile, ",\"args\":{");
-        bool first = true;
-        for (const Arg &arg : args) {
-            std::fprintf(gFile, "%s\"%s\":%llu", first ? "" : ",", arg.key,
-                         (unsigned long long)arg.value);
-            first = false;
-        }
-        std::fputc('}', gFile);
-    }
-    std::fputc('}', gFile);
-    gFirstEvent = false;
-    ++gEventCount;
-}
-
-/** Shared emit path: gate, cap, write. */
+/** Shared emit path of the trace points: the bound sink, if any. */
 void
 emit(char phase, const char *cat, const char *name, Tick ts,
      std::int64_t dur, std::initializer_list<Arg> args)
 {
-    std::lock_guard<std::mutex> lock(gMutex);
-    if (gFile == nullptr)
-        return; // raced with stop()
-    if (gMaxEvents != 0 && gEventCount >= gMaxEvents) {
-        ++gDropped;
-        return;
-    }
-    writeEvent(phase, cat, name, ts, dur, args);
+    if (Sink *sink = detail::tBound)
+        sink->record(phase, cat, name, ts, dur, args);
 }
 
 } // namespace
-
-void
-start(const std::string &path, std::uint64_t max_events)
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    ovl_assert(gFile == nullptr, "trace sink already open");
-    gFile = std::fopen(path.c_str(), "w");
-    if (gFile == nullptr)
-        ovl_fatal("cannot open trace file %s", path.c_str());
-    std::fprintf(gFile, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    gFirstEvent = true;
-    gMaxEvents = max_events;
-    gEventCount = 0;
-    gDropped = 0;
-    detail::gActive.store(true, std::memory_order_release);
-}
-
-void
-stop()
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    if (gFile == nullptr)
-        return;
-    detail::gActive.store(false, std::memory_order_release);
-    if (gDropped > 0) {
-        // Record the truncation inside the trace itself (doesn't count
-        // against the cap — the cap already fired).
-        writeEvent('i', "trace", "trace_truncated", 0, -1,
-                   {{"dropped_events", gDropped}});
-        --gEventCount; // keep eventCount() = recorded model events
-    }
-    std::fprintf(gFile, "\n]}\n");
-    std::fclose(gFile);
-    gFile = nullptr;
-}
-
-std::uint64_t
-eventCount()
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    return gEventCount;
-}
-
-std::uint64_t
-droppedCount()
-{
-    std::lock_guard<std::mutex> lock(gMutex);
-    return gDropped;
-}
 
 void
 instant(const char *cat, const char *name, Tick ts,

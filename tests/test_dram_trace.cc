@@ -11,8 +11,7 @@
  * The pinned digest and exemplar lines were captured from the tree
  * before the fast paths landed; a mismatch means the "optimization"
  * moved a simulated timestamp or reordered events and must be fixed,
- * not re-pinned. The test runs alone in this binary so the trace sink's
- * thread-id counter is deterministic.
+ * not re-pinned.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -65,9 +65,10 @@ struct DramTraceDigest
 DramTraceDigest
 runTracedWorkload(const std::string &trace_path)
 {
-    trace::start(trace_path, 0);
     DramTraceDigest d;
     {
+        trace::Sink sink(trace_path);
+        trace::Sink::Bind bind(&sink);
         System sys;
         Asid p = sys.createProcess();
         constexpr std::uint64_t kBufBytes = 16ull << 20;
@@ -89,7 +90,6 @@ runTracedWorkload(const std::string &trace_path)
         d.rowConflicts = sys.dramController().dram().rowConflicts();
         d.drains = sys.dramController().drains();
     }
-    trace::stop();
 
     std::ifstream in(trace_path);
     std::string line;
@@ -148,4 +148,24 @@ TEST(DramTrace, DigestIsStableAcrossRuns)
     DramTraceDigest b = runTracedWorkload(path_b);
     EXPECT_EQ(a.hash, b.hash);
     EXPECT_EQ(a.lines.size(), b.lines.size());
+}
+
+/**
+ * A sink is bound to the thread that runs the job, and its events carry
+ * no thread identity: the same workload traced on the main thread and on
+ * a fresh thread must give the pinned digest both times.
+ */
+TEST(DramTrace, DigestIsIndependentOfTheEmittingThread)
+{
+    std::string main_path = testing::TempDir() + "dram_trace_main.json";
+    std::string thread_path = testing::TempDir() + "dram_trace_thread.json";
+    DramTraceDigest on_main = runTracedWorkload(main_path);
+    DramTraceDigest on_thread;
+    std::thread worker(
+        [&] { on_thread = runTracedWorkload(thread_path); });
+    worker.join();
+    EXPECT_EQ(on_main.hash, 17769249026016036339ull);
+    EXPECT_EQ(on_thread.hash, 17769249026016036339ull)
+        << "trace file: " << thread_path;
+    EXPECT_FALSE(trace::active()); // the binding ended with the job
 }

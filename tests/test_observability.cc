@@ -417,11 +417,12 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
     params.hotPages /= 16;
     params.dirtyPages /= 16;
 
-    trace::start(path);
-    runForkBench(params, ForkMode::OverlayOnWrite, SystemConfig{});
-    std::uint64_t events = trace::eventCount();
-    trace::stop();
-    EXPECT_GT(events, 0u);
+    {
+        trace::Sink sink(path);
+        trace::Sink::Bind bind(&sink);
+        runForkBench(params, ForkMode::OverlayOnWrite, SystemConfig{});
+        EXPECT_GT(sink.eventCount(), 0u);
+    }
 
     std::string text = slurp(path);
     ASSERT_TRUE(isValidJson(text));
@@ -477,12 +478,14 @@ TEST(Trace, ForkWorkloadTraceParsesWithBalancedSpans)
 TEST(Trace, EventCapTruncatesAndRecordsTheDrop)
 {
     std::string path = testing::TempDir() + "/ovl_capped_trace.json";
-    trace::start(path, 5);
-    for (unsigned i = 0; i < 12; ++i)
-        trace::instant("test", "tick", i * 10);
-    EXPECT_EQ(trace::eventCount(), 5u);
-    EXPECT_EQ(trace::droppedCount(), 7u);
-    trace::stop();
+    {
+        trace::Sink sink(path, 5);
+        trace::Sink::Bind bind(&sink);
+        for (unsigned i = 0; i < 12; ++i)
+            trace::instant("test", "tick", i * 10);
+        EXPECT_EQ(sink.eventCount(), 5u);
+        EXPECT_EQ(sink.droppedCount(), 7u);
+    }
 
     std::string text = slurp(path);
     EXPECT_TRUE(isValidJson(text));
@@ -516,11 +519,13 @@ TEST(Trace, InstrumentationDoesNotMoveSimulatedTime)
     std::string trace_path = testing::TempDir() + "/ovl_ab_trace.json";
     std::ostringstream samples;
     StatsSampler sampler(samples, 10'000, "libq/cow");
-    trace::start(trace_path);
-    ForkBenchResult traced =
-        runForkBench(params, ForkMode::CopyOnWrite, SystemConfig{},
-                     nullptr, nullptr, &sampler);
-    trace::stop();
+    ForkBenchResult traced;
+    {
+        trace::Sink sink(trace_path);
+        trace::Sink::Bind bind(&sink);
+        traced = runForkBench(params, ForkMode::CopyOnWrite, SystemConfig{},
+                              nullptr, nullptr, &sampler);
+    }
     std::remove(trace_path.c_str());
 
     EXPECT_EQ(traced.forkLatency, plain.forkLatency);

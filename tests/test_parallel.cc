@@ -1,7 +1,10 @@
 /** @file Tests for the parallel sweep runner (src/sim/parallel.hh). */
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -9,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/parallel.hh"
+#include "sim/trace.hh"
 #include "workload/forkbench.hh"
 
 using namespace ovl;
@@ -322,5 +326,57 @@ TEST(Parallel, ForkSweepIsDeterministicAcrossJobCounts)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("item " + std::to_string(i));
         expectSameResult(serial[i], parallel[i]);
+    }
+}
+
+/**
+ * Trace sinks belong to jobs: parallel items each open and bind their
+ * own sink, and every file is byte-identical to the same item traced at
+ * jobs 1 — no interleaving, no thread identity in the events.
+ */
+TEST(Parallel, ItemsTraceToTheirOwnSinks)
+{
+    std::vector<ForkBenchParams> items;
+    for (const char *name : {"libq", "mcf", "milc", "omnet"}) {
+        ForkBenchParams params = forkBenchByName(name);
+        params.warmupInstructions = 5'000;
+        params.postForkInstructions = 20'000;
+        params.footprintPages /= 16;
+        params.hotPages /= 16;
+        params.dirtyPages /= 16;
+        items.push_back(params);
+    }
+
+    auto path = [](unsigned jobs, std::size_t i) {
+        return testing::TempDir() + "/ovl_item_trace_j" +
+               std::to_string(jobs) + "_" + std::to_string(i) + ".json";
+    };
+    auto traceItems = [&](unsigned jobs) {
+        return parallelMap(
+            items.size(),
+            [&](std::size_t i) {
+                trace::Sink sink(path(jobs, i));
+                trace::Sink::Bind bind(&sink);
+                ForkMode mode = i % 2 ? ForkMode::OverlayOnWrite
+                                      : ForkMode::CopyOnWrite;
+                runForkBench(items[i], mode, SystemConfig{});
+                return sink.eventCount();
+            },
+            jobs);
+    };
+    auto slurp = [](const std::string &file) {
+        std::ifstream is(file, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    std::vector<std::uint64_t> serial_events = traceItems(1);
+    EXPECT_EQ(traceItems(4), serial_events);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        SCOPED_TRACE(items[i].name);
+        EXPECT_GT(serial_events[i], 0u);
+        EXPECT_EQ(slurp(path(4, i)), slurp(path(1, i)));
+        std::remove(path(1, i).c_str());
+        std::remove(path(4, i).c_str());
     }
 }

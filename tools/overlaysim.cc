@@ -80,8 +80,9 @@ usage()
                  " <forkbench|checkpoint|restore|stats-diff|spmv|trace"
                  "|config> ...\n"
                  "  forkbench <name|all> [--mode cow|oow|both]"
-                 " [--post-instr N] [--stats FILE] [--record FILE]\n"
-                 "            [--json FILE (single benchmark + mode)]\n"
+                 " [--post-instr N] [--stats FILE]\n"
+                 "            [--record FILE] [--json FILE]"
+                 " (single benchmark + mode)\n"
                  "            %s\n"
                  "            [--checkpoint-every T --checkpoint-file"
                  " FILE]\n"
@@ -165,9 +166,10 @@ cmdForkbench(std::vector<std::string> args)
     }
     bool run_cow = !mode_str || *mode_str == "cow" || *mode_str == "both";
     bool run_oow = !mode_str || *mode_str == "oow" || *mode_str == "both";
-    if (json_path && (selected.size() != 1 || (run_cow && run_oow))) {
-        ovl_fatal("--json needs a single benchmark and a single --mode"
-                  " (the file holds one golden-stats dump)");
+    if ((json_path || record_path) &&
+        (selected.size() != 1 || (run_cow && run_oow))) {
+        ovl_fatal("--json and --record need a single benchmark and a"
+                  " single --mode (each file holds one run)");
     }
     if (post) {
         for (ForkBenchParams &params : selected)
