@@ -20,13 +20,16 @@
  * Sampled mode also prints the host-time split of the post-fork phase
  * (detailed prefix vs functional fast-forward wall seconds) — the
  * measured cost of the detail the sampling skips. N and M are strict
- * decimals: `1e6` or `5k` exits 1 with a diagnostic.
+ * decimals: `1e6` or `5k` exits 1 with a diagnostic, and so does an M
+ * outside 1..N or an M without N.
  *
  * `overlaysim forkbench <name> --mode cow|oow|both --trace-out FILE`
  * traces the same runs.
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,12 +55,12 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 1, argv + argc);
     unsigned jobs = 1;
     SampledSimParams sampled;
+    std::optional<std::uint64_t> detail;
     try {
         jobs = takeJobs(args);
         sampled.intervalInstructions =
             cli::takeCount(args, "--sample-interval").value_or(0);
-        sampled.detailedInstructions =
-            cli::takeCount(args, "--detail").value_or(0);
+        detail = cli::takeCount(args, "--detail");
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
@@ -75,6 +78,24 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s: --sample-check needs --sample-interval\n",
                      argv[0]);
         return 1;
+    }
+    if (detail) {
+        // The detailed prefix is part of each window: 1 to N.
+        if (sampled.intervalInstructions == 0) {
+            std::fprintf(stderr, "%s: --detail needs --sample-interval\n",
+                         argv[0]);
+            return 1;
+        }
+        if (*detail == 0 || *detail > sampled.intervalInstructions) {
+            std::fprintf(stderr,
+                         "%s: --detail expects 1 to the --sample-interval"
+                         " %llu, got %llu\n",
+                         argv[0],
+                         (unsigned long long)sampled.intervalInstructions,
+                         (unsigned long long)*detail);
+            return 1;
+        }
+        sampled.detailedInstructions = *detail;
     }
 
     const bool sampling = sampled.intervalInstructions != 0;

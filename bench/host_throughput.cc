@@ -7,45 +7,40 @@
  * and core count — the same wall that pushes Virtuoso to imitation-based
  * modeling and gem5-class simulators to sampled slices.
  *
- * Output: BENCH_throughput.json (schema: a "_run" entry with {jobs,
- * wall_seconds} for the whole run, then workload -> {accesses, seconds,
- * Maccess_per_s, simulated_ticks, jobs, wall_seconds}). simulated_ticks
- * is a determinism fingerprint: a host-side optimization must not move
- * it by a single tick (scripts/bench_compare.py diffs two runs and flags
- * regressions). jobs records how many worker threads ran the workloads.
- * Per-workload wall_seconds is that workload's own wall-clock including
- * setup (seconds times only the measured hot loop); the run total lives
- * in "_run". Per-workload Maccess_per_s is only comparable between runs
- * with equal jobs (workloads contend for cores when jobs > 1), so
- * bench_compare.py skips the throughput and wall gates on a jobs
- * mismatch but always checks simulated_ticks.
+ * The suite is one table of workloads (kWorkloads: name, body, access
+ * count), run one at a time on the calling thread: serial execution is
+ * what makes per-workload host time and profile windows meaningful.
  *
- * Usage: host_throughput [-o out.json] [--scale N] [--jobs N]
- *                        [--only NAME] [--best-of N] [sink flags]
- *   --scale multiplies every workload's access count (default 1).
+ * Output: BENCH_throughput.json (schema: a "_run" entry with
+ * {wall_seconds, best_of, host} for the whole run, then workload ->
+ * {accesses, seconds, Maccess_per_s, simulated_ticks, wall_seconds}).
+ * simulated_ticks is a determinism fingerprint: a host-side optimization
+ * must not move it by a single tick (scripts/bench_compare.py diffs two
+ * runs and flags regressions). Per-workload wall_seconds is that
+ * workload's own wall-clock including setup (seconds times only the
+ * measured hot loop); the run total lives in "_run". The "_run" host/
+ * build metadata (CPU, cores, compiler, flags, build type) lets
+ * bench_compare.py flag cross-host comparisons that need --normalize.
+ *
+ * Usage: host_throughput [-o out.json] [--only NAME] [--best-of N]
+ *                        [sink flags]
  *   --only runs a single workload by name (repeatable; profiling and
- *     per-workload A/B runs want an unpolluted measurement).
+ *     per-workload A/B runs want an unpolluted measurement). A name
+ *     that matches no workload exits 1.
  *   --best-of repeats the whole suite N times and reports each
  *     workload's fastest run (the standard noise filter for shared CI
- *     runners, previously scripted around the binary); repeats must
- *     agree on simulated_ticks or the run fails. "_run" records the
- *     repeat count as "best_of". Incompatible with the sampler/trace/
- *     profile sinks, which are single-shot streams.
- *   --jobs runs the workloads on N worker threads (default 1: serial,
- *     the measurement-isolation default for this harness).
+ *     runners); repeats must agree on simulated_ticks or the run fails.
+ *     "_run" records the repeat count as "best_of". Incompatible with
+ *     the sink flags, which are single-shot streams.
  *   The sink flags of observe::Session (src/sim/observe.hh: JSONL stats
  *     samples, Chrome trace, host-time profile; DESIGN.md §9.4) give each
- *     workload its own run label. Every sink requires --jobs 1 (one
- *     stream per sink, per-workload attribution windows).
- *
- * The "_run" record also carries host/build metadata (CPU, cores,
- * compiler, flags, build type) so bench_compare.py can flag cross-host
- * comparisons that need --normalize.
+ *     workload its own run label.
  *
  * Instrumentation changes host throughput, never simulated_ticks: an
  * instrumented run's fingerprint must equal the plain run's.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -61,12 +56,10 @@
 #include "common/random.hh"
 #include "sim/hostinfo.hh"
 #include "sim/observe.hh"
-#include "sim/parallel.hh"
 #include "system/system.hh"
 #include "workload/forkbench.hh"
 
 using namespace ovl;
-using cli::takeCount;
 using cli::takeFlag;
 using cli::takePositiveCount;
 
@@ -94,124 +87,115 @@ elapsed(Clock::time_point start)
 constexpr Addr kBase = 0x100000;
 
 /**
- * Sequential read sweep: 64 B strides over a 16 MiB anonymous buffer,
- * wrapping. Every access opens a new line (L1/L2/L3 miss on the first
- * lap, prefetch-assisted after), so this exercises the full
- * TLB -> hierarchy -> DRAM path. The request stream is materialized
- * before the timed region and driven through System::accessBatch —
- * trace-driven style — so the measurement covers the simulator, not
- * the bench's address generator. (Tick-identical to the former
- * per-access read() loop: the functional data movement it carried
- * never advanced simulated time.)
+ * The trace-driven body shared by seq_read, seq_write, random_mix and
+ * sparse_spmv: map @p footprint bytes at kBase (anonymous, or a
+ * zero-backed overlay region), attach the sampler and time one
+ * System::accessBatch over the materialized request stream, so the
+ * measurement covers the simulator, not the bench's address generator.
  */
 Result
-seqRead(std::uint64_t accesses, StatsSampler *sampler)
+runStream(std::uint64_t footprint, bool zero_overlay,
+          const std::vector<AccessRequest> &reqs, StatsSampler *sampler)
 {
     System sys;
     Asid p = sys.createProcess();
-    constexpr std::uint64_t kBufBytes = 16ull << 20;
-    sys.mapAnon(p, kBase, kBufBytes);
+    if (zero_overlay)
+        sys.mapZeroOverlay(p, kBase, footprint);
+    else
+        sys.mapAnon(p, kBase, footprint);
     sys.attachStatsSampler(sampler);
 
-    std::vector<AccessRequest> reqs(accesses);
-    for (std::uint64_t i = 0; i < accesses; ++i)
-        reqs[i] = AccessRequest{kBase + (i * kLineSize) % kBufBytes, false};
     auto start = Clock::now();
     Tick t = sys.accessBatch(p, reqs, 0);
     double secs = elapsed(start);
     sys.detachStatsSampler(t);
-    return Result{"seq_read", accesses, secs, t};
+    return Result{{}, reqs.size(), secs, t};
 }
 
-/** Sequential write sweep over the same geometry. */
-Result
-seqWrite(std::uint64_t accesses, StatsSampler *sampler)
+/** Append @p n line-stride accesses sweeping @p footprint, wrapping. */
+void
+appendSweep(std::vector<AccessRequest> &reqs, std::uint64_t n,
+            std::uint64_t footprint, bool is_write)
 {
-    System sys;
-    Asid p = sys.createProcess();
-    constexpr std::uint64_t kBufBytes = 16ull << 20;
-    sys.mapAnon(p, kBase, kBufBytes);
-    sys.attachStatsSampler(sampler);
+    for (std::uint64_t i = 0; i < n; ++i)
+        reqs.push_back(
+            AccessRequest{kBase + (i * kLineSize) % footprint, is_write});
+}
 
-    std::vector<AccessRequest> reqs(accesses);
-    for (std::uint64_t i = 0; i < accesses; ++i)
-        reqs[i] = AccessRequest{kBase + (i * kLineSize) % kBufBytes, true};
-    auto start = Clock::now();
-    Tick t = sys.accessBatch(p, reqs, 0);
-    double secs = elapsed(start);
-    sys.detachStatsSampler(t);
-    return Result{"seq_write", accesses, secs, t};
+/**
+ * Sequential read or write sweep: 64 B strides over a 16 MiB anonymous
+ * buffer. Every access opens a new line (L1/L2/L3 miss on the first
+ * lap, prefetch-assisted after), so this exercises the full
+ * TLB -> hierarchy -> DRAM path.
+ */
+Result
+sequential(std::uint64_t accesses, bool is_write, StatsSampler *sampler)
+{
+    constexpr std::uint64_t kBufBytes = 16ull << 20;
+    std::vector<AccessRequest> reqs;
+    reqs.reserve(accesses);
+    appendSweep(reqs, accesses, kBufBytes, is_write);
+    return runStream(kBufBytes, false, reqs, sampler);
 }
 
 /** Fixed-seed random 2:1 read/write mix over a 64 MiB footprint. */
 Result
 randomMix(std::uint64_t accesses, StatsSampler *sampler)
 {
-    System sys;
-    Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 64ull << 20;
-    sys.mapAnon(p, kBase, kBufBytes);
-    sys.attachStatsSampler(sampler);
-
     Rng rng(12345);
     std::vector<AccessRequest> reqs(accesses);
     for (std::uint64_t i = 0; i < accesses; ++i) {
         reqs[i] = AccessRequest{kBase + lineBase(rng.below(kBufBytes)),
                                 i % 3 == 2};
     }
-    auto start = Clock::now();
-    Tick t = sys.accessBatch(p, reqs, 0);
-    double secs = elapsed(start);
-    sys.detachStatsSampler(t);
-    return Result{"random_mix", accesses, secs, t};
+    return runStream(kBufBytes, false, reqs, sampler);
 }
 
 /**
  * Sparse-SpMV-flavoured mix (§5.2): a zero-backed overlay region where
- * ~1/16 of the lines diverge via overlaying writes, then repeated
- * row-sweep reads that hit a blend of overlay lines and the shared zero
- * frame. Exercises the OMT cache, OMS allocator and overlay read path.
+ * every 16th line diverges via an overlaying write, then row-sweep
+ * reads over the whole region that hit a blend of overlay lines and the
+ * shared zero frame. Exercises the OMT cache, OMS allocator and overlay
+ * read path. @p accesses counts both phases, so it must exceed the
+ * 8192 populating writes.
  */
 Result
 sparseSpmv(std::uint64_t accesses, StatsSampler *sampler)
 {
-    System sys;
-    Asid p = sys.createProcess();
     constexpr std::uint64_t kBufBytes = 8ull << 20;
-    sys.mapZeroOverlay(p, kBase, kBufBytes);
-    sys.attachStatsSampler(sampler);
-
-    // Populate: every 16th line diverges (an overlaying write each).
-    // Sweep: read every line; 1/16 comes from the overlay space.
-    std::uint64_t populated = 0;
+    constexpr std::uint64_t kPopulated = kBufBytes / (16 * kLineSize);
     std::vector<AccessRequest> reqs;
     reqs.reserve(accesses);
-    for (Addr off = 0; off < kBufBytes; off += 16 * kLineSize) {
-        reqs.push_back(AccessRequest{kBase + off, true});
-        ++populated;
-    }
-    std::uint64_t reads = accesses > populated ? accesses - populated : 0;
-    for (std::uint64_t i = 0; i < reads; ++i)
-        reqs.push_back(
-            AccessRequest{kBase + (i * kLineSize) % kBufBytes, false});
-    auto start = Clock::now();
-    Tick t = sys.accessBatch(p, reqs, 0);
-    double secs = elapsed(start);
-    sys.detachStatsSampler(t);
-    return Result{"sparse_spmv", populated + reads, secs, t};
+    for (std::uint64_t i = 0; i < kPopulated; ++i)
+        reqs.push_back(AccessRequest{kBase + i * 16 * kLineSize, true});
+    appendSweep(reqs, accesses - kPopulated, kBufBytes, false);
+    return runStream(kBufBytes, true, reqs, sampler);
 }
 
 /**
- * Fork/CoW churn: repeatedly fork a parent (overlay-on-write), have the
- * child diverge one line per page, then tear the child down. Exercises
- * fork's table copy, overlaying writes, unmap and frame recycling.
+ * Fork churn: repeatedly fork a 512-page parent (overlay-on-write),
+ * have the child diverge one line per page, then tear the child down.
+ * Exercises fork's table copy, overlaying writes, unmap and frame
+ * recycling.
+ *
+ * One iteration in every @p detail_every runs through the detailed
+ * timing model; the rest fast-forward functionally (DESIGN.md §10:
+ * architectural state plus cache/TLB warming, zero tick movement).
+ * fork_cow passes 1 (every iteration detailed); fork_cow_sampled
+ * passes 8, so its Maccess_per_s is the effective rate of the sampled
+ * mode and its simulated_ticks, the detailed-window total, is only
+ * comparable against other sampled runs. `accesses` counts every
+ * simulated access, detailed or functional.
  */
 Result
-forkCow(std::uint64_t accesses, StatsSampler *sampler)
+forkChurn(std::uint64_t accesses, std::uint64_t detail_every,
+          StatsSampler *sampler)
 {
     System sys;
     Asid parent = sys.createProcess();
     constexpr std::uint64_t kPages = 512;
+    constexpr ForkMode kMode = ForkMode::OverlayOnWrite;
     sys.mapAnon(parent, kBase, kPages * kPageSize);
     sys.attachStatsSampler(sampler);
 
@@ -223,71 +207,26 @@ forkCow(std::uint64_t accesses, StatsSampler *sampler)
     }
     std::uint64_t done = kPages;
     auto start = Clock::now();
-    while (done < accesses) {
-        Asid child = sys.fork(parent, ForkMode::OverlayOnWrite, t, &t);
+    for (std::uint64_t iter = 0; done < accesses; ++iter) {
+        bool detailed = iter % detail_every == 0;
+        Asid child = detailed ? sys.fork(parent, kMode, t, &t)
+                              : sys.forkFunctional(parent, kMode);
         for (std::uint64_t pg = 0; pg < kPages && done < accesses;
              ++pg, ++done) {
-            t = sys.access(child, kBase + pg * kPageSize, true, t);
+            Addr va = kBase + pg * kPageSize;
+            if (detailed)
+                t = sys.access(child, va, true, t);
+            else
+                sys.accessFunctional(child, va, true);
         }
-        sys.destroyProcess(child, t);
-    }
-    double secs = elapsed(start);
-    sys.detachStatsSampler(t);
-    return Result{"fork_cow", done - kPages, secs, t};
-}
-
-/**
- * Sampled-simulation variant of fork_cow (DESIGN.md §10): one fork/
- * write/teardown iteration in every kDetailEvery runs through the
- * detailed timing model; the rest fast-forward functionally
- * (forkFunctional / accessFunctional / destroyProcessFunctional —
- * architectural state plus cache/TLB warming, zero tick movement).
- * `accesses` counts every simulated access, detailed or functional, so
- * Maccess_per_s measures the effective simulation rate of the sampled
- * mode. simulated_ticks is the detailed-window tick total — still a
- * deterministic fingerprint, but only comparable against other sampled
- * runs.
- */
-Result
-forkCowSampled(std::uint64_t accesses, StatsSampler *sampler)
-{
-    System sys;
-    Asid parent = sys.createProcess();
-    constexpr std::uint64_t kPages = 512;
-    constexpr std::uint64_t kDetailEvery = 8;
-    sys.mapAnon(parent, kBase, kPages * kPageSize);
-    sys.attachStatsSampler(sampler);
-
-    Tick t = 0;
-    for (std::uint64_t pg = 0; pg < kPages; ++pg) {
-        std::uint64_t val = pg;
-        t = sys.write(parent, kBase + pg * kPageSize, &val, sizeof(val), t);
-    }
-    std::uint64_t done = kPages;
-    std::uint64_t iter = 0;
-    auto start = Clock::now();
-    while (done < accesses) {
-        bool detailed = iter++ % kDetailEvery == 0;
-        if (detailed) {
-            Asid child = sys.fork(parent, ForkMode::OverlayOnWrite, t, &t);
-            for (std::uint64_t pg = 0; pg < kPages && done < accesses;
-                 ++pg, ++done) {
-                t = sys.access(child, kBase + pg * kPageSize, true, t);
-            }
+        if (detailed)
             sys.destroyProcess(child, t);
-        } else {
-            Asid child = sys.forkFunctional(parent,
-                                            ForkMode::OverlayOnWrite);
-            for (std::uint64_t pg = 0; pg < kPages && done < accesses;
-                 ++pg, ++done) {
-                sys.accessFunctional(child, kBase + pg * kPageSize, true);
-            }
+        else
             sys.destroyProcessFunctional(child);
-        }
     }
     double secs = elapsed(start);
     sys.detachStatsSampler(t);
-    return Result{"fork_cow_sampled", done - kPages, secs, t};
+    return Result{{}, done - kPages, secs, t};
 }
 
 /**
@@ -351,7 +290,7 @@ sweepColdstart(std::uint64_t accesses, StatsSampler *)
         instructions +=
             params.warmupInstructions + params.postForkInstructions;
     }
-    return Result{"sweep_coldstart", instructions, elapsed(start), fp};
+    return Result{{}, instructions, elapsed(start), fp};
 }
 
 Result
@@ -370,12 +309,39 @@ sweepWarmstart(std::uint64_t accesses, StatsSampler *)
             runForkBenchFromWarmState(warm, row.mode, &cfg));
         instructions += params.postForkInstructions;
     }
-    return Result{"sweep_warmstart", instructions, elapsed(start), fp};
+    return Result{{}, instructions, elapsed(start), fp};
 }
+
+/** One row of the suite: the runner stamps `name` on the result. */
+struct Workload
+{
+    const char *name;
+    Result (*run)(std::uint64_t accesses, StatsSampler *sampler);
+    std::uint64_t accesses;
+};
+
+constexpr Workload kWorkloads[] = {
+    {"seq_read",
+     [](std::uint64_t n, StatsSampler *s) { return sequential(n, false, s); },
+     4'000'000},
+    {"seq_write",
+     [](std::uint64_t n, StatsSampler *s) { return sequential(n, true, s); },
+     4'000'000},
+    {"random_mix", randomMix, 2'000'000},
+    {"sparse_spmv", sparseSpmv, 2'000'000},
+    {"fork_cow",
+     [](std::uint64_t n, StatsSampler *s) { return forkChurn(n, 1, s); },
+     1'000'000},
+    {"fork_cow_sampled",
+     [](std::uint64_t n, StatsSampler *s) { return forkChurn(n, 8, s); },
+     1'000'000},
+    {"sweep_coldstart", sweepColdstart, 1'000'000},
+    {"sweep_warmstart", sweepWarmstart, 1'000'000},
+};
 
 void
 writeJson(const std::vector<Result> &results, const std::string &path,
-          unsigned jobs, double wall_seconds, unsigned best_of)
+          double wall_seconds, unsigned best_of)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -384,20 +350,19 @@ writeJson(const std::vector<Result> &results, const std::string &path,
     }
     std::fprintf(f, "{\n");
     std::fprintf(f,
-                 "  \"_run\": {\"jobs\": %u, \"wall_seconds\": %.6f, "
-                 "\"best_of\": %u, \"host\": %s},\n",
-                 jobs, wall_seconds, best_of, hostInfoJson().c_str());
+                 "  \"_run\": {\"wall_seconds\": %.6f, \"best_of\": %u, "
+                 "\"host\": %s},\n",
+                 wall_seconds, best_of, hostInfoJson().c_str());
     for (std::size_t i = 0; i < results.size(); ++i) {
         const Result &r = results[i];
         double maps = double(r.accesses) / r.seconds / 1e6;
         std::fprintf(f,
                      "  \"%s\": {\"accesses\": %llu, \"seconds\": %.6f, "
                      "\"Maccess_per_s\": %.3f, \"simulated_ticks\": %llu, "
-                     "\"jobs\": %u, \"wall_seconds\": %.6f}%s\n",
+                     "\"wall_seconds\": %.6f}%s\n",
                      r.workload.c_str(),
                      (unsigned long long)r.accesses, r.seconds, maps,
-                     (unsigned long long)r.simulatedTicks, jobs,
-                     r.wallSeconds,
+                     (unsigned long long)r.simulatedTicks, r.wallSeconds,
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "}\n");
@@ -409,18 +374,14 @@ runSuite(std::vector<std::string> args, const char *prog)
 {
     observe::Session session(args);
     std::string out = takeFlag(args, "-o").value_or("BENCH_throughput.json");
-    std::uint64_t scale = takeCount(args, "--scale").value_or(1);
-    // Unlike the sweep benches, this harness measures host throughput,
-    // so it defaults to jobs=1 (serial) for measurement isolation.
-    unsigned jobs = takePositiveCount(args, "--jobs").value_or(1);
     unsigned best_of = takePositiveCount(args, "--best-of").value_or(1);
     std::vector<std::string> only;
     while (std::optional<std::string> name = takeFlag(args, "--only"))
         only.push_back(*name);
     if (!args.empty()) {
         std::fprintf(stderr,
-                     "usage: %s [-o out.json] [--scale N] [--jobs N]"
-                     " [--only NAME] [--best-of N] %s\n",
+                     "usage: %s [-o out.json] [--only NAME] [--best-of N]"
+                     " %s\n",
                      prog, observe::kUsage);
         return 1;
     }
@@ -433,87 +394,49 @@ runSuite(std::vector<std::string> args, const char *prog)
                      prog);
         return 1;
     }
-    if (jobs != 1 && session.anySink()) {
-        // Each sink is one stream bound to one run at a time: parallel
-        // workloads would interleave their records, and per-workload
-        // attribution windows need workloads to run one at a time.
-        std::fprintf(stderr,
-                     "%s: --stats-out, --trace-out and --profile-out"
-                     " require --jobs 1\n",
-                     prog);
-        return 1;
-    }
-
-    Result (*const all_workloads[])(std::uint64_t, StatsSampler *) = {
-        seqRead,        seqWrite,       randomMix,
-        sparseSpmv,     forkCow,        forkCowSampled,
-        sweepColdstart, sweepWarmstart,
-    };
-    const char *const all_names[] = {
-        "seq_read",    "seq_write", "random_mix",
-        "sparse_spmv", "fork_cow",  "fork_cow_sampled",
-        "sweep_coldstart", "sweep_warmstart",
-    };
-    const std::uint64_t all_counts[] = {
-        4'000'000 * scale, 4'000'000 * scale, 2'000'000 * scale,
-        2'000'000 * scale, 1'000'000 * scale, 1'000'000 * scale,
-        1'000'000 * scale, 1'000'000 * scale,
-    };
-
-    std::vector<Result (*)(std::uint64_t, StatsSampler *)> workloads;
-    std::vector<std::string> names;
-    std::vector<std::uint64_t> counts;
-    for (std::size_t i = 0; i < std::size(all_workloads); ++i) {
-        bool selected = only.empty();
-        for (const std::string &name : only)
-            selected = selected || name == all_names[i];
-        if (selected) {
-            workloads.push_back(all_workloads[i]);
-            names.emplace_back(all_names[i]);
-            counts.push_back(all_counts[i]);
+    for (const std::string &name : only) {
+        if (std::none_of(std::begin(kWorkloads), std::end(kWorkloads),
+                         [&](const Workload &w) { return name == w.name; })) {
+            std::fprintf(stderr, "%s: --only %s matches no workload\n", prog,
+                         name.c_str());
+            return 1;
         }
     }
-    if (workloads.empty()) {
-        std::fprintf(stderr, "%s: --only matched no workload\n", prog);
-        return 1;
+    std::vector<const Workload *> selected;
+    for (const Workload &w : kWorkloads) {
+        if (only.empty() ||
+            std::find(only.begin(), only.end(), w.name) != only.end())
+            selected.push_back(&w);
     }
 
     auto wall_start = Clock::now();
-    std::vector<Result> results;
+    std::vector<Result> results(selected.size());
     for (unsigned rep = 0; rep < best_of; ++rep) {
-        std::vector<Result> run = parallelMap(
-            workloads.size(),
-            [&](std::size_t i) {
-                // One session run per workload: its own sampler and
-                // profile window (both imply jobs == 1, checked above).
-                return session.run(names[i], [&](StatsSampler *sampler) {
-                    auto workload_start = Clock::now();
-                    Result r = workloads[i](counts[i], sampler);
-                    r.wallSeconds = elapsed(workload_start);
-                    return r;
-                });
-            },
-            jobs,
-            [&names](std::size_t i) { return names[i]; });
-        if (rep == 0) {
-            results = std::move(run);
-            continue;
-        }
-        // Best-of merge (the noise filter CI used to script in python):
-        // keep each workload's fastest run, and fail hard if repeats ever
-        // disagree on simulated_ticks — that is a determinism bug.
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (run[i].simulatedTicks != results[i].simulatedTicks) {
+        for (std::size_t i = 0; i < selected.size(); ++i) {
+            const Workload &w = *selected[i];
+            // One session run per workload: its own sampler and profile
+            // window.
+            Result r = session.run(w.name, [&](StatsSampler *sampler) {
+                auto workload_start = Clock::now();
+                Result res = w.run(w.accesses, sampler);
+                res.wallSeconds = elapsed(workload_start);
+                return res;
+            });
+            r.workload = w.name;
+            // Best-of merge: keep each workload's fastest run, and fail
+            // hard if repeats ever disagree on simulated_ticks — that is
+            // a determinism bug.
+            if (rep > 0 && r.simulatedTicks != results[i].simulatedTicks) {
                 std::fprintf(stderr,
                              "%s: simulated_ticks drift across repeats "
                              "(%llu vs %llu)\n",
-                             names[i].c_str(),
+                             w.name,
                              (unsigned long long)results[i].simulatedTicks,
-                             (unsigned long long)run[i].simulatedTicks);
+                             (unsigned long long)r.simulatedTicks);
                 return 1;
             }
-            if (run[i].seconds < results[i].seconds)
-                results[i] = run[i];
+            if (rep == 0 || r.seconds < results[i].seconds)
+                results[i] = std::move(r);
         }
     }
     double wall_seconds = elapsed(wall_start);
@@ -528,9 +451,9 @@ runSuite(std::vector<std::string> args, const char *prog)
                     double(r.accesses) / r.seconds / 1e6,
                     (unsigned long long)r.simulatedTicks);
     }
-    std::printf("%-12s jobs=%u best_of=%u wall=%.3fs\n", "(run)", jobs,
-                best_of, wall_seconds);
-    writeJson(results, out, jobs, wall_seconds, best_of);
+    std::printf("%-12s best_of=%u wall=%.3fs\n", "(run)", best_of,
+                wall_seconds);
+    writeJson(results, out, wall_seconds, best_of);
     std::printf("\nwrote %s\n", out.c_str());
     return 0;
 }

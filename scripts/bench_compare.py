@@ -12,18 +12,11 @@ is a determinism break (the optimizations this harness guards must not
 move the timing model by a single tick). Exits non-zero on either.
 
 Entries whose name starts with "_" (the "_run" run-level record) are
-not workloads and are skipped. Files written before the per-workload
-wall_seconds field stamped the run-level total onto every workload;
-wall comparison against such a baseline is still printed but reflects
-that older meaning.
+not workloads and are skipped.
 
 Workload sets may differ between the two files: a workload present in
 only one side is reported as "missing in baseline" / "missing in
-candidate" and fails the comparison, rather than raising. If the two
-runs used different --jobs counts, host throughput is not comparable
-(workloads contend for cores when jobs > 1), so the throughput gate is
-skipped with a note — the simulated_ticks determinism check still
-applies.
+candidate" and fails the comparison, rather than raising.
 
 --normalize divides every per-workload ratio by the geometric-mean
 ratio across the workloads common to both files before applying the
@@ -59,12 +52,10 @@ def main():
     # Cross-host comparison check: the "_run" record carries host/build
     # metadata (CPU, cores, compiler, flags, build type). Absolute
     # throughput is not comparable across different hosts or builds, so
-    # warn unless --normalize is already compensating. Older files
-    # predate the "host" field; nothing to check then.
-    base_host = base.get("_run", {}).get("host")
-    cand_host = cand.get("_run", {}).get("host")
-    if (base_host is not None and cand_host is not None
-            and base_host != cand_host and not args.normalize):
+    # warn unless --normalize is already compensating.
+    base_host = base["_run"]["host"]
+    cand_host = cand["_run"]["host"]
+    if base_host != cand_host and not args.normalize:
         diff_keys = sorted(k for k in set(base_host) | set(cand_host)
                            if base_host.get(k) != cand_host.get(k))
         print(f"warning: host/build metadata differs "
@@ -82,22 +73,14 @@ def main():
     norm = 1.0
     wall_norm = 1.0
     if args.normalize:
-        ratios = [cand[n]["Maccess_per_s"] / base[n]["Maccess_per_s"]
-                  for n in base
-                  if n in cand
-                  and base[n].get("Maccess_per_s")
-                  and cand[n].get("Maccess_per_s")]
-        if ratios:
-            norm = geomean(ratios)
+        common = [n for n in base if n in cand]
+        if common:
+            norm = geomean([cand[n]["Maccess_per_s"] /
+                            base[n]["Maccess_per_s"] for n in common])
+            wall_norm = geomean([cand[n]["wall_seconds"] /
+                                 base[n]["wall_seconds"] for n in common])
             print(f"normalizing by geomean ratio {norm:.3f} "
-                  f"({len(ratios)} workloads)")
-        wall_ratios = [cand[n]["wall_seconds"] / base[n]["wall_seconds"]
-                       for n in base
-                       if n in cand
-                       and base[n].get("wall_seconds")
-                       and cand[n].get("wall_seconds")]
-        if wall_ratios:
-            wall_norm = geomean(wall_ratios)
+                  f"({len(common)} workloads)")
 
     failed = False
     print(f"{'workload':<16}{'base MA/s':>12}{'cand MA/s':>12}"
@@ -112,54 +95,31 @@ def main():
             failed = True
             continue
         if name not in base:
-            cm = cand[name].get("Maccess_per_s", float("nan"))
+            cm = cand[name]["Maccess_per_s"]
             print(f"{name:<16}{'':>12}{cm:>12.3f}{'':>9}{'':>11}  "
                   f"missing in baseline (new workload)")
             failed = True
             continue
         b, c = base[name], cand[name]
-        bm = b.get("Maccess_per_s")
-        cm = c.get("Maccess_per_s")
+        bm, cm = b["Maccess_per_s"], c["Maccess_per_s"]
         notes = []
-        # Older files predate the jobs field; treat absent as jobs=1.
-        b_jobs = b.get("jobs", 1)
-        c_jobs = c.get("jobs", 1)
-        if bm is None or cm is None:
-            delta_text = f"{'n/a':>9}"
-            notes.append("Maccess_per_s missing")
+        delta = (cm / norm - bm) / bm * 100.0
+        if delta < -args.threshold:
+            notes.append(f"REGRESSION (> {args.threshold:g}% slower)")
             failed = True
-        else:
-            delta = (cm / norm - bm) / bm * 100.0
-            delta_text = f"{delta:>+8.1f}%"
-            if b_jobs != c_jobs:
-                notes.append(f"jobs differ ({b_jobs} vs {c_jobs}); "
-                             f"throughput gate skipped")
-            elif delta < -args.threshold:
-                notes.append(f"REGRESSION (> {args.threshold:g}% slower)")
-                failed = True
         # Per-workload wall time: slower is positive delta, and beyond
-        # the threshold it is a regression under the same jobs rule.
-        bw = b.get("wall_seconds")
-        cw = c.get("wall_seconds")
-        if bw and cw:
-            wall_delta = (cw / wall_norm - bw) / bw * 100.0
-            wall_text = f"{wall_delta:>+10.1f}%"
-            if b_jobs == c_jobs and wall_delta > args.threshold:
-                notes.append(f"WALL REGRESSION (> {args.threshold:g}% "
-                             f"slower)")
-                failed = True
-        else:
-            wall_text = f"{'n/a':>11}"
-        if (b.get("simulated_ticks") is not None
-                and c.get("simulated_ticks") is not None
-                and b.get("accesses") == c.get("accesses")
+        # the threshold it is a regression too.
+        bw, cw = b["wall_seconds"], c["wall_seconds"]
+        wall_delta = (cw / wall_norm - bw) / bw * 100.0
+        if wall_delta > args.threshold:
+            notes.append(f"WALL REGRESSION (> {args.threshold:g}% slower)")
+            failed = True
+        if (b["accesses"] == c["accesses"]
                 and b["simulated_ticks"] != c["simulated_ticks"]):
             notes.append("DETERMINISM BREAK (simulated_ticks moved)")
             failed = True
-        bm_text = f"{bm:>12.3f}" if bm is not None else f"{'n/a':>12}"
-        cm_text = f"{cm:>12.3f}" if cm is not None else f"{'n/a':>12}"
-        print(f"{name:<16}{bm_text}{cm_text}{delta_text}{wall_text}  "
-              f"{'; '.join(notes)}")
+        print(f"{name:<16}{bm:>12.3f}{cm:>12.3f}{delta:>+8.1f}%"
+              f"{wall_delta:>+10.1f}%  {'; '.join(notes)}")
 
     return 1 if failed else 0
 

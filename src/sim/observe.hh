@@ -15,10 +15,9 @@
  * (one key per label in the profile JSON), and runs with the session's
  * trace sink bound to the calling thread. The session owns its sample
  * stream and its trace sink; the profiler registry is process-global.
- * So construct and finish a session on the main thread, and call run()
- * from parallelMap workers only while no sink is open (anySink() is
- * false). A parallel job that wants a trace opens and binds its own
- * trace::Sink instead.
+ * So a session is constructed, run and finished on one thread, the
+ * main thread: its runs are serial. A parallelMap job that wants a
+ * trace opens and binds its own trace::Sink instead.
  */
 
 #ifndef OVERLAYSIM_SIM_OBSERVE_HH

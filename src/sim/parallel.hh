@@ -16,12 +16,14 @@
  * Thread-safety boundary (DESIGN.md §8): everything reachable from a
  * `System` is per-instance, and a trace sink (`sim/trace.hh`) belongs
  * to the job that binds it to its thread: an item that wants a trace
- * opens and binds its own. The only process-global state the simulator
- * touches is the profiler registry (`sim/profile.hh`: threads register
- * under a mutex, timers are thread-local); lazily-built suite singletons
- * (e.g. forkBenchSuite()) use function-local statics, whose
- * initialization C++11 already serializes. Callers must not enable or
- * disable the profiler inside worker closures.
+ * opens and binds its own. An observe::Session (`sim/observe.hh`) is
+ * not shared with workers: it is constructed, run and finished on one
+ * thread. The only process-global state the simulator touches is the
+ * profiler registry (`sim/profile.hh`: threads register under a mutex,
+ * timers are thread-local); lazily-built suite singletons (e.g.
+ * forkBenchSuite()) use function-local statics, whose initialization
+ * C++11 already serializes. Callers must not enable or disable the
+ * profiler inside worker closures.
  */
 
 #ifndef OVERLAYSIM_SIM_PARALLEL_HH

@@ -20,11 +20,12 @@
  *       byte-identical to the uninterrupted `overlaysim forkbench` row.
  *
  *   overlaysim spmv --L X [--nnz N] [--rep overlay|csr|dense|all]
- *       Build a synthetic sparse matrix with non-zero locality L and run
- *       SpMV under the chosen representation(s).
+ *       Build a synthetic sparse matrix with non-zero locality L (a
+ *       number from 1 to 8) and run SpMV under the chosen
+ *       representation(s).
  *
  *   overlaysim trace info <file>
- *   overlaysim trace run <file> [--pages N] [--json FILE]
+ *   overlaysim trace run <file> [--json FILE]
  *       Inspect or replay a binary trace (see src/cpu/trace_io.hh).
  *
  *   overlaysim stats-diff <a.json> <b.json>
@@ -39,10 +40,14 @@
  * forkbench takes the observe::Session sink flags (src/sim/observe.hh):
  * a JSONL stats time series, a Chrome trace (Perfetto) and a per-run
  * host-time profile, one "<name>/<mode>" run each (DESIGN.md §9, §12).
+ *
+ * An argument a subcommand does not take prints the usage and exits
+ * nonzero; a malformed flag value exits 1 with one diagnostic.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -90,9 +95,10 @@ usage()
                  " --out FILE [--post-instr N]\n"
                  "  restore <file>\n"
                  "  stats-diff <a.json> <b.json>\n"
-                 "  spmv --L X [--nnz N] [--rep overlay|csr|dense|all]\n"
+                 "  spmv --L X [--nnz N] [--rep overlay|csr|dense|all]"
+                 " (X from 1 to 8)\n"
                  "  trace info <file>\n"
-                 "  trace run <file> [--pages N] [--json FILE]\n"
+                 "  trace run <file> [--json FILE]\n"
                  "  config\n",
                  observe::kUsage);
     return 2;
@@ -143,7 +149,7 @@ cmdForkbench(std::vector<std::string> args)
         *mode_str != "both")
         ovl_fatal("--mode must be cow, oow or both");
     observe::Session session(args);
-    if (args.empty())
+    if (args.size() != 1)
         return usage();
     std::ofstream stats_os;
     if (stats_path) {
@@ -319,17 +325,45 @@ cmdRestore(std::vector<std::string> args)
     return 0;
 }
 
+/**
+ * The value of `spmv --L`: the whole argument is one finite decimal
+ * number (no exponent, sign or whitespace) from 1 to
+ * DenseLayout::kValuesPerLine, the most non-zeros a 64 B line holds.
+ */
+double
+parseLocality(const std::string &text)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] =
+        std::from_chars(text.data(), end, value, std::chars_format::fixed);
+    if (text.empty() || ec != std::errc() || ptr != end ||
+        !std::isfinite(value) || value < 1.0 ||
+        value > double(DenseLayout::kValuesPerLine)) {
+        throw std::invalid_argument(
+            "--L expects a number from 1 to " +
+            std::to_string(DenseLayout::kValuesPerLine) + ", got '" + text +
+            "'");
+    }
+    return value;
+}
+
 int
 cmdSpmv(std::vector<std::string> args)
 {
     std::optional<std::string> l_str = takeFlag(args, "--L");
     std::optional<std::uint64_t> nnz = takeCount(args, "--nnz");
     std::optional<std::string> rep = takeFlag(args, "--rep");
-    if (!l_str)
+    if (!l_str || !args.empty())
         return usage();
+    if (rep && *rep != "overlay" && *rep != "csr" && *rep != "dense" &&
+        *rep != "all") {
+        throw std::invalid_argument(
+            "--rep expects overlay, csr, dense or all, got '" + *rep + "'");
+    }
 
     MatrixSpec spec;
-    spec.targetL = std::strtod(l_str->c_str(), nullptr);
+    spec.targetL = parseLocality(*l_str);
     if (spec.targetL >= 5.5) {
         spec.family = MatrixFamily::BlockDense;
         spec.blockRunLines = 128;
@@ -412,6 +446,8 @@ cmdTrace(std::vector<std::string> args)
     args.erase(args.begin(), args.begin() + 2);
 
     if (verb == "info") {
+        if (!args.empty())
+            return usage();
         Trace trace = loadTraceFile(path);
         TraceSummary s = summarizeTrace(trace);
         std::printf("records       %llu\n",
@@ -430,6 +466,8 @@ cmdTrace(std::vector<std::string> args)
     }
     if (verb == "run") {
         std::optional<std::string> json_path = takeFlag(args, "--json");
+        if (!args.empty())
+            return usage();
         Trace trace = loadTraceFile(path);
         TraceSummary s = summarizeTrace(trace);
         System sys((SystemConfig()));
@@ -464,8 +502,10 @@ cmdStatsDiff(std::vector<std::string> args)
 }
 
 int
-cmdConfig()
+cmdConfig(const std::vector<std::string> &args)
 {
+    if (!args.empty())
+        return usage();
     SystemConfig cfg;
     std::printf("core        %.2f GHz, issue %u, window %u\n", cfg.coreGhz,
                 cfg.issueWidth, cfg.instructionWindow);
@@ -508,7 +548,7 @@ dispatch(const std::string &cmd, std::vector<std::string> args)
     if (cmd == "stats-diff")
         return cmdStatsDiff(std::move(args));
     if (cmd == "config")
-        return cmdConfig();
+        return cmdConfig(args);
     return usage();
 }
 
