@@ -4,6 +4,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "common/victim.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl
@@ -11,7 +12,7 @@ namespace ovl
 
 SetAssocCache::SetAssocCache(std::string name, CacheParams params)
     : SimObject(std::move(name)), params_(params),
-      numSets_(unsigned(params.sizeBytes / kLineSize / params.associativity)),
+      numSets_(setCount(params.sizeBytes / kLineSize, params.associativity)),
       ways_(params.associativity),
       tags_(std::size_t(numSets_) * ways_, kInvalidAddr),
       state_(std::size_t(numSets_) * ways_),

@@ -1,6 +1,7 @@
 #include "prefetcher.hh"
 
 #include "common/logging.hh"
+#include "common/victim.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl
@@ -16,7 +17,7 @@ StreamPrefetcher::StreamPrefetcher(std::string name, PrefetcherParams params)
       issued_(&statGroup(), "issued", "prefetches issued")
 {
     ovl_assert(params.numStreams > 0, "prefetcher needs stream entries");
-    ovl_assert(params.numStreams <= 64,
+    ovl_assert(params.numStreams <= kMaxWays,
                "valid mask bounds the table at 64 streams");
 }
 
@@ -29,12 +30,7 @@ StreamPrefetcher::allocateStream()
     std::uint64_t invalid = full & ~validMask_;
     if (invalid != 0)
         return unsigned(__builtin_ctzll(invalid)); // first free in order
-    unsigned victim = 0;
-    for (unsigned i = 1; i < params_.numStreams; ++i) {
-        if (lruSeqs_[i] < lruSeqs_[victim])
-            victim = i;
-    }
-    return victim;
+    return lruVictim(lruSeqs_.data(), params_.numStreams);
 }
 
 template <class Self, class Ar>

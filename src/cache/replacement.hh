@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/random.hh"
+#include "common/victim.hh"
 
 namespace ovl
 {
@@ -133,15 +134,8 @@ class ReplacementEngine
                  std::size_t base, unsigned ways)
     {
         switch (policy_) {
-          case ReplPolicy::LRU: {
-            lru_seqs += base;
-            unsigned victim = 0;
-            for (unsigned w = 1; w < ways; ++w) {
-                if (lru_seqs[w] < lru_seqs[victim])
-                    victim = w;
-            }
-            return victim;
-          }
+          case ReplPolicy::LRU:
+            return lruVictim(lru_seqs + base, ways);
           case ReplPolicy::Random:
             return unsigned(rng_.below(ways));
           case ReplPolicy::SRRIP:
@@ -152,14 +146,7 @@ class ReplacementEngine
             // the set's maximum RRPV, and every way ages by exactly
             // 3 - max. Find the first max, then apply the uniform delta.
             rrpvs += base;
-            unsigned victim = 0;
-            std::uint8_t max = rrpvs[0];
-            for (unsigned w = 1; w < ways; ++w) {
-                if (rrpvs[w] > max) {
-                    max = rrpvs[w];
-                    victim = w;
-                }
-            }
+            auto [victim, max] = firstMax(rrpvs, ways);
             if (max < kMaxRrpv) {
                 std::uint8_t delta = std::uint8_t(kMaxRrpv - max);
                 for (unsigned w = 0; w < ways; ++w)

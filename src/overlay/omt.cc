@@ -1,7 +1,10 @@
 #include "omt.hh"
 
+#include <algorithm>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "common/victim.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl
@@ -249,7 +252,7 @@ Omt::io(Self &self, Ar &ar)
 
 OmtCache::OmtCache(std::string name, OmtCacheParams params)
     : SimObject(std::move(name)), params_(params),
-      numSets_(params.entries / params.associativity),
+      numSets_(setCount(params.entries, params.associativity)),
       ways_(params.entries),
       hits_(&statGroup(), "hits", "OMT cache hits"),
       misses_(&statGroup(), "misses", "OMT cache misses (table walks)"),
@@ -289,15 +292,11 @@ OmtCache::lookupAllocateWay(Opn opn, LookupResult &res)
 
     ++misses_;
     Way *set = &ways_[std::size_t(setOf(opn)) * params_.associativity];
-    Way *victim = &set[0];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lruSeq < victim->lruSeq)
-            victim = &set[w];
-    }
+    // First invalid way, else LRU.
+    std::uint64_t best = ~std::uint64_t(0);
+    for (unsigned w = 0; w < params_.associativity; ++w)
+        best = std::min(best, lruKeyOrEmpty(set[w].lruSeq, set[w].valid, w));
+    Way *victim = &set[lruKeyWay(best)];
 
     if (victim->valid && victim->modified) {
         res.writebackOpn = victim->opn;

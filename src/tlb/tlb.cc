@@ -13,9 +13,10 @@ namespace ovl
 
 Tlb::Tlb(std::string name, TlbParams params)
     : SimObject(std::move(name)), params_(params),
-      numSets_(params.entries / params.associativity),
+      numSets_(setCount(params.entries, params.associativity)),
       keys_(params.entries, kNoKey),
-      ways_(params.entries),
+      stamps_(params.entries, 0),
+      data_(params.entries),
       hits_(&statGroup(), "hits", "TLB hits"),
       misses_(&statGroup(), "misses", "TLB misses"),
       coherenceUpdates_(&statGroup(), "coherenceUpdates",
@@ -29,15 +30,16 @@ Tlb::Tlb(std::string name, TlbParams params)
 const TlbEntryData *
 Tlb::probe(Asid asid, Addr vpn) const
 {
-    const Way *way = const_cast<Tlb *>(this)->findWay(asid, vpn);
-    return way ? &way->data : nullptr;
+    std::size_t i = findIndex(asid, vpn);
+    return i != kNotFound ? &data_[i] : nullptr;
 }
 
 void
 Tlb::invalidate(Asid asid, Addr vpn)
 {
-    if (Way *way = findWay(asid, vpn)) {
-        keys_[std::size_t(way - ways_.data())] = kNoKey;
+    std::size_t i = findIndex(asid, vpn);
+    if (i != kNotFound) {
+        keys_[i] = kNoKey;
         noteErased(asid);
     }
 }
@@ -65,12 +67,12 @@ Tlb::updateObvBit(Asid asid, Addr vpn, unsigned line_in_page, bool value)
 {
     if (!holdsAsid(asid))
         return false;
-    if (Way *way = findWay(asid, vpn)) {
-        way->data.obv.assign(line_in_page, value);
-        ++coherenceUpdates_;
-        return true;
-    }
-    return false;
+    std::size_t i = findIndex(asid, vpn);
+    if (i == kNotFound)
+        return false;
+    data_[i].obv.assign(line_in_page, value);
+    ++coherenceUpdates_;
+    return true;
 }
 
 TwoLevelTlb::TwoLevelTlb(std::string name, TlbHierarchyParams params)
@@ -84,8 +86,7 @@ TlbEntryData *
 TwoLevelTlb::fill(Asid asid, Addr vpn, const TlbEntryData &data)
 {
     l2_.insert(asid, vpn, data);
-    l1_.insert(asid, vpn, data);
-    return l1_.lookup(asid, vpn);
+    return l1_.insertAndLookup(asid, vpn, data);
 }
 
 void
@@ -138,14 +139,15 @@ Tlb::io(Self &self, Ar &ar)
         ar.expectEq(self.keys_.size(), "TLB '" + self.name() + "' way count");
         for (auto &key : self.keys_)
             ar.u64(key);
-        for (auto &way : self.ways_) {
-            ar.u64(way.data.ppn);
-            ar.b(way.data.writable);
-            ar.b(way.data.cow);
-            ar.b(way.data.overlayEnabled);
-            ar.b(way.data.metadataMode);
-            ar.u64(way.data.obv.raw());
-            ar.u64(way.lruSeq);
+        for (std::size_t i = 0; i < self.data_.size(); ++i) {
+            auto &data = self.data_[i];
+            ar.u64(data.ppn);
+            ar.b(data.writable);
+            ar.b(data.cow);
+            ar.b(data.overlayEnabled);
+            ar.b(data.metadataMode);
+            ar.u64(data.obv.raw());
+            ar.u64(self.stamps_[i]);
         }
         ar.u64(self.lruCounter_);
         ar.seq(self.asidEntries_, 4, [&](auto &n) { ar.u32(n); });

@@ -11,12 +11,15 @@
 #ifndef OVERLAYSIM_TLB_TLB_HH
 #define OVERLAYSIM_TLB_TLB_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/bitvector64.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "common/victim.hh"
 #include "sim/sim_object.hh"
 
 namespace ovl
@@ -61,10 +64,11 @@ class Tlb : public SimObject
     TlbEntryData *
     lookup(Asid asid, Addr vpn)
     {
-        if (Way *way = findWay(asid, vpn)) {
+        std::size_t i = findIndex(asid, vpn);
+        if (i != kNotFound) {
             ++hits_;
-            way->lruSeq = ++lruCounter_;
-            return &way->data;
+            stamps_[i] = ++lruCounter_;
+            return &data_[i];
         }
         ++misses_;
         return nullptr;
@@ -75,71 +79,32 @@ class Tlb : public SimObject
 
     /**
      * Install a translation, evicting the set's LRU entry if needed.
-     * Inline: L2-hit promotions into the L1 TLB make this hot on
-     * streaming workloads.
+     * Inline: every page walk installs into the L2 TLB through this.
      */
     void
     insert(Asid asid, Addr vpn, const TlbEntryData &data)
     {
-        ovl_assert(vpn >> kVpnBits == 0, "VPN too wide for the TLB key");
-        if (Way *way = findWay(asid, vpn)) {
-            way->data = data;
-            way->lruSeq = ++lruCounter_;
-            return;
-        }
-        std::size_t base = std::size_t(setOf(vpn)) * params_.associativity;
-        unsigned victim = 0;
-        for (unsigned w = 0; w < params_.associativity; ++w) {
-            if (keys_[base + w] == kNoKey) {
-                victim = w;
-                break;
-            }
-            if (ways_[base + w].lruSeq < ways_[base + victim].lruSeq)
-                victim = w;
-        }
-        if (keys_[base + victim] != kNoKey)
-            noteErased(asidOf(keys_[base + victim]));
-        noteInserted(asid);
-        keys_[base + victim] = keyOf(asid, vpn);
-        ways_[base + victim].data = data;
-        ways_[base + victim].lruSeq = ++lruCounter_;
+        std::size_t i = claimIndex(asid, vpn);
+        data_[i] = data;
+        stamps_[i] = ++lruCounter_;
     }
 
     /**
      * Fused insert() followed by lookup() of the same (asid, vpn), with a
-     * single way scan instead of three. The L2-hit promotion path runs
-     * this once per streaming miss; the bookkeeping (two LRU counter
-     * bumps, one recorded hit, final recency = the second bump) is
-     * exactly what the unfused pair produced.
+     * single way scan instead of two. L2-hit promotions and walk fills
+     * run this once per L1 miss; the bookkeeping (two LRU counter bumps,
+     * one recorded hit, final recency = the second bump) is exactly what
+     * the unfused pair produced.
      */
     TlbEntryData *
     insertAndLookup(Asid asid, Addr vpn, const TlbEntryData &data)
     {
-        ovl_assert(vpn >> kVpnBits == 0, "VPN too wide for the TLB key");
-        Way *way = findWay(asid, vpn);
-        if (!way) {
-            std::size_t base = std::size_t(setOf(vpn)) *
-                               params_.associativity;
-            unsigned victim = 0;
-            for (unsigned w = 0; w < params_.associativity; ++w) {
-                if (keys_[base + w] == kNoKey) {
-                    victim = w;
-                    break;
-                }
-                if (ways_[base + w].lruSeq < ways_[base + victim].lruSeq)
-                    victim = w;
-            }
-            if (keys_[base + victim] != kNoKey)
-                noteErased(asidOf(keys_[base + victim]));
-            noteInserted(asid);
-            keys_[base + victim] = keyOf(asid, vpn);
-            way = &ways_[base + victim];
-        }
-        way->data = data;
+        std::size_t i = claimIndex(asid, vpn);
+        data_[i] = data;
         ++lruCounter_; // insert()'s recency bump, superseded below
         ++hits_;
-        way->lruSeq = ++lruCounter_;
-        return &way->data;
+        stamps_[i] = ++lruCounter_;
+        return &data_[i];
     }
 
     /**
@@ -179,13 +144,8 @@ class Tlb : public SimObject
     template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
-    /** Payload of one way; the (asid, vpn) tag lives in keys_. */
-    struct Way
-    {
-        TlbEntryData data;
-        std::uint64_t lruSeq = 0;
-    };
-
+    /** No way holds the key (sentinel index into keys_). */
+    static constexpr std::size_t kNotFound = ~std::size_t(0);
     /** VPN bits in a packed key; the ASID occupies the bits above. */
     static constexpr unsigned kVpnBits = 44;
     /** Empty way. Real keys never set bits 60+ (16-bit ASID << 44). */
@@ -199,7 +159,12 @@ class Tlb : public SimObject
 
     static Asid asidOf(std::uint64_t key) { return Asid(key >> kVpnBits); }
 
-    unsigned setOf(Addr vpn) const { return unsigned(vpn) & (numSets_ - 1); }
+    std::size_t
+    setBase(Addr vpn) const
+    {
+        return std::size_t(unsigned(vpn) & (numSets_ - 1)) *
+               params_.associativity;
+    }
 
     void
     noteInserted(Asid asid)
@@ -211,28 +176,57 @@ class Tlb : public SimObject
 
     void noteErased(Asid asid) { --asidEntries_[asid]; }
 
-    Way *
-    findWay(Asid asid, Addr vpn)
+    std::size_t
+    findIndex(Asid asid, Addr vpn) const
     {
         std::uint64_t key = keyOf(asid, vpn);
-        std::size_t base = std::size_t(setOf(vpn)) * params_.associativity;
+        std::size_t base = setBase(vpn);
         for (unsigned w = 0; w < params_.associativity; ++w) {
             if (keys_[base + w] == key)
-                return &ways_[base + w];
+                return base + w;
         }
-        return nullptr;
+        return kNotFound;
+    }
+
+    /**
+     * Index of the way holding (asid, vpn); if absent, claim the set's
+     * first empty way, else its LRU way, found in the same scan by one
+     * packed-key minimum (no data-dependent branch).
+     */
+    std::size_t
+    claimIndex(Asid asid, Addr vpn)
+    {
+        ovl_assert(vpn >> kVpnBits == 0, "VPN too wide for the TLB key");
+        std::uint64_t key = keyOf(asid, vpn);
+        std::size_t base = setBase(vpn);
+        std::uint64_t best = ~std::uint64_t(0);
+        for (unsigned w = 0; w < params_.associativity; ++w) {
+            std::uint64_t k = keys_[base + w];
+            if (k == key)
+                return base + w;
+            best = std::min(best,
+                            lruKeyOrEmpty(stamps_[base + w], k != kNoKey, w));
+        }
+        std::size_t i = base + lruKeyWay(best);
+        if (keys_[i] != kNoKey)
+            noteErased(asidOf(keys_[i]));
+        noteInserted(asid);
+        keys_[i] = key;
+        return i;
     }
 
     TlbParams params_;
     unsigned numSets_;
     /**
-     * Packed (asid << kVpnBits) | vpn tags, parallel to ways_ — the way
+     * Packed (asid << kVpnBits) | vpn tags, parallel to data_ — the way
      * scan runs at least once per simulated access, and one 8-byte
-     * compare per way beats touching the full Way record (whose
-     * OBitVector-bearing payload spans several lines per set).
+     * compare per way beats touching the OBitVector-bearing payloads,
+     * which span several lines per set.
      */
     std::vector<std::uint64_t> keys_;
-    std::vector<Way> ways_;
+    /** LRU stamps, parallel to keys_: victim choice reads only these. */
+    std::vector<std::uint64_t> stamps_;
+    std::vector<TlbEntryData> data_;
     std::uint64_t lruCounter_ = 0;
     /** Resident-entry count per ASID, backing holdsAsid(). */
     std::vector<std::uint32_t> asidEntries_;

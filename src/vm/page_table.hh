@@ -9,10 +9,11 @@
  *
  * Storage is a two-level structure tuned for the simulator's hot path
  * (translate() on every access): a sorted directory of 512-entry leaf
- * blocks keyed by vpn>>9, binary-searched with a one-entry MRU cache.
- * Workload footprints are contiguous regions, so nearly every lookup
- * hits the cached leaf and costs a shift, a compare and an array index —
- * no hashing, no allocation. Iteration visits entries in ascending-VPN
+ * blocks keyed by vpn>>9, behind a one-entry MRU cache and indexed
+ * directly by chunk - front (binary-searched only when the directory
+ * has gaps). Workload footprints are contiguous regions, so a lookup
+ * costs a shift, a compare and an array index or two — no hashing, no
+ * allocation, and no search even when the MRU leaf misses. Iteration visits entries in ascending-VPN
  * order, which the fork/teardown paths rely on for determinism.
  */
 
@@ -260,18 +261,40 @@ class PageTable
     }
 
   private:
+    /**
+     * Leaf of @p chunk, or nullptr. After an MRU miss the directory is
+     * indexed directly: chunks ascend strictly, so entry i holds a chunk
+     * of at least front + i, with equality throughout when the directory
+     * has no gaps (one contiguous footprint, the common case). A
+     * matching slot is a constant-time hit; only a gapped directory
+     * falls back to a binary search, over the entries below the slot.
+     */
     Leaf *
     lookupLeaf(Addr chunk) const
     {
         if (chunk == cachedChunk_)
             return cachedLeaf_;
-        auto it = std::lower_bound(
-            dir_.begin(), dir_.end(), chunk,
-            [](const DirEntry &e, Addr c) { return e.chunk < c; });
-        if (it == dir_.end() || it->chunk != chunk)
+        if (dir_.empty())
+            return nullptr;
+        // Wraps to a huge slot when chunk < front: out of range.
+        Addr slot = chunk - dir_.front().chunk;
+        const DirEntry *e = nullptr;
+        if (slot < dir_.size() && dir_[slot].chunk == chunk) {
+            e = &dir_[slot];
+        } else if (dir_.back().chunk - dir_.front().chunk + 1 !=
+                   dir_.size()) {
+            auto last = dir_.begin() +
+                        std::ptrdiff_t(std::min<Addr>(slot, dir_.size()));
+            auto it = std::lower_bound(
+                dir_.begin(), last, chunk,
+                [](const DirEntry &d, Addr c) { return d.chunk < c; });
+            if (it != last && it->chunk == chunk)
+                e = &*it;
+        }
+        if (e == nullptr)
             return nullptr;
         cachedChunk_ = chunk;
-        cachedLeaf_ = it->leaf.get();
+        cachedLeaf_ = e->leaf.get();
         return cachedLeaf_;
     }
 

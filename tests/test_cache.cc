@@ -334,5 +334,16 @@ TEST(CacheSnapshot, NonzeroUnusedReplacementFieldIsRejected)
     }
 }
 
+TEST(CacheDeathTest, AssociativityOutOfRangeIsRejected)
+{
+    CacheParams zero = smallCache();
+    zero.associativity = 0;
+    EXPECT_DEATH(SetAssocCache("c", zero), "associativity");
+    CacheParams wide = smallCache();
+    wide.sizeBytes = 130 * kLineSize;
+    wide.associativity = 65;
+    EXPECT_DEATH(SetAssocCache("c", wide), "associativity");
+}
+
 } // namespace
 } // namespace ovl

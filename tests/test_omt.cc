@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -252,6 +254,133 @@ TEST(OmtCache, LruWithinSet)
     EXPECT_TRUE(cache.isPresent(0));
     EXPECT_FALSE(cache.isPresent(2));
     EXPECT_TRUE(cache.isPresent(4));
+}
+
+/**
+ * Reference OMT cache: the same tags, modified bits and recency stamps,
+ * with the victim chosen by a plain loop — the set's first invalid way,
+ * else the first way holding the smallest stamp.
+ */
+class RefOmtCache
+{
+  public:
+    RefOmtCache(unsigned entries, unsigned ways)
+        : ways_(ways), sets_(entries / ways), lines_(entries)
+    {
+    }
+
+    OmtCache::LookupResult
+    lookupAllocate(Opn opn, bool modify)
+    {
+        OmtCache::LookupResult res;
+        Line *set = &lines_[(opn & (sets_ - 1)) * ways_];
+        Line *line = find(opn);
+        if (line != nullptr) {
+            res.hit = true;
+        } else {
+            line = &set[0];
+            for (unsigned w = 0; w < ways_; ++w) {
+                if (!set[w].valid) {
+                    line = &set[w];
+                    break;
+                }
+                if (set[w].stamp < line->stamp)
+                    line = &set[w];
+            }
+            if (line->valid && line->modified) {
+                res.needsWriteback = true;
+                res.writebackOpn = line->opn;
+            }
+            *line = Line{true, false, opn, 0};
+        }
+        line->stamp = ++counter_;
+        line->modified = line->modified || modify;
+        return res;
+    }
+
+    bool
+    invalidate(Opn opn)
+    {
+        Line *line = find(opn);
+        if (line == nullptr)
+            return false;
+        bool was_modified = line->modified;
+        line->valid = line->modified = false;
+        return was_modified;
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool modified = false;
+        Opn opn = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *
+    find(Opn opn)
+    {
+        Line *set = &lines_[(opn & (sets_ - 1)) * ways_];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].opn == opn)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    unsigned ways_;
+    Opn sets_;
+    std::vector<Line> lines_;
+    std::uint64_t counter_ = 0;
+};
+
+TEST(OmtCache, VictimMatchesReferenceLoop)
+{
+    for (auto [entries, ways] : {std::pair{16u, 4u}, std::pair{8u, 8u},
+                                 std::pair{64u, 16u}}) {
+        OmtCacheParams params;
+        params.entries = entries;
+        params.associativity = ways;
+        OmtCache cache("omtc", params);
+        RefOmtCache ref(entries, ways);
+        Rng rng(entries + ways);
+        for (unsigned step = 0; step < 8000; ++step) {
+            Opn opn = rng.below(3 * entries);
+            switch (rng.below(4)) {
+              case 0:
+                // Invalidations leave invalid ways mid-set.
+                ASSERT_EQ(cache.invalidate(opn), ref.invalidate(opn))
+                    << ways << " ways, step " << step;
+                break;
+              default: {
+                bool modify = rng.below(2) != 0;
+                auto got = modify ? cache.lookupAllocateModify(opn)
+                                  : cache.lookupAllocate(opn);
+                auto want = ref.lookupAllocate(opn, modify);
+                ASSERT_EQ(got.hit, want.hit) << ways << " ways, step " << step;
+                ASSERT_EQ(got.needsWriteback, want.needsWriteback)
+                    << ways << " ways, step " << step;
+                if (want.needsWriteback) {
+                    ASSERT_EQ(got.writebackOpn, want.writebackOpn)
+                        << ways << " ways, step " << step;
+                }
+                break;
+              }
+            }
+        }
+    }
+}
+
+TEST(OmtCacheDeathTest, AssociativityOutOfRangeIsRejected)
+{
+    OmtCacheParams zero;
+    zero.associativity = 0;
+    EXPECT_DEATH(OmtCache("omtc", zero), "associativity");
+    OmtCacheParams wide;
+    wide.entries = 130;
+    wide.associativity = 65;
+    EXPECT_DEATH(OmtCache("omtc", wide), "associativity");
 }
 
 } // namespace

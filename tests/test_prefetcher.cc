@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cache/prefetcher.hh"
+#include "common/random.hh"
 
 namespace ovl
 {
@@ -103,6 +107,51 @@ TEST(Prefetcher, RepeatMissSameLineEmitsNothing)
     missAt(pf, 100);
     missAt(pf, 101);
     EXPECT_TRUE(missAt(pf, 101).empty());
+}
+
+TEST(Prefetcher, StreamVictimMatchesReferenceLoop)
+{
+    // Streams 2^20 lines apart never train each other. A miss one line
+    // past a stream's last line trains it if resident (and prefetches); a
+    // miss on an absent stream allocates (and prefetches nothing). The
+    // reference table allocates into the first free entry, else the
+    // first entry holding the smallest recency stamp.
+    for (unsigned streams : {4u, 16u, 64u}) {
+        PrefetcherParams params;
+        params.numStreams = streams;
+        StreamPrefetcher pf("pf", params);
+        constexpr Addr kNone = ~Addr(0);
+        std::vector<Addr> ref_head(streams, kNone);
+        std::vector<std::uint64_t> ref_stamp(streams, 0);
+        std::uint64_t counter = 0;
+        std::vector<Addr> next_offset(2 * streams, 0);
+        Rng rng(streams);
+        for (unsigned step = 0; step < 8000; ++step) {
+            Addr head = rng.below(2 * streams);
+            Addr line = (head << 20) + next_offset[head]++;
+            unsigned slot = streams;
+            for (unsigned i = 0; i < streams; ++i) {
+                if (ref_head[i] == head)
+                    slot = i;
+            }
+            bool resident = slot < streams;
+            if (!resident) {
+                slot = 0;
+                for (unsigned i = 0; i < streams; ++i) {
+                    if (ref_head[i] == kNone) {
+                        slot = i;
+                        break;
+                    }
+                    if (ref_stamp[i] < ref_stamp[slot])
+                        slot = i;
+                }
+                ref_head[slot] = head;
+            }
+            ref_stamp[slot] = ++counter;
+            ASSERT_EQ(!missAt(pf, line).empty(), resident)
+                << streams << " streams, step " << step;
+        }
+    }
 }
 
 } // namespace

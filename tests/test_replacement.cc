@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "cache/replacement.hh"
+#include "common/random.hh"
+#include "common/victim.hh"
 
 namespace ovl
 {
@@ -192,6 +195,106 @@ TEST(Replacement, DrripPrefetchesInsertDistant)
     std::uint8_t rrpv = 0;
     engine.onInsert(&lru, &rrpv, 0, 1, true);
     EXPECT_EQ(rrpv, 3);
+}
+
+// ---- packed-key victim choice against plain reference loops ----------
+
+/** Reference: the first way holding the smallest stamp. */
+unsigned
+firstMinLoop(const std::uint64_t *stamps, unsigned ways)
+{
+    unsigned victim = 0;
+    for (unsigned w = 1; w < ways; ++w) {
+        if (stamps[w] < stamps[victim])
+            victim = w;
+    }
+    return victim;
+}
+
+/** Reference: the first way holding the largest RRPV. */
+unsigned
+firstMaxLoop(const std::uint8_t *rrpvs, unsigned ways)
+{
+    unsigned victim = 0;
+    for (unsigned w = 1; w < ways; ++w) {
+        if (rrpvs[w] > rrpvs[victim])
+            victim = w;
+    }
+    return victim;
+}
+
+TEST(Replacement, LruVictimMatchesFirstMinLoop)
+{
+    Rng rng(5);
+    for (unsigned ways : {2u, 4u, 8u, 16u}) {
+        ReplacementEngine engine(ReplPolicy::LRU, 64);
+        std::vector<std::uint64_t> stamps(ways);
+        std::vector<std::uint8_t> rrpvs(ways);
+        for (unsigned trial = 0; trial < 2000; ++trial) {
+            // Wide stamps, then every pick refreshes the victim the way
+            // a cache fill does; narrow ones force ties (lowest way).
+            std::uint64_t span = trial % 2 ? (std::uint64_t(1) << 40) : 3;
+            for (auto &stamp : stamps)
+                stamp = rng.below(span);
+            unsigned expect = firstMinLoop(stamps.data(), ways);
+            EXPECT_EQ(engine.selectVictim(stamps.data(), rrpvs.data(), 0,
+                                          ways),
+                      expect)
+                << ways << " ways, trial " << trial;
+        }
+        // A running set: insert into every way, then evict-and-refill
+        // with random hits in between.
+        for (unsigned w = 0; w < ways; ++w)
+            engine.onInsert(stamps.data(), rrpvs.data(), w, 0, false);
+        for (unsigned step = 0; step < 2000; ++step) {
+            engine.onHit(stamps.data(), rrpvs.data(), rng.below(ways));
+            unsigned expect = firstMinLoop(stamps.data(), ways);
+            unsigned victim =
+                engine.selectVictim(stamps.data(), rrpvs.data(), 0, ways);
+            ASSERT_EQ(victim, expect) << ways << " ways, step " << step;
+            engine.onInsert(stamps.data(), rrpvs.data(), victim, 0, false);
+        }
+    }
+}
+
+TEST(Replacement, DrripVictimMatchesFirstMaxLoop)
+{
+    constexpr unsigned kWays = 16;
+    Rng rng(6);
+    ReplacementEngine engine(ReplPolicy::DRRIP, 2048);
+    for (unsigned trial = 0; trial < 5000; ++trial) {
+        std::uint64_t lru[kWays] = {};
+        std::uint8_t rrpvs[kWays], expect_rrpvs[kWays];
+        for (unsigned w = 0; w < kWays; ++w)
+            rrpvs[w] = expect_rrpvs[w] = std::uint8_t(rng.below(4));
+        unsigned expect = firstMaxLoop(expect_rrpvs, kWays);
+        std::uint8_t delta = std::uint8_t(3 - expect_rrpvs[expect]);
+        for (auto &rrpv : expect_rrpvs)
+            rrpv = std::uint8_t(rrpv + delta);
+
+        ASSERT_EQ(engine.selectVictim(lru, rrpvs, 0, kWays), expect)
+            << "trial " << trial;
+        for (unsigned w = 0; w < kWays; ++w)
+            EXPECT_EQ(rrpvs[w], expect_rrpvs[w]) << "trial " << trial;
+    }
+}
+
+TEST(Replacement, PackedPicksCoverEveryWayOfAWideSet)
+{
+    // 64 ways is the widest set a packed key addresses: the pick must
+    // land on each way, including 63, when that way holds the extremum.
+    std::vector<std::uint64_t> stamps(kMaxWays, 100);
+    std::vector<std::uint8_t> rrpvs(kMaxWays, 1);
+    for (unsigned w = 0; w < kMaxWays; ++w) {
+        stamps[w] = 7;
+        rrpvs[w] = 2;
+        EXPECT_EQ(lruVictim(stamps.data(), kMaxWays), w);
+        FirstMax max = firstMax(rrpvs.data(), kMaxWays);
+        EXPECT_EQ(max.way, w);
+        EXPECT_EQ(max.value, 2);
+        stamps[w] = 100;
+        rrpvs[w] = 1;
+    }
 }
 
 } // namespace

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/random.hh"
+#include "sim/snapshot.hh"
 #include "tlb/tlb.hh"
 
 namespace ovl
@@ -143,6 +148,144 @@ TEST(TwoLevelTlb, ReturnedEntryPointsIntoL1)
     TlbEntryData *filled = tlb.fill(1, 42, entry(3));
     filled->obv.set(11);
     EXPECT_TRUE(tlb.l1().probe(1, 42)->obv.test(11));
+}
+
+TEST(TwoLevelTlb, FillMatchesInsertThenLookup)
+{
+    // fill() is the L2 insert plus the fused L1 insertAndLookup; it must
+    // leave both levels byte-identical to the unfused insert + lookup.
+    TwoLevelTlb fused("tlb", TlbHierarchyParams{});
+    TwoLevelTlb unfused("tlb", TlbHierarchyParams{});
+    Rng rng(11);
+    for (unsigned i = 0; i < 5000; ++i) {
+        Asid asid = Asid(1 + rng.below(3));
+        Addr vpn = rng.below(4096);
+        fused.access(asid, vpn);
+        unfused.access(asid, vpn);
+        TlbEntryData data = entry(vpn + 1);
+        EXPECT_EQ(fused.fill(asid, vpn, data)->ppn, vpn + 1);
+        unfused.l2().insert(asid, vpn, data);
+        unfused.l1().insert(asid, vpn, data);
+        ASSERT_NE(unfused.l1().lookup(asid, vpn), nullptr);
+    }
+    snapshot::Writer a, b;
+    snapshot::visit(fused, a);
+    snapshot::visit(unfused, b);
+    EXPECT_EQ(a.buffer(), b.buffer());
+    EXPECT_EQ(fused.l1().hits(), unfused.l1().hits());
+    EXPECT_EQ(fused.l1().misses(), unfused.l1().misses());
+}
+
+/**
+ * Reference model of a one-set TLB: keys and recency stamps per way,
+ * with the victim chosen by a plain loop — the first empty way, else
+ * the first way holding the smallest stamp.
+ */
+struct RefTlbSet
+{
+    explicit RefTlbSet(unsigned ways) : vpns(ways, kEmpty), stamps(ways, 0)
+    {
+    }
+
+    static constexpr Addr kEmpty = ~Addr(0);
+
+    int
+    find(Addr vpn) const
+    {
+        for (unsigned w = 0; w < vpns.size(); ++w) {
+            if (vpns[w] == vpn)
+                return int(w);
+        }
+        return -1;
+    }
+
+    unsigned
+    victim() const
+    {
+        unsigned v = 0;
+        for (unsigned w = 0; w < vpns.size(); ++w) {
+            if (vpns[w] == kEmpty)
+                return w;
+            if (stamps[w] < stamps[v])
+                v = w;
+        }
+        return v;
+    }
+
+    bool
+    lookup(Addr vpn)
+    {
+        int w = find(vpn);
+        if (w >= 0)
+            stamps[unsigned(w)] = ++counter;
+        return w >= 0;
+    }
+
+    void
+    insert(Addr vpn)
+    {
+        int found = find(vpn);
+        unsigned w = found >= 0 ? unsigned(found) : victim();
+        vpns[w] = vpn;
+        stamps[w] = ++counter;
+    }
+
+    void
+    invalidate(Addr vpn)
+    {
+        int w = find(vpn);
+        if (w >= 0)
+            vpns[unsigned(w)] = kEmpty;
+    }
+
+    std::vector<Addr> vpns;
+    std::vector<std::uint64_t> stamps;
+    std::uint64_t counter = 0;
+};
+
+TEST(Tlb, VictimMatchesReferenceLoop)
+{
+    for (unsigned ways : {4u, 8u, 16u}) {
+        Tlb tlb("tlb", TlbParams{ways, ways, 1}); // one set
+        RefTlbSet ref(ways);
+        Rng rng(ways);
+        unsigned fills_with_empty = 0, fills_when_full = 0;
+        for (unsigned step = 0; step < 6000; ++step) {
+            Addr vpn = rng.below(3 * ways);
+            switch (rng.below(4)) {
+              case 0:
+                ASSERT_EQ(tlb.lookup(1, vpn) != nullptr, ref.lookup(vpn))
+                    << ways << " ways, step " << step;
+                break;
+              case 1:
+                // Invalidations leave empty ways mid-set.
+                tlb.invalidate(1, vpn);
+                ref.invalidate(vpn);
+                break;
+              default:
+                if (ref.find(vpn) < 0) {
+                    bool has_empty = ref.find(RefTlbSet::kEmpty) >= 0;
+                    fills_with_empty += has_empty;
+                    fills_when_full += !has_empty;
+                }
+                tlb.insert(1, vpn, entry(vpn));
+                ref.insert(vpn);
+                break;
+            }
+            for (Addr v = 0; v < 3 * ways; ++v) {
+                ASSERT_EQ(tlb.probe(1, v) != nullptr, ref.find(v) >= 0)
+                    << ways << " ways, step " << step << ", vpn " << v;
+            }
+        }
+        EXPECT_GT(fills_with_empty, 100u);
+        EXPECT_GT(fills_when_full, 100u);
+    }
+}
+
+TEST(TlbDeathTest, AssociativityOutOfRangeIsRejected)
+{
+    EXPECT_DEATH(Tlb("tlb", TlbParams{64, 0, 1}), "associativity");
+    EXPECT_DEATH(Tlb("tlb", TlbParams{130, 65, 1}), "associativity");
 }
 
 } // namespace

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "common/random.hh"
 #include "sim/snapshot.hh"
 #include "vm/vmm.hh"
 
@@ -183,6 +188,195 @@ TEST(PageTable, SetFindErase)
     EXPECT_EQ(pt.find(5)->ppn, 9u);
     pt.erase(5);
     EXPECT_EQ(pt.find(5), nullptr);
+}
+
+// ---- PageTable against a reference std::map --------------------------
+
+/** VPN of @p offset within the 512-entry leaf chunk @p chunk. */
+Addr
+vpnOf(Addr chunk, Addr offset)
+{
+    return (chunk << 9) | offset;
+}
+
+/**
+ * A page table driven in lockstep with a std::map<vpn, ppn>: every
+ * mutation goes to both, and check() compares every probe VPN's find()
+ * and the full ascending iteration.
+ */
+class RefTable
+{
+  public:
+    explicit RefTable(std::vector<Addr> chunks) : chunks_(std::move(chunks))
+    {
+        // Probe the leaf edges and a middle entry of every chunk, plus
+        // chunks below, between and above the directory.
+        std::vector<Addr> probe_chunks = chunks_;
+        probe_chunks.push_back(0);
+        probe_chunks.push_back(chunks_.back() + 1);
+        probe_chunks.push_back(chunks_.back() + 1000);
+        for (Addr c = chunks_.front(); c <= chunks_.back(); ++c)
+            probe_chunks.push_back(c);
+        for (Addr c : probe_chunks) {
+            for (Addr off : kOffsets)
+                probes_.push_back(vpnOf(c, off));
+        }
+    }
+
+    /** Offsets a chunk's VPNs use: few, so leaves empty and refill. */
+    static constexpr Addr kOffsets[] = {0, 1, 200, 511};
+
+    void
+    set(Addr vpn, Addr ppn)
+    {
+        Pte pte;
+        pte.ppn = ppn;
+        pte.present = true;
+        pte.writable = (ppn & 1) != 0;
+        pt.set(vpn, pte);
+        ref[vpn] = ppn;
+    }
+
+    void
+    erase(Addr vpn)
+    {
+        pt.erase(vpn);
+        ref.erase(vpn);
+    }
+
+    void
+    fillChunk(Addr chunk)
+    {
+        for (Addr off : kOffsets)
+            set(vpnOf(chunk, off), chunk * 1000 + off);
+    }
+
+    void
+    eraseChunk(Addr chunk)
+    {
+        for (Addr off : kOffsets)
+            erase(vpnOf(chunk, off));
+    }
+
+    /** Random set/erase/find over the table's chunks for @p steps. */
+    void
+    randomOps(Rng &rng, unsigned steps)
+    {
+        for (unsigned i = 0; i < steps; ++i) {
+            Addr vpn = vpnOf(chunks_[rng.below(chunks_.size())],
+                             kOffsets[rng.below(std::size(kOffsets))]);
+            switch (rng.below(3)) {
+              case 0:
+                set(vpn, rng.below(1u << 20));
+                break;
+              case 1:
+                erase(vpn);
+                break;
+              default:
+                expectFind(vpn);
+                break;
+            }
+            if (i % 64 == 0)
+                check();
+        }
+        check();
+    }
+
+    void
+    expectFind(Addr vpn) const
+    {
+        const Pte *pte = std::as_const(pt).find(vpn);
+        auto it = ref.find(vpn);
+        if (it == ref.end()) {
+            EXPECT_EQ(pte, nullptr) << "vpn " << vpn;
+        } else {
+            ASSERT_NE(pte, nullptr) << "vpn " << vpn;
+            EXPECT_EQ(pte->ppn, it->second) << "vpn " << vpn;
+        }
+    }
+
+    /** Every probe VPN and the whole iteration agree with the map. */
+    void
+    check() const
+    {
+        ASSERT_EQ(pt.size(), ref.size());
+        for (Addr vpn : probes_)
+            expectFind(vpn);
+        auto it = ref.begin();
+        for (auto &&[vpn, pte] : pt) {
+            ASSERT_NE(it, ref.end());
+            EXPECT_EQ(vpn, it->first);
+            EXPECT_EQ(pte.ppn, it->second);
+            ++it;
+        }
+        EXPECT_EQ(it, ref.end());
+    }
+
+    PageTable pt;
+    std::map<Addr, Addr> ref;
+
+  private:
+    std::vector<Addr> chunks_;
+    std::vector<Addr> probes_;
+};
+
+TEST(PageTable, MatchesReferenceMapWithoutGaps)
+{
+    RefTable t({7, 8, 9, 10, 11, 12, 13, 14});
+    for (Addr c = 7; c <= 14; ++c)
+        t.fillChunk(c);
+    t.check();
+    Rng rng(21);
+    t.randomOps(rng, 4000);
+}
+
+TEST(PageTable, MatchesReferenceMapWithGaps)
+{
+    RefTable t({3, 4, 5, 9, 10, 20, 100});
+    Rng rng(22);
+    t.randomOps(rng, 4000);
+}
+
+TEST(PageTable, ErasingTheFirstLeafMovesTheIndexBase)
+{
+    RefTable t({7, 8, 9, 10});
+    for (Addr c = 7; c <= 10; ++c)
+        t.fillChunk(c);
+    t.eraseChunk(7); // directory now starts at chunk 8
+    t.check();
+    t.eraseChunk(8);
+    t.check();
+    t.fillChunk(7); // back below the base: a gap at chunk 8
+    t.check();
+}
+
+TEST(PageTable, RefilledGapIsFoundAgain)
+{
+    RefTable t({7, 8, 9, 10});
+    for (Addr c = 7; c <= 10; ++c)
+        t.fillChunk(c);
+    t.eraseChunk(9);
+    t.check();
+    t.fillChunk(9);
+    t.check();
+}
+
+TEST(PageTable, SnapshotRoundTripKeepsTheMapping)
+{
+    RefTable t({3, 4, 5, 9, 10, 20});
+    Rng rng(23);
+    t.randomOps(rng, 1000);
+    snapshot::Writer w;
+    snapshot::visit(t.pt, w);
+
+    RefTable restored({3, 4, 5, 9, 10, 20});
+    restored.ref = t.ref;
+    snapshot::Reader r(w.buffer());
+    snapshot::visit(restored.pt, r);
+    restored.check();
+    snapshot::Writer again;
+    snapshot::visit(restored.pt, again);
+    EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 class VmmTest : public ::testing::Test
