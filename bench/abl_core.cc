@@ -7,8 +7,9 @@
  * persists (the CoW costs are serializing OS events, not issue-bound
  * work).
  *
- * The six grid points are independent System pairs and fan out over the
- * parallel sweep runner (`--jobs N`).
+ * The six grid points are independent runForkBenchPair calls (one
+ * warmup per core config, both fork modes from it; DESIGN.md §11.3) and
+ * fan out over the parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>
@@ -43,20 +44,13 @@ main(int argc, char **argv)
     const Point points[] = {{1, 16}, {1, 64}, {1, 256},
                             {2, 64}, {4, 64}, {4, 256}};
 
-    struct Row
-    {
-        ForkBenchResult cow, oow;
-    };
-    std::vector<Row> rows = parallelMap(
+    std::vector<ForkBenchPair> rows = parallelMap(
         std::size(points),
         [&points, &params](std::size_t i) {
             SystemConfig cfg;
             cfg.issueWidth = points[i].width;
             cfg.instructionWindow = points[i].window;
-            Row row;
-            row.cow = runForkBench(params, ForkMode::CopyOnWrite, cfg);
-            row.oow = runForkBench(params, ForkMode::OverlayOnWrite, cfg);
-            return row;
+            return runForkBenchPair(params, cfg);
         },
         jobs,
         [&points](std::size_t i) {
@@ -66,7 +60,7 @@ main(int argc, char **argv)
 
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Point &pt = points[i];
-        const Row &row = rows[i];
+        const ForkBenchPair &row = rows[i];
         std::printf("%6u %8u %12.3f %12.3f %8.3fx%s\n", pt.width,
                     pt.window, row.cow.cpi, row.oow.cpi,
                     row.cow.cpi / row.oow.cpi,

@@ -63,9 +63,9 @@ runOverlaySpmv(const SystemConfig &cfg, const CooMatrix &coo,
             core.executeOp(asid, TraceOp::load(a_line));
             core.executeOp(asid,
                            TraceOp::load(addrs.xBase + Addr(c0) * 8));
-            core.executeOp(asid, TraceOp::compute(16));
+            core.executeOp(asid, TraceOp::compute(kLineComputeOps));
         }
-        core.executeOp(asid, TraceOp::compute(3));
+        core.executeOp(asid, TraceOp::compute(kRowOverheadOps));
         core.executeOp(asid, TraceOp::store(addrs.yBase + Addr(r) * 8));
     }
     core.finishEpoch();

@@ -6,12 +6,11 @@
  * overlay-on-write generates OMS write traffic (data + segment metadata)
  * that the buffer must absorb.
  *
- * The four buffer sizes are independent System pairs and fan out over
- * the parallel sweep runner (`--jobs N`). The buffer depth is
- * structural (it shapes the DRAM controller), so warm states cannot be
- * shared across sizes — but within a size the warmup prefix is
- * mode-independent, so each size warms up once and forks both modes
- * from the warm machine (DESIGN.md §11).
+ * The four buffer sizes are independent runForkBenchPair calls and fan
+ * out over the parallel sweep runner (`--jobs N`). The buffer depth is
+ * structural (it shapes the DRAM controller), so each size warms up
+ * once under its own config and forks both modes from it (DESIGN.md
+ * §11.3).
  */
 
 #include <cstdio>
@@ -38,23 +37,12 @@ main(int argc, char **argv)
 
     const unsigned entries[] = {4u, 16u, 64u, 256u};
 
-    struct Row
-    {
-        ForkBenchResult cow, oow;
-    };
-    std::vector<Row> rows = parallelMap(
+    std::vector<ForkBenchPair> rows = parallelMap(
         std::size(entries),
         [&entries, &params](std::size_t i) {
             SystemConfig cfg;
             cfg.writeBufferEntries = entries[i];
-            ForkBenchWarmState warm =
-                prepareForkBenchWarmState(params, cfg);
-            Row row;
-            row.cow =
-                runForkBenchFromWarmState(warm, ForkMode::CopyOnWrite);
-            row.oow =
-                runForkBenchFromWarmState(warm, ForkMode::OverlayOnWrite);
-            return row;
+            return runForkBenchPair(params, cfg);
         },
         jobs,
         [&entries](std::size_t i) {

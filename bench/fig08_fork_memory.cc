@@ -5,9 +5,8 @@
  * mean. Also reports the headline memory-capacity reduction (the paper
  * measures 53% on average).
  *
- * Warm-start execution (DESIGN.md §11): each benchmark simulates its
- * warmup prefix once, then both fork modes run from a clone of the warm
- * machine — the prefix is mode-independent, so the rows are byte-
+ * Each benchmark is one runForkBenchPair (DESIGN.md §11.3): the warmup
+ * prefix is simulated once and both fork modes run from it, byte-
  * identical to cold runs at half the warmup cost. The 15 benchmark
  * items are independent and fan out over the parallel sweep runner
  * (`--jobs N`); output is byte-identical to the serial run.
@@ -39,22 +38,11 @@ main(int argc, char **argv)
                 "------------------------------------------------------"
                 "------");
 
-    struct Pair
-    {
-        ForkBenchResult cow, oow;
-    };
     const std::vector<ForkBenchParams> &suite = forkBenchSuite();
-    std::vector<Pair> results = parallelMap(
+    std::vector<ForkBenchPair> results = parallelMap(
         suite.size(),
         [&suite](std::size_t i) {
-            ForkBenchWarmState warm =
-                prepareForkBenchWarmState(suite[i], SystemConfig{});
-            Pair pair;
-            pair.cow =
-                runForkBenchFromWarmState(warm, ForkMode::CopyOnWrite);
-            pair.oow =
-                runForkBenchFromWarmState(warm, ForkMode::OverlayOnWrite);
-            return pair;
+            return runForkBenchPair(suite[i], SystemConfig{});
         },
         jobs,
         [&suite](std::size_t i) { return suite[i].name; });

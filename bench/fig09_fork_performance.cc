@@ -4,12 +4,12 @@
  * a fork — copy-on-write vs overlay-on-write across the 15-benchmark
  * suite. The paper measures a 15% average performance improvement.
  *
- * Warm-start execution (DESIGN.md §11): in detailed mode each benchmark
- * simulates its warmup prefix once and runs both fork modes from a
- * clone of the warm machine — byte-identical rows at half the warmup
- * cost. The benchmark items are independent, so they fan out over the
- * parallel sweep runner (`--jobs N`); rows render in suite order
- * afterwards, byte-identical to `--jobs 1`.
+ * In detailed mode each benchmark is one runForkBenchPair (DESIGN.md
+ * §11.3): the warmup prefix is simulated once and both fork modes run
+ * from it — byte-identical rows at half the warmup cost. The benchmark
+ * items are independent, so they fan out over the parallel sweep runner
+ * (`--jobs N`); rows render in suite order afterwards, byte-identical
+ * to `--jobs 1`.
  *
  * `--sample-interval N` switches the suite to sampled simulation
  * (DESIGN.md §10): each window of N post-fork instructions runs a
@@ -108,40 +108,33 @@ main(int argc, char **argv)
                 "----");
 
     const std::vector<ForkBenchParams> &suite = forkBenchSuite();
-    std::vector<ForkBenchResult> results(suite.size() * 2);
-    std::vector<ForkBenchSampledResult> sampled_results(
-        sampling ? suite.size() * 2 : 0);
+    std::vector<ForkBenchSampledResult> sampled_results;
+    std::vector<ForkBenchPair> pairs;
     if (sampling) {
         // Sampled mode keeps one System per (benchmark, mode) item: the
         // sampled flow interleaves detailed and functional execution and
         // does not go through the warm-start path.
-        parallelMap(
+        sampled_results = parallelMap(
             suite.size() * 2,
-            [&](std::size_t i) {
+            [&suite, &sampled](std::size_t i) {
                 ForkMode mode = i % 2 ? ForkMode::OverlayOnWrite
                                       : ForkMode::CopyOnWrite;
-                sampled_results[i] = runForkBenchSampled(
-                    suite[i / 2], mode, SystemConfig{}, sampled);
-                results[i] = sampled_results[i].sampled;
-                return 0;
+                return runForkBenchSampled(suite[i / 2], mode,
+                                           SystemConfig{}, sampled);
             },
             jobs,
             [&suite](std::size_t i) {
                 return suite[i / 2].name + (i % 2 ? "/oow" : "/cow");
             });
+        for (std::size_t i = 0; i < suite.size(); ++i) {
+            pairs.push_back({sampled_results[2 * i].sampled,
+                             sampled_results[2 * i + 1].sampled});
+        }
     } else {
-        // Detailed mode: warm up each benchmark once, fork both modes
-        // from the warm machine.
-        parallelMap(
+        pairs = parallelMap(
             suite.size(),
-            [&](std::size_t i) {
-                ForkBenchWarmState warm =
-                    prepareForkBenchWarmState(suite[i], SystemConfig{});
-                results[2 * i] = runForkBenchFromWarmState(
-                    warm, ForkMode::CopyOnWrite);
-                results[2 * i + 1] = runForkBenchFromWarmState(
-                    warm, ForkMode::OverlayOnWrite);
-                return 0;
+            [&suite](std::size_t i) {
+                return runForkBenchPair(suite[i], SystemConfig{});
             },
             jobs,
             [&suite](std::size_t i) { return suite[i].name; });
@@ -155,8 +148,8 @@ main(int argc, char **argv)
             std::printf("-- Type %u --\n", params.type);
             last_type = params.type;
         }
-        const ForkBenchResult &cow = results[2 * i];
-        const ForkBenchResult &oow = results[2 * i + 1];
+        const ForkBenchResult &cow = pairs[i].cow;
+        const ForkBenchResult &oow = pairs[i].oow;
         double speedup = cow.cpi / oow.cpi;
         std::printf("%-10s %-5u %14.3f %16.3f %8.3fx\n",
                     params.name.c_str(), params.type, cow.cpi, oow.cpi,

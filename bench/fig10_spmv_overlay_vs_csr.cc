@@ -12,10 +12,7 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "cpu/ooo_core.hh"
 #include "sim/parallel.hh"
-#include "sparse/csr.hh"
-#include "sparse/overlay_matrix.hh"
 #include "sparse/spmv.hh"
 #include "workload/matrixgen.hh"
 
@@ -41,34 +38,14 @@ runOne(const MatrixSpec &spec)
     for (double &v : x)
         v = rng.uniform();
 
-    SpmvAddrs addrs;
-
-    // Overlay representation.
-    System ovl_sys((SystemConfig()));
-    OooCore ovl_core("core", ovl_sys);
-    Asid ovl_asid = ovl_sys.createProcess();
-    installVectors(ovl_sys, ovl_asid, addrs, x, coo.rows);
-    OverlayMatrix matrix(ovl_sys, ovl_asid, addrs.aBase);
-    matrix.build(coo);
-    ovl_sys.resetStats();
-    SpmvResult overlay = spmvOverlay(ovl_sys, ovl_core, matrix, addrs, x, 0);
-
-    // CSR.
-    System csr_sys((SystemConfig()));
-    OooCore csr_core("core", csr_sys);
-    Asid csr_asid = csr_sys.createProcess();
-    installVectors(csr_sys, csr_asid, addrs, x, coo.rows);
-    CsrMatrix csr = CsrMatrix::fromCoo(coo);
-    installCsr(csr_sys, csr_asid, addrs, csr);
-    csr_sys.quiesce();
-    SpmvResult csr_res = spmvCsr(csr_sys, csr_core, csr_asid, addrs, csr,
-                                 x, 0);
+    SpmvRun overlay = runSpmv(coo, x, SpmvRep::Overlay);
+    SpmvRun csr = runSpmv(coo, x, SpmvRep::Csr);
 
     Row row;
     row.name = coo.name;
     row.locality = analyzeMatrix(coo, kLineSize).locality;
-    row.relPerf = double(csr_res.cycles) / double(overlay.cycles);
-    row.relMem = double(matrix.storedBytes()) / double(csr.bytes());
+    row.relPerf = double(csr.result.cycles) / double(overlay.result.cycles);
+    row.relMem = double(overlay.bytes) / double(csr.bytes);
     return row;
 }
 
@@ -89,7 +66,7 @@ main(int argc, char **argv)
                 "------------------------------------------------------"
                 "--------------");
 
-    // 87 independent matrix evaluations (two Systems each) fanned out
+    // 87 independent matrix evaluations (two runSpmv each) fanned out
     // over the sweep runner; rows render in L order afterwards.
     const std::vector<MatrixSpec> suite = sparseSuite87();
     std::vector<Row> rows = parallelMap(

@@ -6,17 +6,15 @@
  * representation at every sparsity level, with the gap growing linearly
  * in the fraction of zero lines.
  *
- * The 11 sparsity points are independent (a dense and an overlay System
- * each) and fan out over the parallel sweep runner (`--jobs N`).
+ * The 11 sparsity points are independent (a dense and an overlay
+ * runSpmv each) and fan out over the parallel sweep runner (`--jobs N`).
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "common/random.hh"
-#include "cpu/ooo_core.hh"
 #include "sim/parallel.hh"
-#include "sparse/overlay_matrix.hh"
 #include "sparse/spmv.hh"
 #include "workload/matrixgen.hh"
 
@@ -43,26 +41,8 @@ runOne(int pct)
     for (double &v : x)
         v = rng.uniform();
 
-    SpmvAddrs addrs;
-
-    System dense_sys((SystemConfig()));
-    OooCore dense_core("core", dense_sys);
-    Asid dense_asid = dense_sys.createProcess();
-    installVectors(dense_sys, dense_asid, addrs, x, kRows);
-    installDense(dense_sys, dense_asid, addrs.aBase, coo);
-    dense_sys.quiesce();
-    SpmvResult dense = spmvDense(dense_sys, dense_core, dense_asid, addrs,
-                                 DenseLayout(kRows, kCols), x, 0);
-
-    System ovl_sys((SystemConfig()));
-    OooCore ovl_core("core", ovl_sys);
-    Asid ovl_asid = ovl_sys.createProcess();
-    installVectors(ovl_sys, ovl_asid, addrs, x, kRows);
-    OverlayMatrix matrix(ovl_sys, ovl_asid, addrs.aBase);
-    matrix.build(coo);
-    SpmvResult overlay = spmvOverlay(ovl_sys, ovl_core, matrix, addrs, x, 0);
-
-    return Point{dense.cycles, overlay.cycles};
+    return Point{runSpmv(coo, x, SpmvRep::Dense).result.cycles,
+                 runSpmv(coo, x, SpmvRep::Overlay).result.cycles};
 }
 
 } // namespace

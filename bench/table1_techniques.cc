@@ -65,14 +65,11 @@ technique1OverlayOnWrite()
     params.footprintPages /= 8;
     params.hotPages /= 8;
     params.dirtyPages /= 8;
-    ForkBenchResult cow =
-        runForkBench(params, ForkMode::CopyOnWrite, SystemConfig{});
-    ForkBenchResult oow =
-        runForkBench(params, ForkMode::OverlayOnWrite, SystemConfig{});
+    ForkBenchPair pair = runForkBenchPair(params, SystemConfig{});
     return format("1. Overlay-on-write      vs copy-on-write:        "
                 "%.2fx less memory, %.2fx faster (mcf slice)\n",
-                cow.additionalMemoryMB / oow.additionalMemoryMB,
-                cow.cpi / oow.cpi);
+                pair.cow.additionalMemoryMB / pair.oow.additionalMemoryMB,
+                pair.cow.cpi / pair.oow.cpi);
 }
 
 std::string

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "cpu/ooo_core.hh"
-#include "sparse/csr.hh"
 #include "sparse/overlay_matrix.hh"
 #include "sparse/spmv.hh"
 #include "workload/matrixgen.hh"
@@ -47,7 +45,6 @@ main()
         v = rng.uniform();
     std::vector<double> reference = spmvReference(coo, x);
 
-    SpmvAddrs addrs;
     auto check = [&](const char *name, const SpmvResult &res) {
         double max_err = 0;
         for (std::size_t i = 0; i < reference.size(); ++i)
@@ -61,55 +58,28 @@ main()
     };
 
     std::printf("\nSpMV through the Table 2 machine:\n");
-    bool ok = true;
+    SpmvRun dense = runSpmv(coo, x, SpmvRep::Dense);
+    SpmvRun csr = runSpmv(coo, x, SpmvRep::Csr);
+    SpmvRun overlay = runSpmv(coo, x, SpmvRep::Overlay);
+    bool ok = check("dense", dense.result);
+    ok &= check("CSR", csr.result);
+    ok &= check("overlay", overlay.result);
+    std::printf("\nOverlay representation stores %.1f KB "
+                "(dense layout would be %.1f KB).\n",
+                double(overlay.bytes) / 1024.0, double(dense.bytes) / 1024.0);
+    std::printf("Overlay speedup over CSR: %.2fx\n",
+                double(csr.result.cycles) / double(overlay.result.cycles));
 
-    {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        installDense(sys, asid, addrs.aBase, coo);
-        sys.quiesce();
-        ok &= check("dense", spmvDense(sys, core, asid, addrs,
-                                       DenseLayout(coo.rows, coo.cols), x,
-                                       0));
-    }
-    SpmvResult csr_result;
-    {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        CsrMatrix csr = CsrMatrix::fromCoo(coo);
-        installCsr(sys, asid, addrs, csr);
-        sys.quiesce();
-        csr_result = spmvCsr(sys, core, asid, addrs, csr, x, 0);
-        ok &= check("CSR", csr_result);
-    }
-    {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        OverlayMatrix matrix(sys, asid, addrs.aBase);
-        matrix.build(coo);
-        SpmvResult overlay = spmvOverlay(sys, core, matrix, addrs, x, 0);
-        ok &= check("overlay", overlay);
-        std::printf("\nOverlay representation stores %.1f KB "
-                    "(dense layout would be %.1f KB).\n",
-                    double(matrix.storedBytes()) / 1024.0,
-                    double(matrix.layout().bytes()) / 1024.0);
-        std::printf("Overlay speedup over CSR: %.2fx\n",
-                    double(csr_result.cycles) / double(overlay.cycles));
-
-        // Dynamic update: one overlaying write, no array shifting.
-        std::uint64_t before = sys.overlayingWrites();
-        matrix.insert(100, 400, 2.5, 0);
-        std::printf("\nDynamic insert of a new non-zero: "
-                    "%llu overlaying write(s); element now reads %.1f\n",
-                    (unsigned long long)(sys.overlayingWrites() - before),
-                    matrix.at(100, 400));
-    }
+    // Dynamic update: one overlaying write, no array shifting.
+    System sys((SystemConfig()));
+    OverlayMatrix matrix(sys, sys.createProcess(), SpmvAddrs{}.aBase);
+    matrix.build(coo);
+    std::uint64_t before = sys.overlayingWrites();
+    matrix.insert(100, 400, 2.5, 0);
+    std::printf("\nDynamic insert of a new non-zero: "
+                "%llu overlaying write(s); element now reads %.1f\n",
+                (unsigned long long)(sys.overlayingWrites() - before),
+                matrix.at(100, 400));
 
     std::printf("\n%s\n", ok ? "All representations agree."
                              : "MISMATCH DETECTED");

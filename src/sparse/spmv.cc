@@ -17,10 +17,6 @@ mapRegion(System &system, Asid asid, Addr base, std::uint64_t bytes)
     system.mapAnon(asid, base, len);
 }
 
-/** Instructions per 8-value line of dense FMA work: 8 FMA + loop ops. */
-constexpr std::uint32_t kLineComputeOps = 16;
-/** Per-row loop overhead instructions. */
-constexpr std::uint32_t kRowOverheadOps = 3;
 /** Per-non-zero CSR compute: one FMA plus loop increment/compare. */
 constexpr std::uint32_t kCsrNnzComputeOps = 3;
 
@@ -194,6 +190,45 @@ spmvCsr(System &system, OooCore &core, Asid asid, const SpmvAddrs &addrs,
     res.cycles = core.epochCycles();
     res.instructions = core.epochInstructions();
     return res;
+}
+
+SpmvRun
+runSpmv(const CooMatrix &coo, const std::vector<double> &x, SpmvRep rep,
+        const SystemConfig &config)
+{
+    SpmvAddrs addrs;
+    System sys(config);
+    OooCore core("core", sys);
+    Asid asid = sys.createProcess();
+    installVectors(sys, asid, addrs, x, coo.rows);
+
+    SpmvRun run;
+    switch (rep) {
+      case SpmvRep::Dense: {
+        DenseLayout layout(coo.rows, coo.cols);
+        installDense(sys, asid, addrs.aBase, coo);
+        sys.quiesce();
+        run.result = spmvDense(sys, core, asid, addrs, layout, x, 0);
+        run.bytes = layout.bytes();
+        break;
+      }
+      case SpmvRep::Csr: {
+        CsrMatrix csr = CsrMatrix::fromCoo(coo);
+        installCsr(sys, asid, addrs, csr);
+        sys.quiesce();
+        run.result = spmvCsr(sys, core, asid, addrs, csr, x, 0);
+        run.bytes = csr.bytes();
+        break;
+      }
+      case SpmvRep::Overlay: {
+        OverlayMatrix matrix(sys, asid, addrs.aBase);
+        matrix.build(coo); // quiesces the memory system itself
+        run.result = spmvOverlay(sys, core, matrix, addrs, x, 0);
+        run.bytes = matrix.storedBytes();
+        break;
+      }
+    }
+    return run;
 }
 
 } // namespace ovl

@@ -23,6 +23,11 @@
 namespace ovl
 {
 
+/** Instructions per 8-value line of dense FMA work: 8 FMA + loop ops. */
+constexpr std::uint32_t kLineComputeOps = 16;
+/** Per-row loop overhead instructions. */
+constexpr std::uint32_t kRowOverheadOps = 3;
+
 /** Result of one timed SpMV run. */
 struct SpmvResult
 {
@@ -85,6 +90,35 @@ SpmvResult spmvOverlay(System &system, OooCore &core,
 SpmvResult spmvCsr(System &system, OooCore &core, Asid asid,
                    const SpmvAddrs &addrs, const CsrMatrix &csr,
                    const std::vector<double> &x, Tick start);
+
+/** The matrix representation a runSpmv() machine stores. */
+enum class SpmvRep
+{
+    Dense,   ///< every line stored, zero or not (installDense)
+    Csr,     ///< the three CSR arrays (installCsr)
+    Overlay, ///< zero-backed overlay pages (OverlayMatrix)
+};
+
+/** Outcome of runSpmv(). */
+struct SpmvRun
+{
+    SpmvResult result;
+    /**
+     * Bytes the representation stores: OverlayMatrix::storedBytes(),
+     * CsrMatrix::bytes() or DenseLayout::bytes().
+     */
+    std::uint64_t bytes = 0;
+};
+
+/**
+ * One SpMV experiment on a fresh machine built from @p config: a System
+ * and core, one process, x and y (installVectors) and the matrix in
+ * representation @p rep at the default SpmvAddrs. The setup is untimed
+ * and the memory system is quiesced before the kernel runs from tick 0,
+ * so the three representations start from the same idle machine.
+ */
+SpmvRun runSpmv(const CooMatrix &coo, const std::vector<double> &x,
+                SpmvRep rep, const SystemConfig &config = {});
 
 } // namespace ovl
 

@@ -882,6 +882,15 @@ runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
     return run.finish(dump_stats);
 }
 
+ForkBenchPair
+runForkBenchPair(const ForkBenchParams &params, SystemConfig config)
+{
+    ForkBenchWarmState warm =
+        prepareForkBenchWarmState(params, std::move(config));
+    return {runForkBenchFromWarmState(warm, ForkMode::CopyOnWrite),
+            runForkBenchFromWarmState(warm, ForkMode::OverlayOnWrite)};
+}
+
 ForkBenchCheckpointedRun
 runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
                          SystemConfig config,

@@ -258,6 +258,23 @@ ForkBenchResult runForkBenchFromWarmState(
     const SystemConfig *config_override = nullptr,
     std::ostream *dump_stats = nullptr);
 
+/** One benchmark under both fork modes. */
+struct ForkBenchPair
+{
+    ForkBenchResult cow, oow;
+};
+
+/**
+ * Run @p params under copy-on-write and overlay-on-write on machines
+ * built from @p config. The warmup prefix is simulated once
+ * (prepareForkBenchWarmState) and both modes fork from it, so each
+ * result is byte-identical to runForkBench(params, mode, config) at half
+ * the warmup cost. Any config may be swept this way: both modes fork
+ * from a warm state captured under that same config.
+ */
+ForkBenchPair runForkBenchPair(const ForkBenchParams &params,
+                               SystemConfig config);
+
 // ----- crash-resumable checkpoint/restore (DESIGN.md §11) --------------
 
 /** Checkpointing policy of runForkBenchCheckpointed(). */

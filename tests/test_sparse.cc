@@ -252,5 +252,59 @@ TEST(SpmvEngines, OverlaySkipsZeroLines)
     EXPECT_LT(overlay.cycles, dense.cycles);
 }
 
+TEST(Spmv, RunSpmvMatchesHandBuiltMachines)
+{
+    // runSpmv is the explicit recipe: one fresh machine per
+    // representation, install, quiesce, kernel from tick 0.
+    MatrixSpec spec;
+    spec.rows = 128;
+    spec.cols = 128;
+    spec.nnz = 1500;
+    spec.targetL = 5.0;
+    spec.seed = 9;
+    CooMatrix coo = generateMatrix(spec);
+    std::vector<double> x(coo.cols);
+    Rng rng(23);
+    for (double &v : x)
+        v = rng.uniform();
+    SpmvAddrs addrs;
+
+    for (SpmvRep rep : {SpmvRep::Dense, SpmvRep::Csr, SpmvRep::Overlay}) {
+        SCOPED_TRACE(int(rep));
+        System sys(SystemConfig{});
+        OooCore core("core", sys);
+        Asid asid = sys.createProcess();
+        installVectors(sys, asid, addrs, x, coo.rows);
+        SpmvResult want;
+        std::uint64_t want_bytes = 0;
+        if (rep == SpmvRep::Dense) {
+            DenseLayout layout(coo.rows, coo.cols);
+            installDense(sys, asid, addrs.aBase, coo);
+            sys.quiesce();
+            want = spmvDense(sys, core, asid, addrs, layout, x, 0);
+            want_bytes = layout.bytes();
+        } else if (rep == SpmvRep::Csr) {
+            CsrMatrix csr = CsrMatrix::fromCoo(coo);
+            installCsr(sys, asid, addrs, csr);
+            sys.quiesce();
+            want = spmvCsr(sys, core, asid, addrs, csr, x, 0);
+            want_bytes = csr.bytes();
+        } else {
+            OverlayMatrix m(sys, asid, addrs.aBase);
+            m.build(coo);
+            sys.quiesce();
+            want = spmvOverlay(sys, core, m, addrs, x, 0);
+            want_bytes = m.storedBytes();
+        }
+
+        SpmvRun got = runSpmv(coo, x, rep);
+        EXPECT_GT(want.cycles, 0u);
+        EXPECT_EQ(got.result.cycles, want.cycles);
+        EXPECT_EQ(got.result.instructions, want.instructions);
+        EXPECT_EQ(got.result.y, want.y);
+        EXPECT_EQ(got.bytes, want_bytes);
+    }
+}
+
 } // namespace
 } // namespace ovl

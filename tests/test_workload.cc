@@ -183,5 +183,36 @@ TEST(ForkBench, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.additionalMemoryMB, b.additionalMemoryMB);
 }
 
+TEST(WarmStart, PairMatchesColdRunsUnderSweptConfigs)
+{
+    // The core and write-buffer configs abl_core and abl_write_buffer
+    // sweep: both modes forked from one warm state equal two cold runs.
+    ForkBenchParams p = forkBenchByName("mcf");
+    p.warmupInstructions = 40'000;
+    p.postForkInstructions = 100'000;
+    SystemConfig wide;
+    wide.issueWidth = 4;
+    wide.instructionWindow = 256;
+    SystemConfig small_wbuf;
+    small_wbuf.writeBufferEntries = 4;
+    for (const SystemConfig &cfg : {wide, small_wbuf}) {
+        SCOPED_TRACE(cfg.writeBufferEntries);
+        ForkBenchPair pair = runForkBenchPair(p, cfg);
+        const std::pair<ForkMode, const ForkBenchResult *> runs[] = {
+            {ForkMode::CopyOnWrite, &pair.cow},
+            {ForkMode::OverlayOnWrite, &pair.oow},
+        };
+        for (const auto &[mode, warm] : runs) {
+            ForkBenchResult cold = runForkBench(p, mode, cfg);
+            EXPECT_EQ(warm->mode, mode);
+            EXPECT_EQ(warm->additionalMemoryMB, cold.additionalMemoryMB);
+            EXPECT_EQ(warm->cpi, cold.cpi);
+            EXPECT_EQ(warm->cowFaults, cold.cowFaults);
+            EXPECT_EQ(warm->overlayingWrites, cold.overlayingWrites);
+            EXPECT_EQ(warm->forkLatency, cold.forkLatency);
+        }
+    }
+}
+
 } // namespace
 } // namespace ovl

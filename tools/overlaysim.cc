@@ -20,9 +20,10 @@
  *       byte-identical to the uninterrupted `overlaysim forkbench` row.
  *
  *   overlaysim spmv --L X [--nnz N] [--rep overlay|csr|dense|all]
- *       Build a synthetic sparse matrix with non-zero locality L (a
- *       number from 1 to 8) and run SpMV under the chosen
- *       representation(s).
+ *       Build a synthetic 1024x1024 sparse matrix with non-zero
+ *       locality L (a number from 1 to 8) and N non-zeros (at least 1,
+ *       in at most as many non-zero lines as the matrix holds) and run
+ *       SpMV (runSpmv) under the chosen representation(s).
  *
  *   overlaysim trace info <file>
  *   overlaysim trace run <file> [--json FILE]
@@ -45,14 +46,17 @@
  * nonzero; a malformed flag value exits 1 with one diagnostic.
  */
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hh"
@@ -63,8 +67,6 @@
 #include "sim/observe.hh"
 #include "sim/snapshot.hh"
 #include "sim/stats_diff.hh"
-#include "sparse/csr.hh"
-#include "sparse/overlay_matrix.hh"
 #include "sparse/spmv.hh"
 #include "system/system.hh"
 #include "workload/forkbench.hh"
@@ -348,16 +350,48 @@ parseLocality(const std::string &text)
     return value;
 }
 
+/**
+ * `spmv --nnz` must describe a matrix the generator can build as asked:
+ * at least one non-zero, and no more non-zero lines than the matrix
+ * holds. The generator asks for llround(nnz / L) lines and would
+ * otherwise quietly build one non-zero or a denser matrix instead.
+ */
+void
+checkRealizable(const MatrixSpec &spec, const std::string &l_text)
+{
+    if (spec.nnz == 0)
+        throw std::invalid_argument("--nnz expects at least 1, got 0");
+    std::uint64_t lines = std::uint64_t(spec.rows) *
+                          (spec.cols / DenseLayout::kValuesPerLine);
+    // llround(x) > lines, without rounding a value llround cannot hold.
+    if (double(spec.nnz) / spec.targetL >= double(lines) + 0.5) {
+        throw std::invalid_argument(
+            "--nnz " + std::to_string(spec.nnz) + " at --L " + l_text +
+            " needs more non-zero lines than the " +
+            std::to_string(spec.rows) + "x" + std::to_string(spec.cols) +
+            " matrix holds (" + std::to_string(lines) + ")");
+    }
+}
+
 int
 cmdSpmv(std::vector<std::string> args)
 {
+    // `--rep all` runs them in this order.
+    static constexpr std::pair<const char *, SpmvRep> kReps[] = {
+        {"overlay", SpmvRep::Overlay},
+        {"csr", SpmvRep::Csr},
+        {"dense", SpmvRep::Dense},
+    };
     std::optional<std::string> l_str = takeFlag(args, "--L");
     std::optional<std::uint64_t> nnz = takeCount(args, "--nnz");
     std::optional<std::string> rep = takeFlag(args, "--rep");
     if (!l_str || !args.empty())
         return usage();
-    if (rep && *rep != "overlay" && *rep != "csr" && *rep != "dense" &&
-        *rep != "all") {
+    auto want = [&](const char *name) {
+        return !rep || *rep == "all" || *rep == name;
+    };
+    if (std::none_of(std::begin(kReps), std::end(kReps),
+                     [&](const auto &r) { return want(r.first); })) {
         throw std::invalid_argument(
             "--rep expects overlay, csr, dense or all, got '" + *rep + "'");
     }
@@ -373,6 +407,7 @@ cmdSpmv(std::vector<std::string> args)
     }
     if (nnz)
         spec.nnz = *nnz;
+    checkRealizable(spec, *l_str);
     spec.name = "cli";
     CooMatrix coo = generateMatrix(spec);
     MatrixStats stats = analyzeMatrix(coo, kLineSize);
@@ -383,55 +418,17 @@ cmdSpmv(std::vector<std::string> args)
     Rng rng(1);
     for (double &v : x)
         v = rng.uniform();
-    SpmvAddrs addrs;
 
-    auto want = [&](const char *name) {
-        return !rep || *rep == name || *rep == "all";
-    };
     std::printf("%-8s %12s %14s %12s\n", "rep", "cycles", "instructions",
                 "bytes");
-    if (want("overlay")) {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        OverlayMatrix m(sys, asid, addrs.aBase);
-        m.build(coo);
-        SpmvResult res = spmvOverlay(sys, core, m, addrs, x, 0);
-        std::printf("%-8s %12llu %14llu %12llu\n", "overlay",
-                    (unsigned long long)res.cycles,
-                    (unsigned long long)res.instructions,
-                    (unsigned long long)m.storedBytes());
-    }
-    if (want("csr")) {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        CsrMatrix csr = CsrMatrix::fromCoo(coo);
-        installCsr(sys, asid, addrs, csr);
-        sys.quiesce();
-        SpmvResult res = spmvCsr(sys, core, asid, addrs, csr, x, 0);
-        std::printf("%-8s %12llu %14llu %12llu\n", "csr",
-                    (unsigned long long)res.cycles,
-                    (unsigned long long)res.instructions,
-                    (unsigned long long)csr.bytes());
-    }
-    if (want("dense")) {
-        System sys((SystemConfig()));
-        OooCore core("core", sys);
-        Asid asid = sys.createProcess();
-        installVectors(sys, asid, addrs, x, coo.rows);
-        installDense(sys, asid, addrs.aBase, coo);
-        sys.quiesce();
-        SpmvResult res =
-            spmvDense(sys, core, asid, addrs,
-                      DenseLayout(coo.rows, coo.cols), x, 0);
-        std::printf("%-8s %12llu %14llu %12llu\n", "dense",
-                    (unsigned long long)res.cycles,
-                    (unsigned long long)res.instructions,
-                    (unsigned long long)DenseLayout(coo.rows,
-                                                    coo.cols).bytes());
+    for (const auto &[name, r] : kReps) {
+        if (!want(name))
+            continue;
+        SpmvRun run = runSpmv(coo, x, r);
+        std::printf("%-8s %12llu %14llu %12llu\n", name,
+                    (unsigned long long)run.result.cycles,
+                    (unsigned long long)run.result.instructions,
+                    (unsigned long long)run.bytes);
     }
     return 0;
 }
