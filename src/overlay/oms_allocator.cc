@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/host_bytes.hh"
 #include "common/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -169,6 +170,12 @@ std::size_t
 OmsAllocator::freeCount(SegClass cls) const
 {
     return counts_[unsigned(cls)];
+}
+
+std::uint64_t
+OmsAllocator::hostBytes() const
+{
+    return pages_.capacity() * sizeof(PageMeta) + hashMapHostBytes(pageIndex_);
 }
 
 template <class Self, class Ar>

@@ -72,6 +72,9 @@ class OmsAllocator : public SimObject
     /** Total bytes handed to the OMS by the OS so far. */
     std::uint64_t osBytesProvided() const { return osBytesProvided_.value(); }
 
+    /** Host bytes of the page metadata and the page index. */
+    std::uint64_t hostBytes() const;
+
     /** Memory accesses implied by free-list manipulation since creation. */
     std::uint64_t listTouches() const { return listTouches_.value(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/host_bytes.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/victim.hh"
@@ -60,7 +61,11 @@ Omt::findOrCreate(Opn opn)
     if (opn == cachedOpn_)
         return *cachedEntry_;
     Chunk &chunk = ensureChunk(opn >> kChunkBits);
-    std::uint32_t &slot = chunk.slots[opn & (kChunkSize - 1)];
+    if (chunk.slots == nullptr) {
+        chunk.slots = std::make_unique<SlotArray>();
+        chunk.slots->fill(kNoEntry);
+    }
+    std::uint32_t &slot = (*chunk.slots)[opn & (kChunkSize - 1)];
     if (slot == kNoEntry) {
         ++entriesCreated_;
         if (chunk.leafBase == kInvalidAddr) {
@@ -98,19 +103,22 @@ Omt::erase(Opn opn)
         cachedEntry_ = nullptr;
     }
     Chunk *chunk = findChunk(opn >> kChunkBits);
-    if (chunk == nullptr)
+    if (chunk == nullptr || chunk->slots == nullptr)
         return;
-    std::uint32_t &slot = chunk->slots[opn & (kChunkSize - 1)];
+    std::uint32_t &slot = (*chunk->slots)[opn & (kChunkSize - 1)];
     if (slot == kNoEntry)
         return;
     freeEntries_.push_back(slot);
     slot = kNoEntry;
-    --chunk->live;
     --size_;
     ++entriesErased_;
-    // Chunks (and their radix nodes) are retained: table nodes are never
-    // freed, so walks of erased OPNs still see the full path, exactly as
-    // a hardware table walk would.
+    // The emptied chunk frees its slot array, so host memory follows the
+    // live entries rather than every window ever populated. The chunk
+    // itself (its walk cache) and its radix nodes are retained: table
+    // nodes are never freed, so walks of erased OPNs still see the full
+    // path, exactly as a hardware table walk would.
+    if (--chunk->live == 0)
+        chunk->slots.reset();
 }
 
 Addr
@@ -165,6 +173,25 @@ Omt::ensureNodePath(Opn opn)
         nodeLineAddr(level, opn, true);
 }
 
+std::uint64_t
+Omt::slotArrayBytes() const
+{
+    std::uint64_t arrays = 0;
+    for (const auto &[chunk_id, chunk] : chunks_)
+        arrays += chunk->slots != nullptr;
+    return arrays * sizeof(SlotArray);
+}
+
+std::uint64_t
+Omt::hostBytes() const
+{
+    return chunks_.capacity() * sizeof(chunks_[0]) +
+           chunks_.size() * sizeof(Chunk) + slotArrayBytes() +
+           arena_.size() * sizeof(OmtEntry) +
+           freeEntries_.capacity() * sizeof(std::uint32_t) +
+           hashMapHostBytes(nodes_);
+}
+
 template <class Self, class Ar>
 void
 Omt::io(Self &self, Ar &ar)
@@ -186,12 +213,27 @@ Omt::io(Self &self, Ar &ar)
                 chunk = std::make_unique<Chunk>();
             }
             prev_id = &chunk_id;
-            for (auto &slot : chunk->slots)
+            // A retired chunk has no slot array and writes 512 kNoEntry.
+            SlotArray slots;
+            if (chunk->slots != nullptr)
+                slots = *chunk->slots;
+            else
+                slots.fill(kNoEntry);
+            for (auto &slot : slots)
                 ar.u32(slot);
             for (auto &line : chunk->upperLines)
                 ar.u64(line);
             ar.u64(chunk->leafBase);
             ar.u32(chunk->live);
+            if constexpr (Ar::kLoading) {
+                auto used = std::uint32_t(std::count_if(
+                    slots.begin(), slots.end(),
+                    [](std::uint32_t s) { return s != kNoEntry; }));
+                if (used != chunk->live)
+                    ar.fail("OMT chunk live count does not match its slots");
+                if (used != 0)
+                    chunk->slots = std::make_unique<SlotArray>(slots);
+            }
         });
 
         // The arena is written index-for-index, free entries included:
@@ -241,7 +283,9 @@ Omt::io(Self &self, Ar &ar)
 
             // Validate chunk slots against the restored arena.
             for (const auto &[chunk_id, chunk] : self.chunks_) {
-                for (std::uint32_t slot : chunk->slots) {
+                if (chunk->slots == nullptr)
+                    continue;
+                for (std::uint32_t slot : *chunk->slots) {
                     if (slot != kNoEntry && slot >= self.arena_.size())
                         ar.fail("OMT chunk slot index out of arena bounds");
                 }

@@ -12,6 +12,7 @@
 #define OVERLAYSIM_OVERLAY_OMT_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -85,8 +86,19 @@ class Omt : public SimObject
 
     std::size_t size() const { return size_; }
 
-    /** Populated 512-OPN windows (accounting/tests). */
+    /** 512-OPN windows that ever held an entry (accounting/tests). */
     std::size_t chunkCount() const { return chunks_.size(); }
+
+    /** Host bytes of the chunks' slot arrays (live chunks only). */
+    std::uint64_t slotArrayBytes() const;
+
+    /**
+     * Host bytes held by the table: chunk directory, chunks, slot
+     * arrays, entry arena, free list and node map (buckets included).
+     * A function of the table's operation history alone, so tests can
+     * bound it exactly; allocator overhead is not counted.
+     */
+    std::uint64_t hostBytes() const;
 
     /**
      * Main-memory line addresses touched by a table walk for @p opn, in
@@ -135,7 +147,7 @@ class Omt : public SimObject
             if (chunk->live == 0)
                 continue;
             for (unsigned s = 0; s < kChunkSize; ++s) {
-                std::uint32_t idx = chunk->slots[s];
+                std::uint32_t idx = (*chunk->slots)[s];
                 if (idx != kNoEntry)
                     fn(Opn((chunk_id << kChunkBits) | s), arena_[idx]);
             }
@@ -147,17 +159,22 @@ class Omt : public SimObject
     static constexpr unsigned kChunkSize = 1u << kChunkBits;
     static constexpr std::uint32_t kNoEntry = ~std::uint32_t(0);
 
-    /** One 512-OPN window of the table. */
+    using SlotArray = std::array<std::uint32_t, kChunkSize>;
+
+    /**
+     * One 512-OPN window of the table. The slot array exists only while
+     * the chunk holds entries: the erase that empties a chunk frees it
+     * (2 KiB per retired window, e.g. per exited process) and the next
+     * findOrCreate() in the window allocates it again. The walk cache
+     * stays, since the window's node pages are never freed.
+     */
     struct Chunk
     {
-        Chunk()
-        {
-            slots.fill(kNoEntry);
-            upperLines.fill(kInvalidAddr);
-        }
+        Chunk() { upperLines.fill(kInvalidAddr); }
 
-        /** Arena index per OPN in the window, or kNoEntry. */
-        std::array<std::uint32_t, kChunkSize> slots;
+        /** Arena index per OPN in the window, or kNoEntry; null while
+         *  live == 0. */
+        std::unique_ptr<SlotArray> slots;
         /** Cached walk lines of radix levels 0..2 (shared chunk-wide). */
         std::array<Addr, kWalkLevels - 1> upperLines;
         /** Base of the chunk's leaf node page; kInvalidAddr until the
@@ -229,9 +246,9 @@ Omt::find(Opn opn)
     if (opn == cachedOpn_)
         return cachedEntry_;
     Chunk *chunk = findChunk(opn >> kChunkBits);
-    if (chunk == nullptr)
+    if (chunk == nullptr || chunk->slots == nullptr)
         return nullptr;
-    std::uint32_t idx = chunk->slots[opn & (kChunkSize - 1)];
+    std::uint32_t idx = (*chunk->slots)[opn & (kChunkSize - 1)];
     if (idx == kNoEntry)
         return nullptr;
     cachedOpn_ = opn;

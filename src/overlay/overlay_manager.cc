@@ -1,7 +1,6 @@
 #include "overlay_manager.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "sim/profile.hh"
@@ -10,14 +9,6 @@
 
 namespace ovl
 {
-
-namespace
-{
-
-/** What an overlay page without a line array reads as. */
-const std::array<LineData, kLinesPerPage> kZeroLines{};
-
-} // namespace
 
 OverlayManager::OverlayManager(std::string name, OverlayManagerParams params,
                                DramController &dram_ctrl,
@@ -44,6 +35,27 @@ OverlayManager::OverlayManager(std::string name, OverlayManagerParams params,
 
 // --------------------------- functional side ---------------------------
 
+void
+OverlayManager::OverlayPageData::insertLine(unsigned line,
+                                            const LineData &data)
+{
+    unsigned n = stored.count();
+    std::size_t pos = rank(line);
+    LineData *old = lines.get();
+    if (n == lineCapacity(n)) {
+        // Full: move to the next segment size, leaving the gap at pos.
+        auto grown = std::make_unique_for_overwrite<LineData[]>(
+            lineCapacity(n + 1));
+        std::copy(old, old + pos, grown.get());
+        std::copy(old + pos, old + n, grown.get() + pos + 1);
+        lines = std::move(grown);
+    } else {
+        std::copy_backward(old + pos, old + n, old + n + 1);
+    }
+    lines[pos] = data;
+    stored.set(line);
+}
+
 OverlayManager::OverlayPageData *
 OverlayManager::findPageData(Opn opn) const
 {
@@ -62,7 +74,10 @@ OverlayManager::ensurePageData(OmtEntry &entry)
     if (!freePages_.empty()) {
         idx = freePages_.back();
         freePages_.pop_back();
-        pageStore_[idx]->present = BitVector64();
+        // The new overlay starts empty: the previous tenant's lines are
+        // freed here, not at discard, because snapshots carry a free
+        // page's last contents.
+        *pageStore_[idx] = OverlayPageData();
     } else {
         idx = std::uint32_t(pageStore_.size());
         pageStore_.push_back(std::make_unique<OverlayPageData>());
@@ -94,12 +109,10 @@ OverlayManager::writeLineData(Opn opn, unsigned line_in_page,
     entry.obv.set(line_in_page);
     OverlayPageData &page = ensurePageData(entry);
     page.present.set(line_in_page);
-    if (!page.lines) {
-        if (data == LineData{})
-            return;
-        page.lines = std::make_unique<LineArray>();
-    }
-    (*page.lines)[line_in_page] = data;
+    if (page.stored.test(line_in_page))
+        page.lines[page.rank(line_in_page)] = data;
+    else if (data != LineData{})
+        page.insertLine(line_in_page, data);
 }
 
 void
@@ -110,7 +123,10 @@ OverlayManager::readLineData(Opn opn, unsigned line_in_page,
     ovl_assert(page != nullptr, "reading a line of a missing overlay");
     ovl_assert(page->present.test(line_in_page),
                "reading an unmapped overlay line");
-    out = page->lines ? (*page->lines)[line_in_page] : LineData{};
+    if (page->stored.test(line_in_page))
+        out = page->lines[page->rank(line_in_page)];
+    else
+        out = LineData{};
 }
 
 bool
@@ -378,13 +394,21 @@ OverlayManager::io(Self &self, Ar &ar)
             if constexpr (Ar::kLoading)
                 page = std::make_unique<OverlayPageData>();
             ar.u64(page->present.raw());
+            // The wire format is the dense 4 KiB page: stored lines in
+            // place, zeros elsewhere. Restore stores the nonzero lines.
+            LineArray blob{};
             if constexpr (Ar::kLoading) {
-                LineArray lines{};
-                ar.blob(lines);
-                if (std::memcmp(&lines, &kZeroLines, sizeof(lines)) != 0)
-                    page->lines = std::make_unique<LineArray>(lines);
+                ar.blob(blob);
+                for (unsigned l = 0; l < kLinesPerPage; ++l) {
+                    if (blob[l] != LineData{})
+                        page->insertLine(l, blob[l]);
+                }
             } else {
-                ar.blob(page->lines ? *page->lines : kZeroLines);
+                std::size_t i = 0;
+                for (unsigned l = page->stored.findFirst(); l < kLinesPerPage;
+                     l = page->stored.findNext(l))
+                    blob[l] = page->lines[i++];
+                ar.blob(blob);
             }
         });
         ar.seq(self.freePages_, 4, [&](auto &idx) { ar.u32(idx); });
@@ -412,12 +436,28 @@ OverlayManager::io(Self &self, Ar &ar)
 OVL_SNAPSHOT_IO(OverlayManager);
 
 std::uint64_t
-OverlayManager::lineArraysInUse() const
+OverlayManager::lineStoreBytes() const
 {
-    std::uint64_t count = 0;
-    for (const auto &page : pageStore_)
-        count += page != nullptr && page->lines != nullptr;
-    return count;
+    std::uint64_t bytes = 0;
+    for (const auto &page : pageStore_) {
+        if (page != nullptr) {
+            bytes += OverlayPageData::lineCapacity(page->stored.count()) *
+                     sizeof(LineData);
+        }
+    }
+    return bytes;
+}
+
+std::uint64_t
+OverlayManager::hostBytes() const
+{
+    auto pages = std::uint64_t(std::count_if(
+        pageStore_.begin(), pageStore_.end(),
+        [](const auto &page) { return page != nullptr; }));
+    return omt_.hostBytes() + allocator_.hostBytes() +
+           pageStore_.capacity() * sizeof(pageStore_[0]) +
+           pages * sizeof(OverlayPageData) + lineStoreBytes() +
+           freePages_.capacity() * sizeof(std::uint32_t);
 }
 
 std::uint64_t

@@ -11,7 +11,9 @@
 #ifndef OVERLAYSIM_OVERLAY_OVERLAY_MANAGER_HH
 #define OVERLAYSIM_OVERLAY_OVERLAY_MANAGER_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -136,8 +138,15 @@ class OverlayManager : public SimObject
 
     std::uint64_t migrations() const { return migrations_.value(); }
 
-    /** Overlay pages (live or recycled) holding a host line array. */
-    std::uint64_t lineArraysInUse() const;
+    /**
+     * Host bytes of the engine's functional state: the OMT, the OMS
+     * allocator's page metadata and the overlay page-data store with its
+     * stored lines. Deterministic, so tests can bound it exactly.
+     */
+    std::uint64_t hostBytes() const;
+
+    /** Host bytes reserved for stored overlay lines (part of hostBytes). */
+    std::uint64_t lineStoreBytes() const;
 
     /**
      * Snapshot visitor over the whole engine: OMT + OMT cache +
@@ -175,19 +184,45 @@ class OverlayManager : public SimObject
     using LineArray = std::array<LineData, kLinesPerPage>;
 
     /**
-     * Logical contents of one overlay page, flattened: a presence bitmap
-     * plus a dense line array. The OMT entry carries the index of its
-     * page in pageStore_ (data ⊆ table: page data never outlives the
-     * entry), so resolving a line is the OMT's chunk-indexed lookup plus
-     * one array read — no separate hash map; poke/peek hit this once per
-     * 64 B chunk. The line array is allocated by the page's first nonzero
-     * line; until then every line reads (and serializes) as zero. A
-     * recycled page keeps its array and the stale bytes in it.
+     * Logical contents of one overlay page: a presence bitmap plus only
+     * the lines that hold data, the way the OMS stores an overlay
+     * (§4.4.1). `stored` marks the lines with data and `lines` holds
+     * them in ascending line order, so line l sits at the rank of l in
+     * `stored`; every other line reads (and serializes) as zero. The
+     * array holds lineCapacity(stored.count()) lines: 4, 8, 16, 32 or
+     * 64, the OMS segment sizes 256 B to 4 KB. The OMT entry carries
+     * the index of its page in pageStore_ (data ⊆ table: page data
+     * never outlives the entry), so resolving a line is the OMT's
+     * chunk-indexed lookup plus one popcount and one array read;
+     * poke/peek hit this once per 64 B chunk. A zero line is not stored
+     * unless its line already is. A discarded page keeps its lines on
+     * the free list (snapshots carry them) and drops them when it is
+     * recycled, so storage is bounded by the peak of live overlays and
+     * a new overlay starts empty.
      */
     struct OverlayPageData
     {
         BitVector64 present;
-        std::unique_ptr<LineArray> lines;
+        BitVector64 stored;
+        std::unique_ptr<LineData[]> lines;
+
+        /** Position of @p line in `lines` (whether or not stored). */
+        std::size_t
+        rank(unsigned line) const
+        {
+            return std::size_t(std::popcount(
+                stored.raw() & ((std::uint64_t(1) << line) - 1)));
+        }
+
+        /** Lines the array holds for @p n stored lines. */
+        static unsigned
+        lineCapacity(unsigned n)
+        {
+            return n == 0 ? 0 : std::max(4u, std::bit_ceil(n));
+        }
+
+        /** Store @p data as @p line, which is not stored yet. */
+        void insertLine(unsigned line, const LineData &data);
     };
 
     /** Find the page data of @p opn; nullptr if absent. */

@@ -12,6 +12,7 @@
 
 #include "common/random.hh"
 #include "overlay/omt.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -133,6 +134,103 @@ TEST_F(OmtTest, EraseThenArenaReuseCannotAliasTheMru)
     ASSERT_NE(omt.find(200), nullptr);
     EXPECT_TRUE(omt.find(200)->obv.test(2));
     EXPECT_FALSE(omt.find(200)->obv.test(1));
+}
+
+/** Bytes of one chunk's slot array: 512 four-byte arena indices. */
+constexpr std::uint64_t kSlotArrayBytes = 512 * 4;
+
+TEST_F(OmtTest, RetiredChunksFreeTheirSlotArraysAndKeepTheirWalks)
+{
+    // Three 512-OPN windows, far enough apart to differ in every level
+    // but the root; a few entries each, plus one OPN never populated.
+    const Opn windows[] = {Opn(8) << 9, Opn(9) << 9, Opn(1) << 30};
+    const unsigned offsets[] = {0, 7, 100, 300, 511};
+    std::vector<Opn> opns;
+    for (Opn base : windows) {
+        for (unsigned off : offsets) {
+            omt.findOrCreate(base + off).obv.set(off & 63);
+            opns.push_back(base + off);
+        }
+    }
+    std::vector<Opn> probes = opns;
+    probes.push_back(windows[0] + 200);
+    EXPECT_EQ(omt.slotArrayBytes(), 3 * kSlotArrayBytes);
+
+    std::vector<std::vector<Addr>> walks(probes.size());
+    std::vector<Addr> last;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        omt.walkAddresses(probes[i], walks[i]);
+        ASSERT_EQ(walks[i].size(), Omt::kWalkLevels);
+        last.push_back(omt.walkLastAddr(probes[i]));
+    }
+    std::uint64_t node_bytes = omt.nodeBytes();
+    std::uint64_t host = omt.hostBytes();
+
+    for (Opn opn : opns)
+        omt.erase(opn);
+    EXPECT_EQ(omt.size(), 0u);
+    EXPECT_EQ(omt.chunkCount(), 3u);
+    EXPECT_EQ(omt.slotArrayBytes(), 0u);
+    EXPECT_LT(omt.hostBytes(), host);
+    EXPECT_EQ(omt.nodeBytes(), node_bytes); // node pages are never freed
+
+    std::vector<Addr> walk;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        EXPECT_EQ(omt.find(probes[i]), nullptr);
+        omt.walkAddresses(probes[i], walk);
+        EXPECT_EQ(walk, walks[i]) << "OPN " << probes[i];
+        EXPECT_EQ(omt.walkLastAddr(probes[i]), last[i]);
+    }
+
+    // A retired table saves each window as 512 empty slots and restores
+    // without slot arrays, byte for byte.
+    snapshot::Writer w;
+    snapshot::visit(omt, w);
+    Addr next = 0x900000;
+    Omt restored("omt", PageAllocFn{&bumpPage, &next});
+    snapshot::Reader r(w.buffer());
+    snapshot::visit(restored, r);
+    EXPECT_EQ(restored.slotArrayBytes(), 0u);
+    EXPECT_EQ(restored.chunkCount(), 3u);
+    snapshot::Writer again;
+    snapshot::visit(restored, again);
+    EXPECT_EQ(again.buffer(), w.buffer());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        restored.walkAddresses(probes[i], walk);
+        EXPECT_EQ(walk, walks[i]) << "OPN " << probes[i];
+    }
+
+    // Re-creating an entry in a retired window brings back one slot
+    // array and no node page.
+    omt.findOrCreate(opns[1]).obv.set(9);
+    ASSERT_NE(omt.find(opns[1]), nullptr);
+    EXPECT_TRUE(omt.find(opns[1])->obv.test(9));
+    EXPECT_FALSE(omt.find(opns[1])->obv.test(7));
+    EXPECT_EQ(omt.find(opns[0]), nullptr);
+    EXPECT_EQ(omt.slotArrayBytes(), kSlotArrayBytes);
+    EXPECT_EQ(omt.nodeBytes(), node_bytes);
+    omt.walkAddresses(opns[1], walk);
+    EXPECT_EQ(walk, walks[1]);
+}
+
+TEST_F(OmtTest, RestoreRejectsAChunkWhoseLiveCountMisstatesItsSlots)
+{
+    omt.findOrCreate(5);
+    snapshot::Writer w;
+    snapshot::visit(omt, w);
+    // "OMT " tag and length, chunk count, then the one chunk: id, 512
+    // slots, 3 upper walk lines and the leaf base precede its live count.
+    const std::size_t live_at = 4 + 8 + 8 + 8 + 512 * 4 + 3 * 8 + 8;
+    for (std::uint8_t live : {0, 2}) {
+        std::vector<std::uint8_t> bytes = w.buffer();
+        ASSERT_EQ(bytes[live_at], 1u);
+        bytes[live_at] = live;
+        Addr next = 0x900000;
+        Omt fresh("omt", PageAllocFn{&bumpPage, &next});
+        snapshot::Reader r(bytes);
+        EXPECT_THROW(snapshot::visit(fresh, r), snapshot::SnapshotError)
+            << "live " << unsigned(live);
+    }
 }
 
 TEST(OmtSparsity, ScatteredOpnsStayCompactAndCorrect)

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "dram/dram.hh"
 #include "overlay/overlay_manager.hh"
 #include "sim/snapshot.hh"
+#include "system/system.hh"
 
 namespace ovl
 {
@@ -77,17 +82,21 @@ TEST_F(OverlayManagerTest, WriteThenReadLineData)
 TEST_F(OverlayManagerTest, ZeroLinesAllocateNoLineArray)
 {
     ovm.writeLineData(kOpn, 3, LineData{});
+    std::uint64_t host = ovm.hostBytes();
     ovm.writeLineData(kOpn, 9, LineData{});
     EXPECT_TRUE(ovm.hasLineData(kOpn, 3));
-    EXPECT_EQ(ovm.lineArraysInUse(), 0u);
+    EXPECT_EQ(ovm.lineStoreBytes(), 0u);
+    EXPECT_EQ(ovm.hostBytes(), host);
     LineData out = pattern(5);
     ovm.readLineData(kOpn, 3, out);
     EXPECT_EQ(out, LineData{});
 
-    // The first nonzero line allocates the array; zero lines still
-    // read as zero beside it.
+    // The first nonzero line reserves the smallest store (4 lines, the
+    // 256 B segment size) and nothing else; zero lines still read as
+    // zero beside it.
     ovm.writeLineData(kOpn, 4, pattern(1));
-    EXPECT_EQ(ovm.lineArraysInUse(), 1u);
+    EXPECT_EQ(ovm.lineStoreBytes(), 4 * kLineSize);
+    EXPECT_EQ(ovm.hostBytes(), host + 4 * kLineSize);
     ovm.readLineData(kOpn, 9, out);
     EXPECT_EQ(out, LineData{});
     ovm.readLineData(kOpn, 4, out);
@@ -108,7 +117,7 @@ TEST_F(OverlayManagerTest, RestoredZeroLinesAllocateNoLineArray)
                             PageAllocFn{&bumpPage, &next_page});
     snapshot::Reader r(w.buffer());
     snapshot::visit(restored, r);
-    EXPECT_EQ(restored.lineArraysInUse(), 1u);
+    EXPECT_EQ(restored.lineStoreBytes(), 4 * kLineSize);
     LineData out = pattern(5);
     restored.readLineData(kOpn, 3, out);
     EXPECT_EQ(out, LineData{});
@@ -117,6 +126,58 @@ TEST_F(OverlayManagerTest, RestoredZeroLinesAllocateNoLineArray)
     snapshot::Writer again;
     snapshot::visit(restored, again);
     EXPECT_EQ(again.buffer(), w.buffer());
+}
+
+TEST_F(OverlayManagerTest, LineStoreGrowsWithTheLinesWritten)
+{
+    // Lines arrive out of order; the store keeps them in line order and
+    // grows through the segment sizes, 4 to 64 lines.
+    std::vector<unsigned> order;
+    for (unsigned i = 0; i < kLinesPerPage; ++i)
+        order.push_back((i * 37 + 11) % kLinesPerPage);
+    for (unsigned i = 0; i < kLinesPerPage; ++i) {
+        ovm.writeLineData(kOpn, order[i], pattern(std::uint8_t(order[i])));
+        std::uint64_t lines = std::max(4u, std::bit_ceil(i + 1));
+        EXPECT_EQ(ovm.lineStoreBytes(), lines * kLineSize)
+            << "after " << (i + 1) << " lines";
+    }
+    for (unsigned l = 0; l < kLinesPerPage; ++l) {
+        LineData out{};
+        ovm.readLineData(kOpn, l, out);
+        EXPECT_EQ(out, pattern(std::uint8_t(l))) << "line " << l;
+    }
+    // Rewriting a stored line, even to zero, updates it in place.
+    ovm.writeLineData(kOpn, 17, LineData{});
+    LineData out = pattern(1);
+    ovm.readLineData(kOpn, 17, out);
+    EXPECT_EQ(out, LineData{});
+    EXPECT_EQ(ovm.lineStoreBytes(), kPageSize);
+}
+
+TEST_F(OverlayManagerTest, RecycledPageStartsWithoutLines)
+{
+    for (unsigned l = 0; l < 8; ++l)
+        ovm.writeLineData(kOpn, l, pattern(std::uint8_t(l + 1)));
+    EXPECT_EQ(ovm.lineStoreBytes(), 8 * kLineSize);
+    ovm.discardOverlay(kOpn);
+
+    // The next overlay recycles the page slot but none of its lines,
+    // so its snapshot blob is zero and restores no line storage.
+    Opn other = kOpn + 1;
+    ovm.writeLineData(other, 2, LineData{});
+    EXPECT_EQ(ovm.lineStoreBytes(), 0u);
+    LineData out = pattern(9);
+    ovm.readLineData(other, 2, out);
+    EXPECT_EQ(out, LineData{});
+    snapshot::Writer w;
+    snapshot::visit(ovm, w);
+    snapshot::Reader r(w.buffer());
+    Addr next_page = 0x200'0000;
+    DramController dram2("dram2", DramTimingParams{});
+    OverlayManager restored("ovm", OverlayManagerParams{}, dram2,
+                            PageAllocFn{&bumpPage, &next_page});
+    snapshot::visit(restored, r);
+    EXPECT_EQ(restored.lineStoreBytes(), 0u);
 }
 
 TEST_F(OverlayManagerTest, NoOmsSpaceUntilWriteback)
@@ -244,6 +305,70 @@ TEST_F(OverlayManagerTest, SegmentCountsByClass)
     ovm.writebackLine(lineAddr(kOpn, 0), 0);
     EXPECT_EQ(ovm.segmentCount(SegClass::Seg256B), 1u);
     EXPECT_EQ(ovm.segmentCount(SegClass::Seg4KB), 0u);
+}
+
+TEST(OverlayHostMemory, ForkChurnHoldsOnlyLiveOverlays)
+{
+    // Fork overlay-on-write, write 8 lines of each of 64 pages in the
+    // child, tear it down; repeat. Every child has its own ASID and so
+    // its own OPN window, but the engine's host memory must follow the
+    // live overlays: what a retired ASID leaves behind is its OMT chunk
+    // record and radix-node map entries, well under 1 KiB.
+    constexpr Addr kBase = 0x100000;
+    constexpr unsigned kPages = 64;
+    constexpr unsigned kCycles = 2000;
+    constexpr unsigned kMeasureFrom = 100;
+    System sys;
+    const Asid parent = sys.createProcess();
+    sys.mapAnon(parent, kBase, kPages * kPageSize);
+    Tick t = 0;
+    for (unsigned pg = 0; pg < kPages; ++pg) {
+        std::uint64_t v = pg;
+        t = sys.write(parent, kBase + pg * kPageSize, &v, sizeof(v), t);
+    }
+    auto addr = [&](unsigned pg, unsigned i, unsigned cycle) {
+        unsigned line = (cycle + i * 7) % kLinesPerPage;
+        return kBase + pg * kPageSize + line * kLineSize;
+    };
+
+    std::uint64_t host_at_measure = 0;
+    for (unsigned c = 1; c <= kCycles; ++c) {
+        Tick done = t;
+        const Asid child =
+            sys.fork(parent, ForkMode::OverlayOnWrite, t, &done);
+        t = done;
+        for (unsigned pg = 0; pg < kPages; ++pg) {
+            for (unsigned i = 0; i < 8; ++i) {
+                std::uint64_t v = (std::uint64_t(c) << 32) | (pg << 8) | i;
+                t = sys.write(child, addr(pg, i, c), &v, sizeof(v), t);
+            }
+        }
+        if (c % 16 == 0) {
+            for (unsigned pg = 0; pg < kPages; ++pg) {
+                for (unsigned i = 0; i < 8; ++i) {
+                    Addr a = addr(pg, i, c);
+                    std::uint64_t in_child = 0;
+                    std::uint64_t in_parent = 0;
+                    sys.peek(child, a, &in_child, sizeof(in_child));
+                    sys.peek(parent, a, &in_parent, sizeof(in_parent));
+                    ASSERT_EQ(in_child,
+                              (std::uint64_t(c) << 32) | (pg << 8) | i)
+                        << "cycle " << c << " page " << pg;
+                    ASSERT_EQ(in_parent, a == kBase + pg * kPageSize ? pg : 0)
+                        << "cycle " << c << " page " << pg;
+                }
+            }
+        }
+        sys.destroyProcess(child, t);
+        if (c == kMeasureFrom)
+            host_at_measure = sys.overlayManager().hostBytes();
+    }
+    std::uint64_t growth =
+        sys.overlayManager().hostBytes() - host_at_measure;
+    EXPECT_LE(growth, std::uint64_t(kCycles - kMeasureFrom) * 1024)
+        << "host bytes per retired ASID: "
+        << double(growth) / (kCycles - kMeasureFrom);
+    EXPECT_EQ(sys.overlayManager().omt().slotArrayBytes(), 0u);
 }
 
 } // namespace

@@ -279,7 +279,7 @@ TEST_F(SystemTest, AllZeroPromotionAllocatesNoHostBuffers)
 {
     // Promoting an overlay of zero lines over a never-written page
     // merges 64 zero lines into the new frame: it maps onto the zero
-    // page, and the zero overlay lines never held a line array.
+    // page, and the zero overlay lines never held line storage.
     SystemConfig cfg;
     cfg.promoteThresholdLines = 8;
     System s(cfg);
@@ -287,11 +287,13 @@ TEST_F(SystemTest, AllZeroPromotionAllocatesNoHostBuffers)
     s.mapAnon(a, kBase, kPageSize);
     Tick t = s.access(a, kBase, true, 0);
     s.fork(a, ForkMode::OverlayOnWrite, t, &t);
-    for (unsigned l = 0; l < 8; ++l)
+    for (unsigned l = 0; l < 7; ++l)
         t = s.access(a, kBase + Addr(l) * kLineSize, true, t);
+    EXPECT_EQ(s.overlayManager().lineStoreBytes(), 0u); // 7 zero lines
+    t = s.access(a, kBase + 7 * kLineSize, true, t);
     EXPECT_TRUE(s.pageObv(a, kBase).none()) << "page was not promoted";
     EXPECT_EQ(s.physMem().pageBuffersInUse(), 0u);
-    EXPECT_EQ(s.overlayManager().lineArraysInUse(), 0u);
+    EXPECT_EQ(s.overlayManager().lineStoreBytes(), 0u);
     LineData got{};
     got.fill(0xFF);
     s.peek(a, kBase + 3 * kLineSize, got.data(), got.size());

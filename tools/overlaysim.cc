@@ -361,6 +361,14 @@ checkRealizable(const MatrixSpec &spec, const std::string &l_text)
 {
     if (spec.nnz == 0)
         throw std::invalid_argument("--nnz expects at least 1, got 0");
+    // One non-zero line of L values needs L non-zeros: fewer would build
+    // a single line holding all of them, a different locality.
+    if (spec.nnz < spec.targetL) {
+        throw std::invalid_argument(
+            "--nnz " + std::to_string(spec.nnz) + " is below --L " +
+            l_text + ": a non-zero line at that locality needs " + l_text +
+            " non-zeros");
+    }
     std::uint64_t lines = std::uint64_t(spec.rows) *
                           (spec.cols / DenseLayout::kValuesPerLine);
     // llround(x) > lines, without rounding a value llround cannot hold.
