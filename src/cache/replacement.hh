@@ -192,6 +192,9 @@ class ReplacementEngine
         return (set_index % kLeaderSetStride) == kLeaderSetStride / 2;
     }
 
+    /** The LRU sequence counter: the latest stamp handed out. */
+    std::uint64_t lruCounter() const { return lruCounter_; }
+
     /** Current dynamic winner for DRRIP follower sets. */
     bool brripWinning() const { return psel_ > pselMax_ / 2; }
 

@@ -74,10 +74,7 @@ OverlayManager::ensurePageData(OmtEntry &entry)
     if (!freePages_.empty()) {
         idx = freePages_.back();
         freePages_.pop_back();
-        // The new overlay starts empty: the previous tenant's lines are
-        // freed here, not at discard, because snapshots carry a free
-        // page's last contents.
-        *pageStore_[idx] = OverlayPageData();
+        pageStore_[idx] = std::make_unique<OverlayPageData>();
     } else {
         idx = std::uint32_t(pageStore_.size());
         pageStore_.push_back(std::make_unique<OverlayPageData>());
@@ -161,8 +158,10 @@ OverlayManager::discardOverlay(Opn opn)
     if (entry == nullptr)
         return;
     releaseSegment(*entry);
-    if (entry->pageDataIdx != OmtEntry::kNoPageData)
+    if (entry->pageDataIdx != OmtEntry::kNoPageData) {
+        pageStore_[entry->pageDataIdx].reset();
         freePages_.push_back(entry->pageDataIdx);
+    }
     omt_.erase(opn);
     omtCache_.invalidate(opn);
 }
@@ -383,9 +382,10 @@ OverlayManager::io(Self &self, Ar &ar)
         snapshot::visit(self.omt_, ar);
         snapshot::visit(self.omtCache_, ar);
         snapshot::visit(self.allocator_, ar);
-        // Page-data slots are written index-for-index (retired slots as
-        // absent) so OmtEntry::pageDataIdx stays valid across the round
-        // trip.
+        // Page-data slots are written index-for-index (free-listed slots,
+        // which hold no page, as absent) so OmtEntry::pageDataIdx stays
+        // valid across the round trip. A page writes its present and
+        // stored bitmaps, then only its stored lines, in line order.
         ar.seq(self.pageStore_, 1, [&](auto &page) {
             bool stored = page != nullptr;
             ar.b(stored);
@@ -394,40 +394,41 @@ OverlayManager::io(Self &self, Ar &ar)
             if constexpr (Ar::kLoading)
                 page = std::make_unique<OverlayPageData>();
             ar.u64(page->present.raw());
-            // The wire format is the dense 4 KiB page: stored lines in
-            // place, zeros elsewhere. Restore stores the nonzero lines.
-            LineArray blob{};
+            ar.u64(page->stored.raw());
+            const unsigned n = page->stored.count();
             if constexpr (Ar::kLoading) {
-                ar.blob(blob);
-                for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                    if (blob[l] != LineData{})
-                        page->insertLine(l, blob[l]);
+                if (n != 0) {
+                    page->lines = std::make_unique<LineData[]>(
+                        OverlayPageData::lineCapacity(n));
                 }
-            } else {
-                std::size_t i = 0;
-                for (unsigned l = page->stored.findFirst(); l < kLinesPerPage;
-                     l = page->stored.findNext(l))
-                    blob[l] = page->lines[i++];
-                ar.blob(blob);
             }
+            for (unsigned k = 0; k < n; ++k)
+                ar.blob(page->lines[k]);
         });
         ar.seq(self.freePages_, 4, [&](auto &idx) { ar.u32(idx); });
         ar.u64(self.omsBytesInUse_);
         if constexpr (Ar::kLoading) {
             self.omsBytesGauge_.set(std::int64_t(self.omsBytesInUse_));
-            // Every index the restored engine dereferences must name a
-            // stored page: the free list and each live OMT entry's data.
-            auto check_page = [&](std::uint32_t idx, const char *what) {
-                if (idx >= self.pageStore_.size() || !self.pageStore_[idx]) {
-                    ar.fail(std::string(what) + " " + std::to_string(idx) +
+            // A free-list index names a distinct absent slot, which the
+            // next overlay fills; a live OMT entry's data index names a
+            // stored page.
+            std::vector<bool> listed(self.pageStore_.size());
+            for (std::uint32_t idx : self.freePages_) {
+                if (idx >= self.pageStore_.size() || self.pageStore_[idx] ||
+                    listed[idx]) {
+                    ar.fail("overlay free-page index " + std::to_string(idx) +
+                            " names no free page slot");
+                }
+                listed[idx] = true;
+            }
+            self.omt_.forEach([&](Opn, const OmtEntry &entry) {
+                std::uint32_t idx = entry.pageDataIdx;
+                if (idx != OmtEntry::kNoPageData &&
+                    (idx >= self.pageStore_.size() || !self.pageStore_[idx])) {
+                    ar.fail("OMT entry page-data index " +
+                            std::to_string(idx) +
                             " names no stored overlay page");
                 }
-            };
-            for (std::uint32_t idx : self.freePages_)
-                check_page(idx, "overlay free-page index");
-            self.omt_.forEach([&](Opn, const OmtEntry &entry) {
-                if (entry.pageDataIdx != OmtEntry::kNoPageData)
-                    check_page(entry.pageDataIdx, "OMT entry page-data index");
             });
         }
     });

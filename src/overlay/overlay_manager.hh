@@ -195,10 +195,9 @@ class OverlayManager : public SimObject
      * never outlives the entry), so resolving a line is the OMT's
      * chunk-indexed lookup plus one popcount and one array read;
      * poke/peek hit this once per 64 B chunk. A zero line is not stored
-     * unless its line already is. A discarded page keeps its lines on
-     * the free list (snapshots carry them) and drops them when it is
-     * recycled, so storage is bounded by the peak of live overlays and
-     * a new overlay starts empty.
+     * unless its line already is. Discarding an overlay frees its page
+     * and puts the slot on freePages_, so storage is proportional to
+     * the live overlays and a new overlay starts empty.
      */
     struct OverlayPageData
     {
@@ -227,11 +226,12 @@ class OverlayManager : public SimObject
 
     /** Find the page data of @p opn; nullptr if absent. */
     OverlayPageData *findPageData(Opn opn) const;
-    /** Find-or-create the page data of @p entry; recycles retired pages
-     *  through freePages_. */
+    /** Find-or-create the page data of @p entry; reuses free slots of
+     *  pageStore_ through freePages_. */
     OverlayPageData &ensurePageData(OmtEntry &entry);
 
-    /** Page-data arena, indexed by OmtEntry::pageDataIdx. */
+    /** Page-data arena, indexed by OmtEntry::pageDataIdx; a slot on
+     *  freePages_ holds no page. */
     std::vector<std::unique_ptr<OverlayPageData>> pageStore_;
     std::vector<std::uint32_t> freePages_;
 

@@ -161,8 +161,8 @@ TEST_F(OverlayManagerTest, RecycledPageStartsWithoutLines)
     EXPECT_EQ(ovm.lineStoreBytes(), 8 * kLineSize);
     ovm.discardOverlay(kOpn);
 
-    // The next overlay recycles the page slot but none of its lines,
-    // so its snapshot blob is zero and restores no line storage.
+    // The next overlay reuses the page slot but none of its lines, so
+    // its snapshot holds no lines and restores no line storage.
     Opn other = kOpn + 1;
     ovm.writeLineData(other, 2, LineData{});
     EXPECT_EQ(ovm.lineStoreBytes(), 0u);
@@ -178,6 +178,90 @@ TEST_F(OverlayManagerTest, RecycledPageStartsWithoutLines)
                             PageAllocFn{&bumpPage, &next_page});
     snapshot::visit(restored, r);
     EXPECT_EQ(restored.lineStoreBytes(), 0u);
+}
+
+TEST_F(OverlayManagerTest, DiscardFreesThePageAndItsSnapshotBytes)
+{
+    constexpr unsigned kOverlays = 8;
+    for (unsigned o = 0; o < kOverlays; ++o) {
+        for (unsigned l = 0; l < kLinesPerPage; ++l)
+            ovm.writeLineData(kOpn + o, l, pattern(std::uint8_t(o + l + 1)));
+    }
+    snapshot::Writer live;
+    snapshot::visit(ovm, live);
+    const std::uint64_t host = ovm.hostBytes();
+
+    // Each discard frees its page and the page's 4 KiB of lines at once
+    // (the free list's own growth aside).
+    for (unsigned o = 0; o < kOverlays; ++o) {
+        const std::uint64_t before = ovm.hostBytes();
+        ovm.discardOverlay(kOpn + o);
+        EXPECT_EQ(ovm.lineStoreBytes(), (kOverlays - 1 - o) * kPageSize);
+        EXPECT_LT(ovm.hostBytes(), before) << "discard " << o;
+    }
+    EXPECT_GE(host, ovm.hostBytes() + kOverlays * kPageSize);
+
+    // A free page slot is written absent: the image sheds every page.
+    snapshot::Writer freed;
+    snapshot::visit(ovm, freed);
+    EXPECT_GE(live.buffer().size(),
+              freed.buffer().size() + kOverlays * kPageSize);
+
+    // The free slots restore as free, and the next overlay reuses one.
+    Addr next_page = 0x200'0000;
+    DramController dram2("dram2", DramTimingParams{});
+    OverlayManager restored("ovm", OverlayManagerParams{}, dram2,
+                            PageAllocFn{&bumpPage, &next_page});
+    snapshot::Reader r(freed.buffer());
+    snapshot::visit(restored, r);
+    snapshot::Writer again;
+    snapshot::visit(restored, again);
+    EXPECT_EQ(again.buffer(), freed.buffer());
+    restored.writeLineData(kOpn + 100, 5, pattern(3));
+    ovm.writeLineData(kOpn + 100, 5, pattern(3));
+    snapshot::Writer a, b;
+    snapshot::visit(restored, a);
+    snapshot::visit(ovm, b);
+    EXPECT_EQ(a.buffer(), b.buffer());
+}
+
+TEST_F(OverlayManagerTest, RestoreRejectsAFreeListNamingNoFreeSlot)
+{
+    // Slots 0 and 1 free, slot 2 stored. The OVLM body ends with the
+    // free list (u64 count, u32 indices) and the u64 OMS byte count.
+    for (unsigned o = 0; o < 3; ++o)
+        ovm.writeLineData(kOpn + o, 0, pattern(std::uint8_t(o + 1)));
+    ovm.discardOverlay(kOpn);
+    ovm.discardOverlay(kOpn + 1);
+    snapshot::Writer w;
+    snapshot::visit(ovm, w);
+    const std::vector<std::uint8_t> good = w.takeBuffer();
+    const std::size_t second = good.size() - 8 - 4;
+    const std::size_t first = second - 4;
+    ASSERT_EQ(good[first], 0u);
+    ASSERT_EQ(good[second], 1u);
+
+    auto loads = [&](const std::vector<std::uint8_t> &bytes) {
+        Addr next_page = 0x200'0000;
+        DramController dram2("dram2", DramTimingParams{});
+        OverlayManager fresh("ovm", OverlayManagerParams{}, dram2,
+                             PageAllocFn{&bumpPage, &next_page});
+        snapshot::Reader r(bytes);
+        try {
+            snapshot::visit(fresh, r);
+        } catch (const snapshot::SnapshotError &) {
+            return false;
+        }
+        return true;
+    };
+    EXPECT_TRUE(loads(good));
+    for (std::uint8_t idx : {std::uint8_t(0), std::uint8_t(2),
+                             std::uint8_t(3)}) {
+        // A repeated slot, a stored page, a slot past the store.
+        std::vector<std::uint8_t> bad = good;
+        bad[second] = idx;
+        EXPECT_FALSE(loads(bad)) << "free-list index " << unsigned(idx);
+    }
 }
 
 TEST_F(OverlayManagerTest, NoOmsSpaceUntilWriteback)

@@ -282,6 +282,143 @@ TEST(Tlb, VictimMatchesReferenceLoop)
     }
 }
 
+// ----- snapshots ----------------------------------------------------------
+
+/**
+ * Translations of three ASIDs with varied flags and OBitVectors, with
+ * single and per-ASID invalidations leaving empty ways between resident
+ * ones, and coherence bit updates.
+ */
+void
+tlbTraffic(TwoLevelTlb &tlb, std::uint64_t seed, unsigned ops)
+{
+    Rng rng(seed);
+    for (unsigned i = 0; i < ops; ++i) {
+        const Asid asid = Asid(1 + rng.below(3));
+        const Addr vpn = (Addr(1) << 30) + rng.below(4096);
+        switch (rng.below(16)) {
+          case 0:
+            tlb.invalidate(asid, vpn);
+            break;
+          case 1:
+            if (rng.below(8) == 0)
+                tlb.invalidateAsid(asid);
+            break;
+          case 2:
+            tlb.updateObvBit(asid, vpn, unsigned(rng.below(64)),
+                             rng.below(2) != 0);
+            break;
+          default:
+            if (tlb.access(asid, vpn).needsWalk) {
+                TlbEntryData d;
+                d.ppn = rng.below(1ull << 40);
+                d.writable = rng.below(2) != 0;
+                d.cow = rng.below(2) != 0;
+                d.overlayEnabled = rng.below(2) != 0;
+                d.metadataMode = rng.below(4) == 0;
+                d.obv = BitVector64(rng.next() & rng.next());
+                tlb.fill(asid, vpn, d);
+            }
+            break;
+        }
+    }
+}
+
+template <class T>
+std::vector<std::uint8_t>
+saveTlb(const T &tlb)
+{
+    snapshot::Writer w;
+    snapshot::visit(tlb, w);
+    return w.takeBuffer();
+}
+
+TEST(TlbSnapshot, RoundTripsExactlyAndKeepsChoosingTheSameVictims)
+{
+    TwoLevelTlb tlb("tlb", TlbHierarchyParams{});
+    tlbTraffic(tlb, 3, 20000);
+    const std::vector<std::uint8_t> bytes = saveTlb(tlb);
+
+    TwoLevelTlb restored("tlb", TlbHierarchyParams{});
+    snapshot::Reader r(bytes);
+    snapshot::visit(restored, r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(saveTlb(restored), bytes);
+    for (Asid asid = 0; asid < 5; ++asid) {
+        EXPECT_EQ(restored.l1().holdsAsid(asid), tlb.l1().holdsAsid(asid));
+        EXPECT_EQ(restored.l2().holdsAsid(asid), tlb.l2().holdsAsid(asid));
+    }
+
+    const std::uint64_t hits = tlb.l2().hits();
+    tlbTraffic(tlb, 4, 20000);
+    tlbTraffic(restored, 4, 20000);
+    EXPECT_EQ(saveTlb(restored), saveTlb(tlb));
+    EXPECT_EQ(restored.l2().hits(), tlb.l2().hits() - hits);
+}
+
+/** True if loading @p bytes into a fresh 64-entry 4-way TLB throws. */
+bool
+tlbRejects(const std::vector<std::uint8_t> &bytes)
+{
+    Tlb fresh("tlb", TlbParams{64, 4, 1});
+    snapshot::Reader r(bytes);
+    try {
+        snapshot::visit(fresh, r);
+    } catch (const snapshot::SnapshotError &) {
+        return true;
+    }
+    return false;
+}
+
+/**
+ * A TLB section for a 64-entry 4-way TLB (16 sets) holding counter
+ * @p counter and one resident way, way 0 of set 0, written as varint
+ * @p first (1 + tag) with stamp age @p age; @p trailing extra bytes.
+ */
+std::vector<std::uint8_t>
+tlbSection(std::uint64_t first, std::uint64_t counter, std::uint64_t age,
+           unsigned trailing = 0)
+{
+    snapshot::Writer w;
+    w.section("TLB ", [&] {
+        w.u64(64);
+        w.u64(counter);
+        w.varint(first);
+        for (unsigned i = 1; i < 64; ++i)
+            w.varint(0);
+        w.packed(1, 4, [](std::size_t) { return 1u; }); // writable
+        w.varint(7);                                     // ppn
+        w.varint(0);                                     // OBitVector
+        w.varint(age);
+        for (unsigned i = 0; i < trailing; ++i)
+            w.u8(0);
+    });
+    return w.takeBuffer();
+}
+
+TEST(TlbSnapshot, MalformedSectionsAreRejected)
+{
+    // Control: ASID 2, VPN 0x30 (set 0) is key (2 << 44) | 0x30, tag
+    // key >> 4.
+    const std::uint64_t tag = ((std::uint64_t(2) << 44) | 0x30) >> 4;
+    const std::vector<std::uint8_t> good = tlbSection(1 + tag, 9, 4);
+    Tlb tlb("tlb", TlbParams{64, 4, 1});
+    snapshot::Reader r(good);
+    snapshot::visit(tlb, r);
+    ASSERT_NE(tlb.probe(2, 0x30), nullptr);
+    EXPECT_EQ(tlb.probe(2, 0x30)->ppn, 7u);
+    EXPECT_TRUE(tlb.holdsAsid(2));
+
+    // A key wider than 16 ASID bits + 44 VPN bits once shifted back.
+    EXPECT_FALSE(tlbRejects(tlbSection(1 + ((1ull << 56) - 1), 9, 4)));
+    EXPECT_TRUE(tlbRejects(tlbSection(1 + (1ull << 56), 9, 4)));
+    // A stamp age above the counter.
+    EXPECT_FALSE(tlbRejects(tlbSection(1 + tag, 9, 9)));
+    EXPECT_TRUE(tlbRejects(tlbSection(1 + tag, 9, 10)));
+    // Bytes after the last field.
+    EXPECT_TRUE(tlbRejects(tlbSection(1 + tag, 9, 4, 1)));
+}
+
 TEST(TlbDeathTest, AssociativityOutOfRangeIsRejected)
 {
     EXPECT_DEATH(Tlb("tlb", TlbParams{64, 0, 1}), "associativity");
