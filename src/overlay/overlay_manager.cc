@@ -35,54 +35,6 @@ OverlayManager::OverlayManager(std::string name, OverlayManagerParams params,
 
 // --------------------------- functional side ---------------------------
 
-void
-OverlayManager::OverlayPageData::insertLine(unsigned line,
-                                            const LineData &data)
-{
-    unsigned n = stored.count();
-    std::size_t pos = rank(line);
-    LineData *old = lines.get();
-    if (n == lineCapacity(n)) {
-        // Full: move to the next segment size, leaving the gap at pos.
-        auto grown = std::make_unique_for_overwrite<LineData[]>(
-            lineCapacity(n + 1));
-        std::copy(old, old + pos, grown.get());
-        std::copy(old + pos, old + n, grown.get() + pos + 1);
-        lines = std::move(grown);
-    } else {
-        std::copy_backward(old + pos, old + n, old + n + 1);
-    }
-    lines[pos] = data;
-    stored.set(line);
-}
-
-OverlayManager::OverlayPageData *
-OverlayManager::findPageData(Opn opn) const
-{
-    const OmtEntry *entry = omt_.find(opn);
-    if (entry == nullptr || entry->pageDataIdx == OmtEntry::kNoPageData)
-        return nullptr;
-    return pageStore_[entry->pageDataIdx].get();
-}
-
-OverlayManager::OverlayPageData &
-OverlayManager::ensurePageData(OmtEntry &entry)
-{
-    if (entry.pageDataIdx != OmtEntry::kNoPageData)
-        return *pageStore_[entry.pageDataIdx];
-    std::uint32_t idx;
-    if (!freePages_.empty()) {
-        idx = freePages_.back();
-        freePages_.pop_back();
-        pageStore_[idx] = std::make_unique<OverlayPageData>();
-    } else {
-        idx = std::uint32_t(pageStore_.size());
-        pageStore_.push_back(std::make_unique<OverlayPageData>());
-    }
-    entry.pageDataIdx = idx;
-    return *pageStore_[idx];
-}
-
 bool
 OverlayManager::hasOverlay(Opn opn) const
 {
@@ -104,24 +56,23 @@ OverlayManager::writeLineData(Opn opn, unsigned line_in_page,
     ovl_assert(line_in_page < kLinesPerPage, "line index out of page");
     OmtEntry &entry = omt_.findOrCreate(opn);
     entry.obv.set(line_in_page);
-    OverlayPageData &page = ensurePageData(entry);
-    page.present.set(line_in_page);
-    if (page.stored.test(line_in_page))
-        page.lines[page.rank(line_in_page)] = data;
+    entry.present.set(line_in_page);
+    if (entry.stored.test(line_in_page))
+        entry.lines[entry.rank(line_in_page)] = data;
     else if (data != LineData{})
-        page.insertLine(line_in_page, data);
+        entry.insertLine(line_in_page, data);
 }
 
 void
 OverlayManager::readLineData(Opn opn, unsigned line_in_page,
                              LineData &out) const
 {
-    const OverlayPageData *page = findPageData(opn);
-    ovl_assert(page != nullptr, "reading a line of a missing overlay");
-    ovl_assert(page->present.test(line_in_page),
+    const OmtEntry *entry = omt_.find(opn);
+    ovl_assert(entry != nullptr, "reading a line of a missing overlay");
+    ovl_assert(entry->present.test(line_in_page),
                "reading an unmapped overlay line");
-    if (page->stored.test(line_in_page))
-        out = page->lines[page->rank(line_in_page)];
+    if (entry->stored.test(line_in_page))
+        out = entry->lines[entry->rank(line_in_page)];
     else
         out = LineData{};
 }
@@ -129,8 +80,8 @@ OverlayManager::readLineData(Opn opn, unsigned line_in_page,
 bool
 OverlayManager::hasLineData(Opn opn, unsigned line_in_page) const
 {
-    const OverlayPageData *page = findPageData(opn);
-    return page != nullptr && page->present.test(line_in_page);
+    const OmtEntry *entry = omt_.find(opn);
+    return entry != nullptr && entry->present.test(line_in_page);
 }
 
 void
@@ -147,8 +98,7 @@ OverlayManager::clearLine(Opn opn, unsigned line_in_page)
             entry->seg.meta.slotOf[line_in_page] = kInvalidSlot;
         }
     }
-    if (entry->pageDataIdx != OmtEntry::kNoPageData)
-        pageStore_[entry->pageDataIdx]->present.clear(line_in_page);
+    entry->present.clear(line_in_page);
 }
 
 void
@@ -158,10 +108,6 @@ OverlayManager::discardOverlay(Opn opn)
     if (entry == nullptr)
         return;
     releaseSegment(*entry);
-    if (entry->pageDataIdx != OmtEntry::kNoPageData) {
-        pageStore_[entry->pageDataIdx].reset();
-        freePages_.push_back(entry->pageDataIdx);
-    }
     omt_.erase(opn);
     omtCache_.invalidate(opn);
 }
@@ -382,55 +328,9 @@ OverlayManager::io(Self &self, Ar &ar)
         snapshot::visit(self.omt_, ar);
         snapshot::visit(self.omtCache_, ar);
         snapshot::visit(self.allocator_, ar);
-        // Page-data slots are written index-for-index (free-listed slots,
-        // which hold no page, as absent) so OmtEntry::pageDataIdx stays
-        // valid across the round trip. A page writes its present and
-        // stored bitmaps, then only its stored lines, in line order.
-        ar.seq(self.pageStore_, 1, [&](auto &page) {
-            bool stored = page != nullptr;
-            ar.b(stored);
-            if (!stored)
-                return;
-            if constexpr (Ar::kLoading)
-                page = std::make_unique<OverlayPageData>();
-            ar.u64(page->present.raw());
-            ar.u64(page->stored.raw());
-            const unsigned n = page->stored.count();
-            if constexpr (Ar::kLoading) {
-                if (n != 0) {
-                    page->lines = std::make_unique<LineData[]>(
-                        OverlayPageData::lineCapacity(n));
-                }
-            }
-            for (unsigned k = 0; k < n; ++k)
-                ar.blob(page->lines[k]);
-        });
-        ar.seq(self.freePages_, 4, [&](auto &idx) { ar.u32(idx); });
         ar.u64(self.omsBytesInUse_);
-        if constexpr (Ar::kLoading) {
+        if constexpr (Ar::kLoading)
             self.omsBytesGauge_.set(std::int64_t(self.omsBytesInUse_));
-            // A free-list index names a distinct absent slot, which the
-            // next overlay fills; a live OMT entry's data index names a
-            // stored page.
-            std::vector<bool> listed(self.pageStore_.size());
-            for (std::uint32_t idx : self.freePages_) {
-                if (idx >= self.pageStore_.size() || self.pageStore_[idx] ||
-                    listed[idx]) {
-                    ar.fail("overlay free-page index " + std::to_string(idx) +
-                            " names no free page slot");
-                }
-                listed[idx] = true;
-            }
-            self.omt_.forEach([&](Opn, const OmtEntry &entry) {
-                std::uint32_t idx = entry.pageDataIdx;
-                if (idx != OmtEntry::kNoPageData &&
-                    (idx >= self.pageStore_.size() || !self.pageStore_[idx])) {
-                    ar.fail("OMT entry page-data index " +
-                            std::to_string(idx) +
-                            " names no stored overlay page");
-                }
-            });
-        }
     });
 }
 
@@ -440,25 +340,17 @@ std::uint64_t
 OverlayManager::lineStoreBytes() const
 {
     std::uint64_t bytes = 0;
-    for (const auto &page : pageStore_) {
-        if (page != nullptr) {
-            bytes += OverlayPageData::lineCapacity(page->stored.count()) *
-                     sizeof(LineData);
-        }
-    }
+    omt_.forEach([&](Opn, const OmtEntry &entry) {
+        bytes += OmtEntry::lineCapacity(entry.stored.count()) *
+                 sizeof(LineData);
+    });
     return bytes;
 }
 
 std::uint64_t
 OverlayManager::hostBytes() const
 {
-    auto pages = std::uint64_t(std::count_if(
-        pageStore_.begin(), pageStore_.end(),
-        [](const auto &page) { return page != nullptr; }));
-    return omt_.hostBytes() + allocator_.hostBytes() +
-           pageStore_.capacity() * sizeof(pageStore_[0]) +
-           pages * sizeof(OverlayPageData) + lineStoreBytes() +
-           freePages_.capacity() * sizeof(std::uint32_t);
+    return omt_.hostBytes() + allocator_.hostBytes() + lineStoreBytes();
 }
 
 std::uint64_t

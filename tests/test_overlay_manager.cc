@@ -191,8 +191,8 @@ TEST_F(OverlayManagerTest, DiscardFreesThePageAndItsSnapshotBytes)
     snapshot::visit(ovm, live);
     const std::uint64_t host = ovm.hostBytes();
 
-    // Each discard frees its page and the page's 4 KiB of lines at once
-    // (the free list's own growth aside).
+    // Each discard frees the overlay's 4 KiB of lines at once (the OMT
+    // free list's own growth aside).
     for (unsigned o = 0; o < kOverlays; ++o) {
         const std::uint64_t before = ovm.hostBytes();
         ovm.discardOverlay(kOpn + o);
@@ -201,13 +201,13 @@ TEST_F(OverlayManagerTest, DiscardFreesThePageAndItsSnapshotBytes)
     }
     EXPECT_GE(host, ovm.hostBytes() + kOverlays * kPageSize);
 
-    // A free page slot is written absent: the image sheds every page.
+    // A discarded overlay is not written: the image sheds every page.
     snapshot::Writer freed;
     snapshot::visit(ovm, freed);
     EXPECT_GE(live.buffer().size(),
               freed.buffer().size() + kOverlays * kPageSize);
 
-    // The free slots restore as free, and the next overlay reuses one.
+    // The emptied table restores as empty and takes a new overlay.
     Addr next_page = 0x200'0000;
     DramController dram2("dram2", DramTimingParams{});
     OverlayManager restored("ovm", OverlayManagerParams{}, dram2,
@@ -225,43 +225,35 @@ TEST_F(OverlayManagerTest, DiscardFreesThePageAndItsSnapshotBytes)
     EXPECT_EQ(a.buffer(), b.buffer());
 }
 
-TEST_F(OverlayManagerTest, RestoreRejectsAFreeListNamingNoFreeSlot)
+TEST_F(OverlayManagerTest, SnapshotDependsOnTheOverlaysNotTheirHistory)
 {
-    // Slots 0 and 1 free, slot 2 stored. The OVLM body ends with the
-    // free list (u64 count, u32 indices) and the u64 OMS byte count.
-    for (unsigned o = 0; o < 3; ++o)
-        ovm.writeLineData(kOpn + o, 0, pattern(std::uint8_t(o + 1)));
-    ovm.discardOverlay(kOpn);
-    ovm.discardOverlay(kOpn + 1);
-    snapshot::Writer w;
-    snapshot::visit(ovm, w);
-    const std::vector<std::uint8_t> good = w.takeBuffer();
-    const std::size_t second = good.size() - 8 - 4;
-    const std::size_t first = second - 4;
-    ASSERT_EQ(good[first], 0u);
-    ASSERT_EQ(good[second], 1u);
+    // Overlays A and B reached directly, and after a full-page overlay C
+    // was written and discarded, with B rewritten and A's lines written
+    // in another order. All three share one OMT window, so its node
+    // pages sit at the same addresses in both engines.
+    const Opn a = kOpn;
+    const Opn b = kOpn + 1;
+    const Opn c = kOpn + 2;
+    ovm.writeLineData(a, 3, pattern(1));
+    ovm.writeLineData(a, 7, LineData{});
+    ovm.writeLineData(b, 0, pattern(2));
 
-    auto loads = [&](const std::vector<std::uint8_t> &bytes) {
-        Addr next_page = 0x200'0000;
-        DramController dram2("dram2", DramTimingParams{});
-        OverlayManager fresh("ovm", OverlayManagerParams{}, dram2,
-                             PageAllocFn{&bumpPage, &next_page});
-        snapshot::Reader r(bytes);
-        try {
-            snapshot::visit(fresh, r);
-        } catch (const snapshot::SnapshotError &) {
-            return false;
-        }
-        return true;
-    };
-    EXPECT_TRUE(loads(good));
-    for (std::uint8_t idx : {std::uint8_t(0), std::uint8_t(2),
-                             std::uint8_t(3)}) {
-        // A repeated slot, a stored page, a slot past the store.
-        std::vector<std::uint8_t> bad = good;
-        bad[second] = idx;
-        EXPECT_FALSE(loads(bad)) << "free-list index " << unsigned(idx);
-    }
+    Addr next_page = 0x100'0000;
+    DramController dram2("dram2", DramTimingParams{});
+    OverlayManager churned("ovm", OverlayManagerParams{}, dram2,
+                           PageAllocFn{&bumpPage, &next_page});
+    for (unsigned l = 0; l < kLinesPerPage; ++l)
+        churned.writeLineData(c, l, pattern(std::uint8_t(l)));
+    churned.writeLineData(b, 0, pattern(5));
+    churned.writeLineData(b, 0, pattern(2));
+    churned.writeLineData(a, 7, LineData{});
+    churned.writeLineData(a, 3, pattern(1));
+    churned.discardOverlay(c);
+
+    snapshot::Writer want, got;
+    snapshot::visit(ovm, want);
+    snapshot::visit(churned, got);
+    EXPECT_EQ(got.buffer(), want.buffer());
 }
 
 TEST_F(OverlayManagerTest, NoOmsSpaceUntilWriteback)

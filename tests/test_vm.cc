@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -377,6 +378,97 @@ TEST(PageTable, SnapshotRoundTripKeepsTheMapping)
     snapshot::Writer again;
     snapshot::visit(restored.pt, again);
     EXPECT_EQ(again.buffer(), w.buffer());
+}
+
+/** The PTE of @p vpn's flag combination @p flags (bit 0 writable, 1 cow,
+ *  2 overlayEnabled, 3 metadataMode). */
+Pte
+flaggedPte(Addr ppn, unsigned flags)
+{
+    Pte pte;
+    pte.ppn = ppn;
+    pte.present = true;
+    pte.writable = flags & 1;
+    pte.cow = (flags >> 1) & 1;
+    pte.overlayEnabled = (flags >> 2) & 1;
+    pte.metadataMode = (flags >> 3) & 1;
+    return pte;
+}
+
+TEST(PageTable, SnapshotKeepsEveryFlagCombination)
+{
+    // Two leaves: every flag combination at scattered offsets with ppns
+    // of one to five varint bytes, and an odd PTE count so the last
+    // flags byte is half padding.
+    PageTable pt;
+    std::map<Addr, Pte> ref;
+    for (unsigned i = 0; i < 33; ++i) {
+        Addr vpn = (Addr(5) << 9 | (i * 97) % 512) + (i >= 16 ? 512 * 7 : 0);
+        Pte pte = flaggedPte(Addr(1) << (i % 33), i % 16);
+        pt.set(vpn, pte);
+        ref[vpn] = pte;
+    }
+    snapshot::Writer w;
+    snapshot::visit(pt, w);
+    PageTable restored;
+    snapshot::Reader r(w.buffer());
+    snapshot::visit(restored, r);
+    ASSERT_EQ(restored.size(), ref.size());
+    auto it = ref.begin();
+    for (auto &&[vpn, pte] : restored) {
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(vpn, it->first);
+        EXPECT_EQ(pte.ppn, it->second.ppn);
+        EXPECT_TRUE(pte.present);
+        EXPECT_EQ(pte.writable, it->second.writable) << "vpn " << vpn;
+        EXPECT_EQ(pte.cow, it->second.cow) << "vpn " << vpn;
+        EXPECT_EQ(pte.overlayEnabled, it->second.overlayEnabled);
+        EXPECT_EQ(pte.metadataMode, it->second.metadataMode);
+        ++it;
+    }
+    EXPECT_EQ(it, ref.end());
+    snapshot::Writer again;
+    snapshot::visit(restored, again);
+    EXPECT_EQ(again.buffer(), w.buffer());
+}
+
+TEST(PageTable, RestoreRejectsAnEmptyLeafAndFlagPadding)
+{
+    // One leaf mapping three PTEs. PGTB body: leaf count (u64), leaf id
+    // (u64), the 64-byte present bitmap, one varint per present ppn
+    // (one byte each here), then the 4-bit flags packed two to a byte.
+    PageTable pt;
+    for (Addr off : {2, 40, 300})
+        pt.set((Addr(3) << 9) | off, flaggedPte(off / 4 + 1, 0xF));
+    snapshot::Writer w;
+    snapshot::visit(pt, w);
+    const std::vector<std::uint8_t> good = w.takeBuffer();
+    const std::size_t bitmap = 12 + 8 + 8;
+    const std::size_t flags = bitmap + 64 + 3;
+    ASSERT_EQ(good.size(), flags + 2);
+    ASSERT_EQ(good[flags], 0xFFu);
+    ASSERT_EQ(good[flags + 1], 0x0Fu);
+
+    auto throws = [](const std::vector<std::uint8_t> &bytes) {
+        PageTable fresh;
+        snapshot::Reader r(bytes);
+        try {
+            snapshot::visit(fresh, r);
+        } catch (const snapshot::SnapshotError &) {
+            return true;
+        }
+        return false;
+    };
+    EXPECT_FALSE(throws(good));
+
+    std::vector<std::uint8_t> empty = good;
+    std::fill(empty.begin() + long(bitmap), empty.begin() + long(bitmap + 64),
+              std::uint8_t(0));
+    EXPECT_TRUE(throws(empty)) << "leaf with an empty bitmap";
+
+    std::vector<std::uint8_t> padded = good;
+    padded[flags + 1] = 0x1F;
+    EXPECT_TRUE(throws(padded)) << "nonzero padding in the flags";
 }
 
 class VmmTest : public ::testing::Test
