@@ -4,7 +4,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/victim.hh"
+#include "common/set_kernel.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl
@@ -14,6 +14,7 @@ SetAssocCache::SetAssocCache(std::string name, CacheParams params)
     : SimObject(std::move(name)), params_(params),
       numSets_(setCount(params.sizeBytes / kLineSize, params.associativity)),
       ways_(params.associativity),
+      shape_(shapeOf(params)),
       tags_(std::size_t(numSets_) * ways_, kInvalidAddr),
       state_(std::size_t(numSets_) * ways_),
       repl_(params.replPolicy, numSets_),
@@ -35,10 +36,24 @@ SetAssocCache::SetAssocCache(std::string name, CacheParams params)
         replRrpv_.assign(tags_.size(), 0);
 }
 
+SetAssocCache::Shape
+SetAssocCache::shapeOf(const CacheParams &params)
+{
+    if (params.associativity == 4 && params.replPolicy == ReplPolicy::LRU)
+        return Shape::Lru4;
+    if (params.associativity == 8 && params.replPolicy == ReplPolicy::LRU)
+        return Shape::Lru8;
+    if (params.associativity == 16 && params.replPolicy == ReplPolicy::DRRIP)
+        return Shape::Drrip16;
+    return Shape::Generic;
+}
+
 std::optional<Eviction>
 SetAssocCache::invalidate(Addr line_addr)
 {
-    std::size_t i = findIndex(line_addr);
+    std::size_t i = withShape([&](auto shape) {
+        return findIn<decltype(shape)::kWays>(line_addr);
+    });
     if (i == kNotFound)
         return std::nullopt;
     Eviction ev{tags_[i], state_[i].dirty};

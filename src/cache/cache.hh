@@ -147,8 +147,8 @@ class SetAssocCache : public SimObject
     /**
      * Move a resident line from @p old_addr to @p new_addr, preserving
      * dirtiness: the overlaying write's "copy the cache line ... by
-     * simply updating the cache tag" (§4.3.3), resolved in one scan of
-     * the source set. In the same set with the destination absent, the
+     * simply updating the cache tag" (§4.3.3), resolved in the source
+     * set. In the same set with the destination absent, the
      * tag is rewritten in place (a retag); with the destination already
      * resident, the source folds its dirtiness into it and is dropped.
      * In a different set, hardware does an explicit line copy instead:
@@ -189,15 +189,81 @@ class SetAssocCache : public SimObject
     /** No way holds the address (sentinel index into tags_/state_). */
     static constexpr std::size_t kNotFound = ~std::size_t(0);
 
+    /**
+     * Set shapes with a compile-time body: the Table 2 levels. Any other
+     * associativity or policy runs the Generic body, which reads both at
+     * run time.
+     */
+    enum class Shape : std::uint8_t
+    {
+        Generic,
+        Lru4,    ///< L1: 4-way LRU
+        Lru8,    ///< L2: 8-way LRU
+        Drrip16, ///< L3: 16-way DRRIP
+    };
+
+    /** A shape as template arguments: W ways (0 = ways_), policy P. */
+    template <unsigned W, ReplPolicy P>
+    struct ShapeArgs
+    {
+        static constexpr unsigned kWays = W;
+        static constexpr ReplPolicy kPolicy = P;
+    };
+
+    static Shape shapeOf(const CacheParams &params);
+
+    /**
+     * Call @p fn with the ShapeArgs of this cache's shape: the one
+     * run-time dispatch of a public call, into a body templated on the
+     * set width and policy.
+     */
+    template <class Fn>
+    decltype(auto)
+    withShape(Fn &&fn) const
+    {
+        switch (shape_) {
+          case Shape::Lru4: return fn(ShapeArgs<4, ReplPolicy::LRU>{});
+          case Shape::Lru8: return fn(ShapeArgs<8, ReplPolicy::LRU>{});
+          case Shape::Drrip16:
+            return fn(ShapeArgs<16, ReplPolicy::DRRIP>{});
+          case Shape::Generic: break;
+        }
+        return withGenericShape(fn);
+    }
+
+    /**
+     * The Generic case of withShape(), kept out of line: no Table 2
+     * level runs it, and its body would otherwise crowd the hot path.
+     */
+    template <class Fn>
+    [[gnu::noinline]] static decltype(auto)
+    withGenericShape(Fn &fn)
+    {
+        return fn(ShapeArgs<0, kRuntimePolicy>{});
+    }
+
     unsigned setIndex(Addr line_addr) const;
-    std::size_t findIndex(Addr line_addr) const;
+
+    // The bodies of the public calls, one per (Timing,) width and policy.
+    template <Timing T, unsigned W, ReplPolicy P>
+    CacheAccessResult accessIn(Addr line_addr, bool is_write);
+    template <Timing T, unsigned W, ReplPolicy P>
+    std::optional<Eviction> fillIn(Addr line_addr, bool dirty,
+                                   bool is_prefetch);
+    template <unsigned W>
+    ProbeResult probeIn(Addr line_addr) const;
+    /** Line index holding @p line_addr, or kNotFound. */
+    template <unsigned W>
+    std::size_t findIn(Addr line_addr) const;
+    template <unsigned W, ReplPolicy P>
+    MoveResult moveLineIn(Addr old_addr, Addr new_addr);
     /**
      * Insert into set @p set_idx, reusing way @p way if the caller already
-     * found an invalid one (ways_ = all valid, pick a victim). The
-     * Functional instantiation counts neither writebacks nor prefetch
-     * fills.
+     * found an invalid one (the way count = all valid, pick a victim).
+     * The Functional instantiation counts neither writebacks nor
+     * prefetch fills.
      */
-    template <Timing T>
+    template <Timing T, unsigned W, ReplPolicy P>
     std::optional<Eviction> insertAt(unsigned set_idx, unsigned way,
                                      Addr line_addr, bool dirty,
                                      bool is_prefetch);
@@ -205,6 +271,7 @@ class SetAssocCache : public SimObject
     CacheParams params_;
     unsigned numSets_;
     unsigned ways_;
+    Shape shape_;
     /**
      * Tag store, numSets_ x ways_ row-major by set, kInvalidAddr in empty
      * ways. Tags sit alone in a dense Addr array — the way scan is the
@@ -222,8 +289,8 @@ class SetAssocCache : public SimObject
      * arrays, of which only the one the policy uses is allocated (the
      * other stays empty; Random allocates neither). A set's metadata
      * spans 8 (LRU) or 1 (RRIP) byte per way instead of a padded 16-byte
-     * struct, and RRIP aging touches a contiguous byte run the compiler
-     * can vectorize.
+     * struct, and the RRIP victim choice reads and ages a set's bytes
+     * as whole 64-bit words (rripVictim()).
      */
     std::vector<std::uint64_t> replLru_;
     std::vector<std::uint8_t> replRrpv_;
@@ -238,6 +305,10 @@ class SetAssocCache : public SimObject
 };
 
 // ------------------------ inline hot path ------------------------------
+//
+// Each public call dispatches once on the shape (withShape) into its
+// body; the bodies run the set kernel (common/set_kernel.hh) with the
+// shape's width and the replacement hooks with its policy.
 
 inline unsigned
 SetAssocCache::setIndex(Addr line_addr) const
@@ -245,30 +316,29 @@ SetAssocCache::setIndex(Addr line_addr) const
     return unsigned((line_addr >> kLineShift) & (numSets_ - 1));
 }
 
+template <unsigned W>
 inline std::size_t
-SetAssocCache::findIndex(Addr line_addr) const
+SetAssocCache::findIn(Addr line_addr) const
 {
-    std::size_t base = std::size_t(setIndex(line_addr)) * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags_[base + w] == line_addr)
-            return base + w;
-    }
-    return kNotFound;
+    std::size_t base = std::size_t(setIndex(line_addr)) * wayCount<W>(ways_);
+    unsigned way = findWay<W>(&tags_[base], line_addr, ways_);
+    return way < wayCount<W>(ways_) ? base + way : kNotFound;
 }
 
-template <Timing T>
+template <Timing T, unsigned W, ReplPolicy P>
 inline std::optional<Eviction>
 SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
                         bool dirty, bool is_prefetch)
 {
     constexpr bool kTimed = T == Timing::Detailed;
-    std::size_t base = std::size_t(set_idx) * ways_;
+    const unsigned ways = wayCount<W>(ways_);
+    std::size_t base = std::size_t(set_idx) * ways;
     std::optional<Eviction> evicted;
-    if (way == ways_) {
+    if (way == ways) {
         // All ways valid: consult the replacement policy. RRIP aging
         // mutates the set's states in place.
-        way = repl_.selectVictim(replLru_.data(), replRrpv_.data(), base,
-                                 ways_);
+        way = repl_.selectVictim<W, P>(replLru_.data(), replRrpv_.data(),
+                                       base, ways_);
         evicted = Eviction{tags_[base + way], state_[base + way].dirty};
         if (kTimed && state_[base + way].dirty)
             ++writebacks_;
@@ -278,93 +348,102 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
     LineState &st = state_[base + way];
     st.dirty = dirty;
     st.prefetched = is_prefetch;
-    repl_.onInsert(replLru_.data(), replRrpv_.data(), base + way, set_idx,
-                   is_prefetch);
+    repl_.onInsert<P>(replLru_.data(), replRrpv_.data(), base + way, set_idx,
+                      is_prefetch);
     if (kTimed && is_prefetch)
         ++prefetchFills_;
     return evicted;
+}
+
+template <Timing T, unsigned W, ReplPolicy P>
+inline CacheAccessResult
+SetAssocCache::accessIn(Addr line_addr, bool is_write)
+{
+    constexpr bool kTimed = T == Timing::Detailed;
+    // Single pass over the set: find the hit way and the first invalid
+    // way together, so a miss does not rescan tags in insertAt().
+    unsigned set_idx = setIndex(line_addr);
+    std::size_t base = std::size_t(set_idx) * wayCount<W>(ways_);
+    WayScan scan =
+        scanWays<W>(&tags_[base], line_addr, kInvalidAddr, ways_);
+    if (scan.hit < wayCount<W>(ways_)) {
+        if constexpr (kTimed)
+            ++hits_;
+        LineState &st = state_[base + scan.hit];
+        if (st.prefetched) {
+            if constexpr (kTimed)
+                ++prefetchHits_;
+            st.prefetched = false;
+        }
+        repl_.onHit<P>(replLru_.data(), replRrpv_.data(), base + scan.hit);
+        if (is_write)
+            st.dirty = true;
+        return CacheAccessResult{true, std::nullopt};
+    }
+    if constexpr (kTimed)
+        ++misses_;
+    repl_.onMiss<P>(set_idx);
+    auto eviction =
+        insertAt<T, W, P>(set_idx, scan.empty, line_addr, is_write, false);
+    return CacheAccessResult{false, eviction};
 }
 
 template <Timing T>
 inline CacheAccessResult
 SetAssocCache::access(Addr line_addr, bool is_write)
 {
-    constexpr bool kTimed = T == Timing::Detailed;
-    // Single pass over the set: find the hit way and the first invalid
-    // way together, so a miss does not rescan tags in insert().
+    return withShape([&](auto shape) {
+        using S = decltype(shape);
+        return accessIn<T, S::kWays, S::kPolicy>(line_addr, is_write);
+    });
+}
+
+template <Timing T, unsigned W, ReplPolicy P>
+inline std::optional<Eviction>
+SetAssocCache::fillIn(Addr line_addr, bool dirty, bool is_prefetch)
+{
+    // Same single-pass structure as accessIn(): hit way and first invalid
+    // way in one scan.
     unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            if constexpr (kTimed)
-                ++hits_;
-            LineState &st = state_[base + w];
-            if (st.prefetched) {
-                if constexpr (kTimed)
-                    ++prefetchHits_;
-                st.prefetched = false;
-            }
-            repl_.onHit(replLru_.data(), replRrpv_.data(), base + w);
-            if (is_write)
-                st.dirty = true;
-            return CacheAccessResult{true, std::nullopt};
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
+    std::size_t base = std::size_t(set_idx) * wayCount<W>(ways_);
+    WayScan scan =
+        scanWays<W>(&tags_[base], line_addr, kInvalidAddr, ways_);
+    if (scan.hit < wayCount<W>(ways_)) {
+        state_[base + scan.hit].dirty = state_[base + scan.hit].dirty || dirty;
+        return std::nullopt;
     }
-    if constexpr (kTimed)
-        ++misses_;
-    repl_.onMiss(set_idx);
-    auto eviction =
-        insertAt<T>(set_idx, invalid_way, line_addr, is_write, false);
-    return CacheAccessResult{false, eviction};
+    return insertAt<T, W, P>(set_idx, scan.empty, line_addr, dirty,
+                             is_prefetch);
 }
 
 template <Timing T>
 inline std::optional<Eviction>
 SetAssocCache::fill(Addr line_addr, bool dirty, bool is_prefetch)
 {
-    // Same single-pass structure as access(): hit way and first invalid
-    // way in one scan.
-    unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            state_[base + w].dirty = state_[base + w].dirty || dirty;
-            return std::nullopt;
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
-    }
-    return insertAt<T>(set_idx, invalid_way, line_addr, dirty, is_prefetch);
+    return withShape([&](auto shape) {
+        using S = decltype(shape);
+        return fillIn<T, S::kWays, S::kPolicy>(line_addr, dirty,
+                                               is_prefetch);
+    });
 }
 
+template <unsigned W, ReplPolicy P>
 inline SetAssocCache::MoveResult
-SetAssocCache::moveLine(Addr old_addr, Addr new_addr)
+SetAssocCache::moveLineIn(Addr old_addr, Addr new_addr)
 {
-    // One pass over the source set finds both the line to move and (when
-    // the destination indexes the same set) any resident destination
-    // line. A line tagged new_addr can only live in set(new_addr), so
-    // the same-set probe is complete.
+    // A line tagged new_addr can only live in set(new_addr), so when both
+    // addresses index the same set, one probe of it finds any resident
+    // destination line.
+    const unsigned ways = wayCount<W>(ways_);
     unsigned old_set = setIndex(old_addr);
-    std::size_t base = std::size_t(old_set) * ways_;
+    std::size_t base = std::size_t(old_set) * ways;
     Addr *tags = &tags_[base];
-    unsigned old_way = ways_;
-    unsigned new_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == old_addr)
-            old_way = w;
-        else if (tags[w] == new_addr)
-            new_way = w;
-    }
-    if (old_way == ways_)
+    unsigned old_way = findWay<W>(tags, old_addr, ways_);
+    if (old_way == ways)
         return MoveResult{};
     if (setIndex(new_addr) == old_set) {
-        if (new_way == ways_) {
+        unsigned new_way = findWay<W>(tags, new_addr, ways_);
+        if (new_way == ways) {
             // In-place tag update: the §4.3.3 fast path.
             tags[old_way] = new_addr;
             ++retags_;
@@ -383,32 +462,45 @@ SetAssocCache::moveLine(Addr old_addr, Addr new_addr)
     bool dirty = state_[base + old_way].dirty;
     tags[old_way] = kInvalidAddr;
     state_[base + old_way].dirty = false;
-    return MoveResult{true, fill(new_addr, dirty)};
+    return MoveResult{
+        true, fillIn<Timing::Detailed, W, P>(new_addr, dirty, false)};
+}
+
+inline SetAssocCache::MoveResult
+SetAssocCache::moveLine(Addr old_addr, Addr new_addr)
+{
+    return withShape([&](auto shape) {
+        using S = decltype(shape);
+        return moveLineIn<S::kWays, S::kPolicy>(old_addr, new_addr);
+    });
 }
 
 inline bool
 SetAssocCache::isPresent(Addr line_addr) const
 {
-    return findIndex(line_addr) != kNotFound;
+    return withShape([&](auto shape) {
+        return findIn<decltype(shape)::kWays>(line_addr) != kNotFound;
+    });
+}
+
+template <unsigned W>
+inline SetAssocCache::ProbeResult
+SetAssocCache::probeIn(Addr line_addr) const
+{
+    // Same single-pass structure as accessIn()/fillIn(): hit way and
+    // first invalid way in one scan.
+    std::size_t base = std::size_t(setIndex(line_addr)) * wayCount<W>(ways_);
+    WayScan scan =
+        scanWays<W>(&tags_[base], line_addr, kInvalidAddr, ways_);
+    return ProbeResult{scan.hit < wayCount<W>(ways_), scan.empty};
 }
 
 inline SetAssocCache::ProbeResult
 SetAssocCache::probe(Addr line_addr) const
 {
-    // Same single-pass structure as access()/fill(): hit way and first
-    // invalid way in one scan.
-    std::size_t base = std::size_t(setIndex(line_addr)) * ways_;
-    const Addr *tags = &tags_[base];
-    ProbeResult res{false, ways_};
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            res.present = true;
-            return res;
-        }
-        if (tags[w] == kInvalidAddr && res.invalidWay == ways_)
-            res.invalidWay = w;
-    }
-    return res;
+    return withShape([&](auto shape) {
+        return probeIn<decltype(shape)::kWays>(line_addr);
+    });
 }
 
 template <Timing T>
@@ -416,15 +508,20 @@ inline std::optional<Eviction>
 SetAssocCache::fillProbed(Addr line_addr, unsigned invalid_way, bool dirty,
                           bool is_prefetch)
 {
-    return insertAt<T>(setIndex(line_addr), invalid_way, line_addr, dirty,
-                       is_prefetch);
+    return withShape([&](auto shape) {
+        using S = decltype(shape);
+        return insertAt<T, S::kWays, S::kPolicy>(
+            setIndex(line_addr), invalid_way, line_addr, dirty, is_prefetch);
+    });
 }
 
 inline bool
 SetAssocCache::isPrefetched(Addr line_addr) const
 {
-    std::size_t i = findIndex(line_addr);
-    return i != kNotFound && state_[i].prefetched;
+    return withShape([&](auto shape) {
+        std::size_t i = findIn<decltype(shape)::kWays>(line_addr);
+        return i != kNotFound && state_[i].prefetched;
+    });
 }
 
 } // namespace ovl

@@ -1,7 +1,6 @@
 #include "prefetcher.hh"
 
 #include "common/logging.hh"
-#include "common/victim.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl
@@ -19,6 +18,9 @@ StreamPrefetcher::StreamPrefetcher(std::string name, PrefetcherParams params)
     ovl_assert(params.numStreams > 0, "prefetcher needs stream entries");
     ovl_assert(params.numStreams <= kMaxWays,
                "valid mask bounds the table at 64 streams");
+    // findStream's window test doubles the window in 64 bits.
+    ovl_assert(std::uint64_t(params.trainWindow) >> 32 == 0,
+               "train window must be below 2^32 lines");
 }
 
 unsigned
@@ -30,7 +32,9 @@ StreamPrefetcher::allocateStream()
     std::uint64_t invalid = full & ~validMask_;
     if (invalid != 0)
         return unsigned(__builtin_ctzll(invalid)); // first free in order
-    return lruVictim(lruSeqs_.data(), params_.numStreams);
+    if (params_.numStreams == kTable2Streams)
+        return lruVictim<kTable2Streams>(lruSeqs_.data(), kTable2Streams);
+    return lruVictim<0>(lruSeqs_.data(), params_.numStreams);
 }
 
 template <class Self, class Ar>

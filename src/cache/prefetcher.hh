@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/set_kernel.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
 
@@ -76,6 +77,9 @@ class StreamPrefetcher : public SimObject
         Addr prefetchHead = 0;    ///< next line index to prefetch
     };
 
+    /** Table 2's stream count: the table width with a compile-time scan. */
+    static constexpr unsigned kTable2Streams = 16;
+
     /** Stream index within a trainWindow of @p line_index, or -1. */
     int findStream(Addr line_index) const;
     /** First invalid stream, or the table-order-first LRU victim. */
@@ -105,19 +109,14 @@ class StreamPrefetcher : public SimObject
 inline int
 StreamPrefetcher::findStream(Addr line_index) const
 {
-    // Ascending bit scan preserves the original first-match-in-table
-    // order exactly.
-    const std::int64_t window = std::int64_t(params_.trainWindow);
-    for (std::uint64_t m = validMask_; m != 0; m &= m - 1) {
-        unsigned i = unsigned(__builtin_ctzll(m));
-        std::int64_t delta = std::int64_t(line_index) -
-                             std::int64_t(lastLines_[i]);
-        if (delta < 0)
-            delta = -delta;
-        if (delta <= window)
-            return int(i);
+    // The first match in table order, as an ordered scan would return.
+    if (params_.numStreams == kTable2Streams) {
+        return firstInWindow<kTable2Streams>(lastLines_.data(), validMask_,
+                                             line_index, params_.trainWindow,
+                                             kTable2Streams);
     }
-    return -1;
+    return firstInWindow<0>(lastLines_.data(), validMask_, line_index,
+                            params_.trainWindow, params_.numStreams);
 }
 
 inline void

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "common/random.hh"
-#include "common/victim.hh"
+#include "common/set_kernel.hh"
 
 namespace ovl
 {
@@ -27,6 +27,13 @@ enum class ReplPolicy
     BRRIP,
     DRRIP,
 };
+
+/**
+ * Policy template argument of the ReplacementEngine hooks that names no
+ * policy: the hook reads the engine's own at run time. A cache whose
+ * shape has no compile-time body (DESIGN.md §13.3) passes it.
+ */
+inline constexpr ReplPolicy kRuntimePolicy = static_cast<ReplPolicy>(-1);
 
 /** Human-readable policy name (for config dumps). */
 const char *replPolicyName(ReplPolicy policy);
@@ -63,13 +70,17 @@ class ReplacementEngine
 
     // The per-access hooks are defined inline so the cache's hot path
     // (access/fill/victim-choice on every simulated memory reference)
-    // compiles into straight-line code instead of cross-TU calls.
+    // compiles into straight-line code instead of cross-TU calls. Each
+    // takes the policy as a template argument P, which must be the
+    // engine's own policy or kRuntimePolicy; a fixed P folds the hook's
+    // switch away at compile time.
 
     /** Called when line @p i is hit. */
+    template <ReplPolicy P = kRuntimePolicy>
     void
     onHit(std::uint64_t *lru_seqs, std::uint8_t *rrpvs, std::size_t i)
     {
-        switch (policy_) {
+        switch (resolve<P>()) {
           case ReplPolicy::LRU:
             lru_seqs[i] = ++lruCounter_;
             break;
@@ -89,11 +100,12 @@ class ReplacementEngine
      * leader sets; @p is_prefetch inserts prefetched lines with distant
      * RRPV so inaccurate prefetches do not pollute the LLC.
      */
+    template <ReplPolicy P = kRuntimePolicy>
     void
     onInsert(std::uint64_t *lru_seqs, std::uint8_t *rrpvs, std::size_t i,
              unsigned set_index, bool is_prefetch)
     {
-        switch (policy_) {
+        switch (resolve<P>()) {
           case ReplPolicy::LRU:
             lru_seqs[i] = ++lruCounter_;
             break;
@@ -122,38 +134,27 @@ class ReplacementEngine
     }
 
     /**
-     * Choose a victim among the @p ways lines starting at line @p base;
-     * invalid lines must be handled by the caller first. For RRIP
-     * policies this ages lines in-place until a candidate reaches
-     * RRPV=3.
+     * Choose a victim among the @p ways lines starting at line @p base,
+     * a set of compile-time width W (0: @p ways); invalid lines must be
+     * handled by the caller first. For RRIP policies this ages the set's
+     * lines in place as the round-based aging loop would (rripVictim()).
      *
      * @return the way index of the victim.
      */
+    template <unsigned W = 0, ReplPolicy P = kRuntimePolicy>
     unsigned
     selectVictim(const std::uint64_t *lru_seqs, std::uint8_t *rrpvs,
                  std::size_t base, unsigned ways)
     {
-        switch (policy_) {
+        switch (resolve<P>()) {
           case ReplPolicy::LRU:
-            return lruVictim(lru_seqs + base, ways);
+            return lruVictim<W>(lru_seqs + base, ways);
           case ReplPolicy::Random:
-            return unsigned(rng_.below(ways));
+            return unsigned(rng_.below(wayCount<W>(ways)));
           case ReplPolicy::SRRIP:
           case ReplPolicy::BRRIP:
-          case ReplPolicy::DRRIP: {
-            // Single pass: the victim of round-based aging ("increment
-            // every RRPV until one reaches 3") is the first way holding
-            // the set's maximum RRPV, and every way ages by exactly
-            // 3 - max. Find the first max, then apply the uniform delta.
-            rrpvs += base;
-            auto [victim, max] = firstMax(rrpvs, ways);
-            if (max < kMaxRrpv) {
-                std::uint8_t delta = std::uint8_t(kMaxRrpv - max);
-                for (unsigned w = 0; w < ways; ++w)
-                    rrpvs[w] = std::uint8_t(rrpvs[w] + delta);
-            }
-            return victim;
-          }
+          case ReplPolicy::DRRIP:
+            return rripVictim<W>(rrpvs + base, ways);
         }
         return 0;
     }
@@ -162,10 +163,11 @@ class ReplacementEngine
      * DRRIP feedback: called on a miss in a leader set [27]; adjusts the
      * policy-selection counter.
      */
+    template <ReplPolicy P = kRuntimePolicy>
     void
     onMiss(unsigned set_index)
     {
-        if (policy_ != ReplPolicy::DRRIP)
+        if (resolve<P>() != ReplPolicy::DRRIP)
             return;
         // A miss in a leader set is a vote against that leader's policy.
         if (isSrripLeader(set_index)) {
@@ -211,9 +213,16 @@ class ReplacementEngine
     }
 
   private:
-    static constexpr std::uint8_t kMaxRrpv = 3;
     static constexpr unsigned kLeaderSetStride = 32;
     static constexpr unsigned kBrripEpsilonInverse = 32; // 1/32 near inserts
+
+    /** The policy a hook instantiated with @p P runs. */
+    template <ReplPolicy P>
+    ReplPolicy
+    resolve() const
+    {
+        return P == kRuntimePolicy ? policy_ : P;
+    }
 
     void
     insertRrip(std::uint8_t &rrpv, bool long_rereference)

@@ -22,6 +22,9 @@ OooCore::OooCore(std::string name, System &system, unsigned core)
                    "load completion latency (cycles)", 25, 40)
 {
     ovl_assert(windowSize_ > 0, "instruction window must be non-empty");
+    // Compute ops divide by the width.
+    ovl_assert(issueWidth_ >= 1, "issue width must be at least 1");
+    window_.resize(windowSize_);
 }
 
 void
@@ -36,7 +39,7 @@ OooCore::consumeIssueSlot()
 void
 OooCore::beginEpoch(Tick start)
 {
-    window_.clear();
+    windowClear();
     slotsThisCycle_ = 0;
     issueCycle_ = start;
     lastCompletion_ = start;
@@ -50,11 +53,10 @@ Tick
 OooCore::reserveSlot(Tick ready)
 {
     Tick issue = std::max(issueCycle_, ready);
-    if (window_.size() >= windowSize_) {
+    if (windowCount_ >= windowSize_) {
         // In-order retirement: the oldest instruction must complete
         // before a new one can enter the window.
-        Tick oldest_done = window_.front();
-        window_.pop_front();
+        Tick oldest_done = windowPop();
         if (oldest_done > issue) {
             windowStallCycles_ += oldest_done - issue;
             issue = oldest_done;
@@ -96,12 +98,12 @@ OooCore::executeOp(Asid asid, const TraceOp &op)
             // overlaying write needs none of this — it is handled in
             // hardware without faulting, §4.3.3.)
             ++faults_;
-            window_.clear();
+            windowClear();
             slotsThisCycle_ = 0;
             issueCycle_ = done;
             lastCompletion_ = done;
         } else {
-            window_.push_back(done);
+            windowPush(done);
             lastCompletion_ = done;
             if (issue > issueCycle_) {
                 issueCycle_ = issue;
@@ -128,7 +130,7 @@ OooCore::finishEpoch()
 {
     Tick finish = std::max(issueCycle_, maxCompletion_);
     epochCycles_ = finish - epochStart_;
-    window_.clear();
+    windowClear();
     return finish;
 }
 
@@ -146,14 +148,23 @@ void
 OooCore::io(Self &self, Ar &ar)
 {
     ar.section("CORE", [&] {
-        ar.seq(self.window_, 8, [&](auto &done) { ar.u64(done); });
+        // The window's entries, count first, oldest first.
+        std::uint64_t n = self.windowCount_;
+        ar.count(n, 8);
         if constexpr (Ar::kLoading) {
-            if (self.window_.size() > self.windowSize_) {
-                ar.fail("core window occupancy " +
-                        std::to_string(self.window_.size()) +
+            if (n > self.windowSize_) {
+                ar.fail("core window occupancy " + std::to_string(n) +
                         " exceeds configured window of " +
                         std::to_string(self.windowSize_));
             }
+            self.windowHead_ = 0;
+            self.windowCount_ = unsigned(n);
+        }
+        for (std::uint64_t k = 0; k < n; ++k) {
+            std::uint64_t slot = self.windowHead_ + k;
+            ar.u64(self.window_[slot < self.windowSize_
+                                    ? slot
+                                    : slot - self.windowSize_]);
         }
         ar.u32(self.slotsThisCycle_);
         ar.u64(self.issueCycle_);

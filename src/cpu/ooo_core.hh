@@ -13,7 +13,6 @@
 #define OVERLAYSIM_CPU_OOO_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
@@ -121,13 +120,46 @@ class OooCore : public SimObject
     /** Advance the issue cursor by one slot (width slots per cycle). */
     void consumeIssueSlot();
 
+    /** Append a completion time to the window (it must not be full). */
+    void
+    windowPush(Tick done)
+    {
+        unsigned tail = windowHead_ + windowCount_;
+        window_[tail < windowSize_ ? tail : tail - windowSize_] = done;
+        ++windowCount_;
+    }
+
+    /** Remove and return the window's oldest completion time. */
+    Tick
+    windowPop()
+    {
+        Tick oldest = window_[windowHead_];
+        windowHead_ = windowHead_ + 1 < windowSize_ ? windowHead_ + 1 : 0;
+        --windowCount_;
+        return oldest;
+    }
+
+    void
+    windowClear()
+    {
+        windowHead_ = 0;
+        windowCount_ = 0;
+    }
+
     System &system_;
     unsigned core_;
     unsigned windowSize_;
     unsigned issueWidth_;
     unsigned slotsThisCycle_ = 0;
 
-    std::deque<Tick> window_;   ///< completion times, oldest first
+    /**
+     * Completion times of the ops in the window: a ring of windowSize_
+     * slots, allocated once, holding windowCount_ entries oldest first
+     * from windowHead_.
+     */
+    std::vector<Tick> window_;
+    unsigned windowHead_ = 0;
+    unsigned windowCount_ = 0;
     Tick issueCycle_ = 0;       ///< next issue cycle
     Tick lastCompletion_ = 0;   ///< completion of the previous op
     Tick maxCompletion_ = 0;

@@ -5,7 +5,7 @@
 #include "common/host_bytes.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/victim.hh"
+#include "common/set_kernel.hh"
 #include "sim/snapshot.hh"
 
 namespace ovl

@@ -174,8 +174,11 @@ System::translate(Asid asid, Addr vpn, Tick &t, AccessOutcome *outcome,
 
 // ------------------------- the access path ----------------------------
 
+// Always inlined within this file, so accessBatch() runs the access
+// path without a call per request; the explicit instantiations at the
+// bottom still give other translation units their out-of-line copy.
 template <Timing T>
-Tick
+[[gnu::always_inline]] inline Tick
 System::access(Asid asid, Addr vaddr, bool is_write, Tick when,
                AccessOutcome *outcome, unsigned core)
 {
@@ -238,10 +241,9 @@ Tick
 System::accessBatch(Asid asid, std::span<const AccessRequest> reqs,
                     Tick when, unsigned core)
 {
-    // Plain per-element loop over the full access path; being in this
-    // translation unit lets the compiler inline access() (and the
-    // translate/cache fast paths it carries) into one flat loop body,
-    // which a cross-TU caller issuing one call per access never gets.
+    // access() is always inlined here: the loop body is the access path
+    // itself, down to the out-of-line translate() and cache hierarchy
+    // calls, with no call and no outcome record per request.
     Tick t = when;
     for (const AccessRequest &req : reqs)
         t = access(asid, req.vaddr, req.isWrite, t, nullptr, core);

@@ -160,11 +160,12 @@ class System : public SimObject
     /**
      * Timing access for a precomputed request stream: exactly
      * equivalent — tick for tick, counter for counter — to calling
-     * access() once per element, but the whole loop runs inside the
-     * System translation unit, so the per-access call dispatch,
-     * outcome plumbing and sampler-pump checks are amortized across
-     * the batch. This is the entry point trace-driven benches
-     * (host_throughput) use for their hot loops.
+     * access() once per element, because it is that loop, with
+     * access() inlined into it: per request it saves the call into
+     * access() and the outcome record, nothing more. It is the seam
+     * for batch-level work (grouping by page, pipelining across the
+     * batch) and the entry point trace-driven benches
+     * (host_throughput, overlay_bench) use for their hot loops.
      *
      * @return the completion time of the last access in the batch
      *         (@p when if the span is empty).

@@ -14,12 +14,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitvector64.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "common/victim.hh"
+#include "common/set_kernel.hh"
 #include "sim/sim_object.hh"
 
 namespace ovl
@@ -176,22 +177,47 @@ class Tlb : public SimObject
 
     void noteErased(Asid asid) { --asidEntries_[asid]; }
 
+    /**
+     * Call @p fn with the set width as a std::integral_constant: 4 and 8
+     * (Table 2's L1 and L2) are compile-time constants, and any other
+     * associativity passes 0, which the set kernel reads as "the width
+     * is params_.associativity".
+     */
+    template <class Fn>
+    decltype(auto)
+    withWays(Fn &&fn) const
+    {
+        switch (params_.associativity) {
+          case 4: return fn(std::integral_constant<unsigned, 4>{});
+          case 8: return fn(std::integral_constant<unsigned, 8>{});
+          default: return withAnyWays(fn);
+        }
+    }
+
+    /** withWays() at a run-time width, out of line: Table 2 never runs it. */
+    template <class Fn>
+    [[gnu::noinline]] static decltype(auto)
+    withAnyWays(Fn &fn)
+    {
+        return fn(std::integral_constant<unsigned, 0>{});
+    }
+
     std::size_t
     findIndex(Asid asid, Addr vpn) const
     {
-        std::uint64_t key = keyOf(asid, vpn);
-        std::size_t base = setBase(vpn);
-        for (unsigned w = 0; w < params_.associativity; ++w) {
-            if (keys_[base + w] == key)
-                return base + w;
-        }
-        return kNotFound;
+        return withWays([&](auto ways) -> std::size_t {
+            constexpr unsigned W = decltype(ways)::value;
+            std::size_t base = setBase(vpn);
+            unsigned way = findWay<W>(&keys_[base], keyOf(asid, vpn),
+                                      params_.associativity);
+            return way < params_.associativity ? base + way : kNotFound;
+        });
     }
 
     /**
      * Index of the way holding (asid, vpn); if absent, claim the set's
-     * first empty way, else its LRU way, found in the same scan by one
-     * packed-key minimum (no data-dependent branch).
+     * first empty way, else its LRU way, found in the same scan
+     * (claimWay()).
      */
     std::size_t
     claimIndex(Asid asid, Addr vpn)
@@ -199,15 +225,14 @@ class Tlb : public SimObject
         ovl_assert(vpn >> kVpnBits == 0, "VPN too wide for the TLB key");
         std::uint64_t key = keyOf(asid, vpn);
         std::size_t base = setBase(vpn);
-        std::uint64_t best = ~std::uint64_t(0);
-        for (unsigned w = 0; w < params_.associativity; ++w) {
-            std::uint64_t k = keys_[base + w];
-            if (k == key)
-                return base + w;
-            best = std::min(best,
-                            lruKeyOrEmpty(stamps_[base + w], k != kNoKey, w));
-        }
-        std::size_t i = base + lruKeyWay(best);
+        ClaimedWay claim = withWays([&](auto ways) {
+            constexpr unsigned W = decltype(ways)::value;
+            return claimWay<W>(&keys_[base], key, kNoKey, &stamps_[base],
+                               params_.associativity);
+        });
+        std::size_t i = base + claim.way;
+        if (claim.hit)
+            return i;
         if (keys_[i] != kNoKey)
             noteErased(asidOf(keys_[i]));
         noteInserted(asid);
@@ -264,29 +289,14 @@ class TwoLevelTlb : public SimObject
   public:
     TwoLevelTlb(std::string name, TlbHierarchyParams params);
 
-    /** Look up (asid, vpn); see TlbAccessResult. Inline: first stop of
-     *  every simulated memory access. */
+    /** Look up (asid, vpn); see TlbAccessResult. The L1 hit is inline:
+     *  it is the first stop of every simulated memory access. */
     TlbAccessResult
     access(Asid asid, Addr vpn)
     {
-        TlbAccessResult res;
-        if (TlbEntryData *entry = l1_.lookup(asid, vpn)) {
-            res.entry = entry;
-            res.latency = params_.l1.hitLatency;
-            return res;
-        }
-        if (TlbEntryData *entry = l2_.lookup(asid, vpn)) {
-            // Promote into L1 and return the L1 copy so that coherence
-            // updates through the returned pointer hit the level the core
-            // reads from.
-            res.entry = l1_.insertAndLookup(asid, vpn, *entry);
-            res.latency = params_.l1.hitLatency + params_.l2.hitLatency;
-            return res;
-        }
-        res.needsWalk = true;
-        res.latency = params_.l1.hitLatency + params_.l2.hitLatency +
-                      params_.walkLatency;
-        return res;
+        if (TlbEntryData *entry = l1_.lookup(asid, vpn))
+            return TlbAccessResult{entry, params_.l1.hitLatency, false};
+        return accessBelowL1(asid, vpn);
     }
 
     /** Install a walked translation into both levels. */
@@ -312,6 +322,25 @@ class TwoLevelTlb : public SimObject
     template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
+    /** access() after an L1 miss: the L2 lookup and the promotion. */
+    TlbAccessResult
+    accessBelowL1(Asid asid, Addr vpn)
+    {
+        TlbAccessResult res;
+        if (TlbEntryData *entry = l2_.lookup(asid, vpn)) {
+            // Promote into L1 and return the L1 copy so that coherence
+            // updates through the returned pointer hit the level the core
+            // reads from.
+            res.entry = l1_.insertAndLookup(asid, vpn, *entry);
+            res.latency = params_.l1.hitLatency + params_.l2.hitLatency;
+            return res;
+        }
+        res.needsWalk = true;
+        res.latency = params_.l1.hitLatency + params_.l2.hitLatency +
+                      params_.walkLatency;
+        return res;
+    }
+
     TlbHierarchyParams params_;
     Tlb l1_;
     Tlb l2_;

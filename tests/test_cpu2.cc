@@ -1,13 +1,19 @@
 /**
  * @file
  * Core-model tests for the configurable issue width: IPC scaling on
- * compute-bound code, slot accounting across mixed ops, and fault
- * flushes under wide issue.
+ * compute-bound code, slot accounting across mixed ops, fault flushes
+ * under wide issue, the rejection of a zero width, and the window ring
+ * across a snapshot.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
+#include "common/random.hh"
 #include "cpu/ooo_core.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -89,6 +95,72 @@ TEST(CoreWidth, DefaultMatchesTable2SingleIssue)
     trace.push_back(TraceOp::compute(500));
     core.run(asid, trace, 0);
     EXPECT_EQ(core.epochCycles(), 500u);
+}
+
+TEST(CoreWidthDeathTest, ZeroIssueWidthIsRejected)
+{
+    // A compute op divides by the width: the core refuses it up front.
+    EXPECT_DEATH(
+        {
+            System sys(widthConfig(0));
+            OooCore core("core", sys);
+        },
+        "issueWidth");
+}
+
+TEST(CoreWidth, WindowRingResumesOldestFirstFromASnapshot)
+{
+    // A 4-entry window over loads of mixed latency (L1 hits and misses
+    // to DRAM): the ring has wrapped many times when the machine and the
+    // core are saved mid-epoch. A twin restored from those bytes must
+    // see the same outstanding completions in the same order, so it
+    // stalls exactly as the original does on the rest of the stream.
+    SystemConfig cfg;
+    cfg.instructionWindow = 4;
+    Rng rng(3);
+    std::vector<TraceOp> ops;
+    for (int i = 0; i < 4000; ++i) {
+        const Addr line = rng.below(4) == 0 ? rng.below(64) : rng.below(4096);
+        ops.push_back(TraceOp::load(kBase + line * kLineSize));
+    }
+    auto prepare = [&](System &sys) {
+        Asid asid = sys.createProcess();
+        sys.mapAnon(asid, kBase, 4096 * kLineSize);
+        return asid;
+    };
+
+    System sys(cfg);
+    OooCore core("core", sys);
+    const Asid asid = prepare(sys);
+    core.beginEpoch(0);
+    for (std::size_t i = 0; i < 2001; ++i)
+        core.executeOp(asid, ops[i]);
+    snapshot::Writer w;
+    snapshot::visit(sys, w);
+    snapshot::visit(core, w);
+    const std::vector<std::uint8_t> bytes = w.takeBuffer();
+
+    System twin_sys(cfg);
+    OooCore twin("core", twin_sys);
+    prepare(twin_sys);
+    snapshot::Reader r(bytes);
+    snapshot::visit(twin_sys, r);
+    snapshot::visit(twin, r);
+    ASSERT_TRUE(r.atEnd());
+    snapshot::Writer again;
+    snapshot::visit(twin_sys, again);
+    snapshot::visit(twin, again);
+    EXPECT_EQ(again.takeBuffer(), bytes);
+
+    for (std::size_t i = 2001; i < ops.size(); ++i) {
+        core.executeOp(asid, ops[i]);
+        twin.executeOp(asid, ops[i]);
+    }
+    EXPECT_EQ(twin.finishEpoch(), core.finishEpoch());
+    std::ostringstream a, b;
+    core.dumpStats(a);
+    twin.dumpStats(b);
+    EXPECT_EQ(b.str(), a.str());
 }
 
 } // namespace

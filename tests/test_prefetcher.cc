@@ -11,6 +11,7 @@
 
 #include "cache/prefetcher.hh"
 #include "common/random.hh"
+#include "common/set_kernel.hh"
 
 namespace ovl
 {
@@ -116,7 +117,7 @@ TEST(Prefetcher, StreamVictimMatchesReferenceLoop)
     // miss on an absent stream allocates (and prefetches nothing). The
     // reference table allocates into the first free entry, else the
     // first entry holding the smallest recency stamp.
-    for (unsigned streams : {4u, 16u, 64u}) {
+    for (unsigned streams : {1u, 4u, 12u, 16u, 64u}) {
         PrefetcherParams params;
         params.numStreams = streams;
         StreamPrefetcher pf("pf", params);
@@ -152,6 +153,111 @@ TEST(Prefetcher, StreamVictimMatchesReferenceLoop)
                 << streams << " streams, step " << step;
         }
     }
+}
+
+/**
+ * Reference: the ordered scan firstInWindow() replaced. The first valid
+ * entry, in table order, whose last line is within @p window of @p line.
+ */
+int
+orderedWindowScan(const std::vector<std::uint64_t> &last, std::uint64_t valid,
+                  std::uint64_t line, std::uint64_t window)
+{
+    for (unsigned i = 0; i < last.size(); ++i) {
+        if ((valid >> i & 1) == 0)
+            continue;
+        std::int64_t delta = std::int64_t(line) - std::int64_t(last[i]);
+        if (delta < 0)
+            delta = -delta;
+        if (delta <= std::int64_t(window))
+            return int(i);
+    }
+    return -1;
+}
+
+template <unsigned W>
+void
+expectWindowMatchesScan(const std::vector<std::uint64_t> &last,
+                        std::uint64_t valid, std::uint64_t line,
+                        std::uint64_t window)
+{
+    const int want = orderedWindowScan(last, valid, line, window);
+    ASSERT_EQ(firstInWindow<W>(last.data(), valid, line, window,
+                               unsigned(last.size())),
+              want)
+        << "line " << line << ", window " << window;
+}
+
+TEST(Prefetcher, WindowMaskMatchesOrderedScan)
+{
+    // Line indices are addresses >> 6, so below 2^58.
+    constexpr std::uint64_t kTop = (std::uint64_t(1) << 58) - 1;
+    Rng rng(11);
+    for (unsigned entries : {1u, 5u, 16u, 64u}) {
+        const std::uint64_t all =
+            entries == 64 ? ~std::uint64_t(0)
+                          : (std::uint64_t(1) << entries) - 1;
+        std::vector<std::uint64_t> last(entries);
+        for (std::uint64_t window :
+             {std::uint64_t(0), std::uint64_t(1), std::uint64_t(4),
+              std::uint64_t(1000), (std::uint64_t(1) << 32) - 1}) {
+            for (unsigned trial = 0; trial < 3000; ++trial) {
+                // Lines near 0, near the top and anywhere, with the
+                // entries clustered around them so several fall inside
+                // the window (and some just outside it).
+                const std::uint64_t line =
+                    trial % 3 == 0   ? rng.below(8)
+                    : trial % 3 == 1 ? kTop - rng.below(8)
+                                     : rng.below(kTop);
+                for (auto &l : last) {
+                    const std::uint64_t off = rng.below(3 * window + 3);
+                    l = rng.below(2) != 0 ? (line > kTop - off ? kTop
+                                                               : line + off)
+                                          : (line < off ? 0 : line - off);
+                }
+                const std::uint64_t valid = rng.next() & all;
+                if (entries == 16)
+                    expectWindowMatchesScan<16>(last, valid, line, window);
+                expectWindowMatchesScan<0>(last, valid, line, window);
+                ASSERT_FALSE(HasFatalFailure())
+                    << entries << " entries, trial " << trial;
+            }
+        }
+    }
+}
+
+TEST(Prefetcher, LowerIndexWinsTwoStreamsInOneWindow)
+{
+    // Two valid entries within the window of line 6: entry 3 one line
+    // above, entry 9 two lines below. The lower index wins, whichever is
+    // nearer, as does entry 0 at distance 4 once it is valid.
+    std::vector<std::uint64_t> last(16, 1000);
+    last[0] = 2;
+    last[3] = 7;
+    last[9] = 4;
+    const std::uint64_t valid = (1u << 3) | (1u << 9);
+    EXPECT_EQ(firstInWindow<16>(last.data(), valid, 6, 4, 16), 3);
+    EXPECT_EQ(firstInWindow<0>(last.data(), valid, 6, 4, 16), 3);
+    EXPECT_EQ(firstInWindow<16>(last.data(), valid | 1, 6, 4, 16), 0);
+    // Near 0 the difference to a high line wraps and must not match:
+    // line 1 is within 4 of lines 0..5 only.
+    last.assign(16, (std::uint64_t(1) << 58) - 1);
+    last[5] = 5;
+    last[6] = 6;
+    EXPECT_EQ(firstInWindow<16>(last.data(), 0xffff, 1, 4, 16), 5);
+    EXPECT_EQ(firstInWindow<16>(last.data(), 0xffff, 0, 4, 16), -1);
+
+    // Through the prefetcher: stream 0 runs up from 100 to 104 and
+    // stream 1 is allocated at 110. A miss at 107 is within 4 of both;
+    // stream 0 trains and prefetches upwards (stream 1 would have
+    // confirmed a descending direction and prefetched below 107).
+    StreamPrefetcher pf("pf", PrefetcherParams{});
+    missAt(pf, 100);
+    missAt(pf, 110);
+    missAt(pf, 104);
+    std::vector<Addr> out = missAt(pf, 107);
+    ASSERT_FALSE(out.empty());
+    EXPECT_GT(out.front(), Addr(107) << kLineShift);
 }
 
 } // namespace

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cache/replacement.hh"
 #include "common/random.hh"
-#include "common/victim.hh"
+#include "common/set_kernel.hh"
 
 namespace ovl
 {
@@ -104,8 +106,8 @@ TEST(Replacement, SrripAgingTerminates)
 TEST(Replacement, RripSinglePassMatchesRoundBasedAging)
 {
     // The engine replaces the round-based aging loop ("increment every
-    // RRPV until one reaches 3, pick the first such way") with a single
-    // first-max scan plus a uniform delta. Check the two formulations
+    // RRPV until one reaches 3, pick the first such way") with one pass
+    // of byte-lane arithmetic (rripVictim). Check the two formulations
     // agree on every 4-way RRPV combination.
     for (unsigned combo = 0; combo < 4 * 4 * 4 * 4; ++combo) {
         std::uint8_t ref[4], ours[4];
@@ -241,6 +243,16 @@ TEST(Replacement, LruVictimMatchesFirstMinLoop)
                                           ways),
                       expect)
                 << ways << " ways, trial " << trial;
+            // Table 2's L1 and L2 instantiations.
+            if (ways == 4) {
+                EXPECT_EQ((engine.selectVictim<4, ReplPolicy::LRU>(
+                              stamps.data(), rrpvs.data(), 0, ways)),
+                          expect);
+            } else if (ways == 8) {
+                EXPECT_EQ((engine.selectVictim<8, ReplPolicy::LRU>(
+                              stamps.data(), rrpvs.data(), 0, ways)),
+                          expect);
+            }
         }
         // A running set: insert into every way, then evict-and-refill
         // with random hits in between.
@@ -272,11 +284,130 @@ TEST(Replacement, DrripVictimMatchesFirstMaxLoop)
         for (auto &rrpv : expect_rrpvs)
             rrpv = std::uint8_t(rrpv + delta);
 
+        // The run-time hook and Table 2's L3 instantiation alike.
+        std::uint8_t fixed[kWays];
+        std::copy(rrpvs, rrpvs + kWays, fixed);
         ASSERT_EQ(engine.selectVictim(lru, rrpvs, 0, kWays), expect)
             << "trial " << trial;
-        for (unsigned w = 0; w < kWays; ++w)
+        ASSERT_EQ((engine.selectVictim<kWays, ReplPolicy::DRRIP>(
+                      lru, fixed, 0, kWays)),
+                  expect)
+            << "trial " << trial;
+        for (unsigned w = 0; w < kWays; ++w) {
             EXPECT_EQ(rrpvs[w], expect_rrpvs[w]) << "trial " << trial;
+            EXPECT_EQ(fixed[w], expect_rrpvs[w]) << "trial " << trial;
+        }
     }
+}
+
+/**
+ * Reference: the RRIP victim choice the SWAR kernel replaced. The first
+ * way holding the largest RRPV is a maximum over 16-bit keys
+ * (value << 8) | (255 - way); every way then ages by 3 - max.
+ */
+unsigned
+firstMaxAgingVictim(std::uint8_t *rrpvs, unsigned ways)
+{
+    std::uint16_t best = 0;
+    for (unsigned w = 0; w < ways; ++w)
+        best = std::max(best, std::uint16_t((rrpvs[w] << 8) | (255 - w)));
+    const unsigned victim = 255u - (best & 255u);
+    const std::uint8_t max = std::uint8_t(best >> 8);
+    if (max < 3) {
+        for (unsigned w = 0; w < ways; ++w)
+            rrpvs[w] = std::uint8_t(rrpvs[w] + 3 - max);
+    }
+    return victim;
+}
+
+/**
+ * Check rripVictim at compile-time width W and at run-time width (W = 0)
+ * against the reference on the set @p values. The kernel reads heap
+ * copies of exactly the set's size, so a read or write past the set
+ * shows under ASan.
+ */
+template <unsigned W>
+void
+expectRripMatchesReference(const std::vector<std::uint8_t> &values)
+{
+    std::vector<std::uint8_t> expect = values;
+    const unsigned victim = firstMaxAgingVictim(expect.data(), W);
+    std::vector<std::uint8_t> fixed = values;
+    std::vector<std::uint8_t> runtime = values;
+    ASSERT_EQ(rripVictim<W>(fixed.data(), W), victim);
+    ASSERT_EQ(rripVictim<0>(runtime.data(), W), victim);
+    ASSERT_EQ(fixed, expect);
+    ASSERT_EQ(runtime, expect);
+}
+
+/** Every one of the 4^W sets of W RRPVs. */
+template <unsigned W>
+void
+expectRripMatchesOnEverySet()
+{
+    std::vector<std::uint8_t> values(W);
+    for (std::uint32_t combo = 0; combo < (1u << (2 * W)); ++combo) {
+        for (unsigned w = 0; w < W; ++w)
+            values[w] = std::uint8_t((combo >> (2 * w)) & 3);
+        expectRripMatchesReference<W>(values);
+        if (::testing::Test::HasFatalFailure()) {
+            ADD_FAILURE() << W << " ways, combo " << combo;
+            return;
+        }
+    }
+}
+
+TEST(Replacement, SwarRripMatchesFirstMaxAgingOnEverySmallSet)
+{
+    [&]<unsigned... W>(std::integer_sequence<unsigned, W...>) {
+        (expectRripMatchesOnEverySet<W + 1>(), ...);
+    }(std::make_integer_sequence<unsigned, 8>{});
+}
+
+/**
+ * Random sets of W RRPVs (values drawn below 1 to 4, so low maxima and
+ * ties are common), plus the edge cases: every way equal, and the
+ * maximum held only by the last way.
+ */
+template <unsigned W>
+void
+expectRripMatchesOnWideSets(Rng &rng)
+{
+    std::vector<std::uint8_t> values(W);
+    for (unsigned trial = 0; trial < 4000; ++trial) {
+        const std::uint64_t bound = 1 + trial % 4;
+        for (auto &v : values)
+            v = std::uint8_t(rng.below(bound));
+        expectRripMatchesReference<W>(values);
+        if (::testing::Test::HasFatalFailure()) {
+            ADD_FAILURE() << W << " ways, trial " << trial;
+            return;
+        }
+    }
+    for (std::uint8_t v = 0; v <= 3; ++v) {
+        values.assign(W, v);
+        expectRripMatchesReference<W>(values);
+        for (std::uint8_t max = std::uint8_t(v + 1); max <= 3; ++max) {
+            values.assign(W, v);
+            values[W - 1] = max;
+            expectRripMatchesReference<W>(values);
+            ASSERT_FALSE(::testing::Test::HasFatalFailure())
+                << W << " ways, " << int(v) << " then " << int(max);
+        }
+    }
+}
+
+TEST(Replacement, SwarRripMatchesFirstMaxAgingOnWideSets)
+{
+    Rng rng(9);
+    expectRripMatchesOnWideSets<12>(rng);
+    expectRripMatchesOnWideSets<16>(rng);
+    expectRripMatchesOnWideSets<17>(rng);
+    expectRripMatchesOnWideSets<24>(rng);
+    expectRripMatchesOnWideSets<32>(rng);
+    expectRripMatchesOnWideSets<48>(rng);
+    expectRripMatchesOnWideSets<63>(rng);
+    expectRripMatchesOnWideSets<64>(rng);
 }
 
 TEST(Replacement, PackedPicksCoverEveryWayOfAWideSet)
@@ -287,13 +418,18 @@ TEST(Replacement, PackedPicksCoverEveryWayOfAWideSet)
     std::vector<std::uint8_t> rrpvs(kMaxWays, 1);
     for (unsigned w = 0; w < kMaxWays; ++w) {
         stamps[w] = 7;
-        rrpvs[w] = 2;
-        EXPECT_EQ(lruVictim(stamps.data(), kMaxWays), w);
-        FirstMax max = firstMax(rrpvs.data(), kMaxWays);
-        EXPECT_EQ(max.way, w);
-        EXPECT_EQ(max.value, 2);
+        EXPECT_EQ(lruVictim<0>(stamps.data(), kMaxWays), w);
+        EXPECT_EQ(lruVictim<kMaxWays>(stamps.data(), kMaxWays), w);
         stamps[w] = 100;
-        rrpvs[w] = 1;
+        for (bool fixed : {false, true}) {
+            rrpvs.assign(kMaxWays, 1);
+            rrpvs[w] = 2;
+            EXPECT_EQ(fixed ? rripVictim<kMaxWays>(rrpvs.data(), kMaxWays)
+                            : rripVictim<0>(rrpvs.data(), kMaxWays),
+                      w);
+            EXPECT_EQ(rrpvs[w], 3); // aged by one, as every way
+            EXPECT_EQ(rrpvs[(w + 1) % kMaxWays], 2);
+        }
     }
 }
 
