@@ -11,16 +11,14 @@
 #ifndef OVERLAYSIM_TLB_TLB_HH
 #define OVERLAYSIM_TLB_TLB_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/bitvector64.hh"
 #include "common/logging.hh"
+#include "common/lru_table.hh"
 #include "common/types.hh"
-#include "common/set_kernel.hh"
 #include "sim/sim_object.hh"
 
 namespace ovl
@@ -65,18 +63,20 @@ class Tlb : public SimObject
     TlbEntryData *
     lookup(Asid asid, Addr vpn)
     {
-        std::size_t i = findIndex(asid, vpn);
-        if (i != kNotFound) {
+        if (TlbEntryData *data = table_.touch(keyOf(asid, vpn))) {
             ++hits_;
-            stamps_[i] = ++lruCounter_;
-            return &data_[i];
+            return data;
         }
         ++misses_;
         return nullptr;
     }
 
     /** Probe without recency update. */
-    const TlbEntryData *probe(Asid asid, Addr vpn) const;
+    const TlbEntryData *
+    probe(Asid asid, Addr vpn) const
+    {
+        return table_.find(keyOf(asid, vpn));
+    }
 
     /**
      * Install a translation, evicting the set's LRU entry if needed.
@@ -85,9 +85,7 @@ class Tlb : public SimObject
     void
     insert(Asid asid, Addr vpn, const TlbEntryData &data)
     {
-        std::size_t i = claimIndex(asid, vpn);
-        data_[i] = data;
-        stamps_[i] = ++lruCounter_;
+        table_.payload(claim(asid, vpn)) = data;
     }
 
     /**
@@ -100,12 +98,10 @@ class Tlb : public SimObject
     TlbEntryData *
     insertAndLookup(Asid asid, Addr vpn, const TlbEntryData &data)
     {
-        std::size_t i = claimIndex(asid, vpn);
-        data_[i] = data;
-        ++lruCounter_; // insert()'s recency bump, superseded below
+        const std::size_t way = claim(asid, vpn);
+        table_.payload(way) = data;
         ++hits_;
-        stamps_[i] = ++lruCounter_;
-        return &data_[i];
+        return &table_.use(way);
     }
 
     /**
@@ -145,13 +141,12 @@ class Tlb : public SimObject
     template <class Self, class Ar> static void io(Self &self, Ar &ar);
 
   private:
-    /** No way holds the key (sentinel index into keys_). */
-    static constexpr std::size_t kNotFound = ~std::size_t(0);
+    using Table = LruTable<TlbEntryData>;
+
     /** VPN bits in a packed key; the ASID occupies the bits above. */
     static constexpr unsigned kVpnBits = 44;
-    /** Empty way. Real keys never set bits 60+ (16-bit ASID << 44). */
-    static constexpr std::uint64_t kNoKey = ~std::uint64_t(0);
 
+    /** Packed (asid << kVpnBits) | vpn key; bits 60+ stay clear. */
     static std::uint64_t
     keyOf(Asid asid, Addr vpn)
     {
@@ -159,13 +154,6 @@ class Tlb : public SimObject
     }
 
     static Asid asidOf(std::uint64_t key) { return Asid(key >> kVpnBits); }
-
-    std::size_t
-    setBase(Addr vpn) const
-    {
-        return std::size_t(unsigned(vpn) & (numSets_ - 1)) *
-               params_.associativity;
-    }
 
     void
     noteInserted(Asid asid)
@@ -177,82 +165,23 @@ class Tlb : public SimObject
 
     void noteErased(Asid asid) { --asidEntries_[asid]; }
 
-    /**
-     * Call @p fn with the set width as a std::integral_constant: 4 and 8
-     * (Table 2's L1 and L2) are compile-time constants, and any other
-     * associativity passes 0, which the set kernel reads as "the width
-     * is params_.associativity".
-     */
-    template <class Fn>
-    decltype(auto)
-    withWays(Fn &&fn) const
-    {
-        switch (params_.associativity) {
-          case 4: return fn(std::integral_constant<unsigned, 4>{});
-          case 8: return fn(std::integral_constant<unsigned, 8>{});
-          default: return withAnyWays(fn);
-        }
-    }
-
-    /** withWays() at a run-time width, out of line: Table 2 never runs it. */
-    template <class Fn>
-    [[gnu::noinline]] static decltype(auto)
-    withAnyWays(Fn &fn)
-    {
-        return fn(std::integral_constant<unsigned, 0>{});
-    }
-
+    /** Claim the way of (asid, vpn) (LruTable::claim), keeping the
+     *  per-ASID counts; returns the way. */
     std::size_t
-    findIndex(Asid asid, Addr vpn) const
-    {
-        return withWays([&](auto ways) -> std::size_t {
-            constexpr unsigned W = decltype(ways)::value;
-            std::size_t base = setBase(vpn);
-            unsigned way = findWay<W>(&keys_[base], keyOf(asid, vpn),
-                                      params_.associativity);
-            return way < params_.associativity ? base + way : kNotFound;
-        });
-    }
-
-    /**
-     * Index of the way holding (asid, vpn); if absent, claim the set's
-     * first empty way, else its LRU way, found in the same scan
-     * (claimWay()).
-     */
-    std::size_t
-    claimIndex(Asid asid, Addr vpn)
+    claim(Asid asid, Addr vpn)
     {
         ovl_assert(vpn >> kVpnBits == 0, "VPN too wide for the TLB key");
-        std::uint64_t key = keyOf(asid, vpn);
-        std::size_t base = setBase(vpn);
-        ClaimedWay claim = withWays([&](auto ways) {
-            constexpr unsigned W = decltype(ways)::value;
-            return claimWay<W>(&keys_[base], key, kNoKey, &stamps_[base],
-                               params_.associativity);
-        });
-        std::size_t i = base + claim.way;
-        if (claim.hit)
-            return i;
-        if (keys_[i] != kNoKey)
-            noteErased(asidOf(keys_[i]));
-        noteInserted(asid);
-        keys_[i] = key;
-        return i;
+        const auto c = table_.claim(keyOf(asid, vpn));
+        if (!c.hit) {
+            if (c.displaced != Table::kEmpty)
+                noteErased(asidOf(c.displaced));
+            noteInserted(asid);
+        }
+        return c.way;
     }
 
     TlbParams params_;
-    unsigned numSets_;
-    /**
-     * Packed (asid << kVpnBits) | vpn tags, parallel to data_ — the way
-     * scan runs at least once per simulated access, and one 8-byte
-     * compare per way beats touching the OBitVector-bearing payloads,
-     * which span several lines per set.
-     */
-    std::vector<std::uint64_t> keys_;
-    /** LRU stamps, parallel to keys_: victim choice reads only these. */
-    std::vector<std::uint64_t> stamps_;
-    std::vector<TlbEntryData> data_;
-    std::uint64_t lruCounter_ = 0;
+    Table table_;
     /** Resident-entry count per ASID, backing holdsAsid(). */
     std::vector<std::uint32_t> asidEntries_;
 

@@ -15,6 +15,8 @@
 #include "overlay/omt.hh"
 #include "sim/snapshot.hh"
 
+#include "ref_lru.hh"
+
 namespace ovl
 {
 namespace
@@ -458,119 +460,66 @@ TEST(OmtCache, LruWithinSet)
     EXPECT_TRUE(cache.isPresent(4));
 }
 
-/**
- * Reference OMT cache: the same tags, modified bits and recency stamps,
- * with the victim chosen by a plain loop — the set's first invalid way,
- * else the first way holding the smallest stamp.
- */
-class RefOmtCache
-{
-  public:
-    RefOmtCache(unsigned entries, unsigned ways)
-        : ways_(ways), sets_(entries / ways), lines_(entries)
-    {
-    }
-
-    OmtCache::LookupResult
-    lookupAllocate(Opn opn, bool modify)
-    {
-        OmtCache::LookupResult res;
-        Line *set = &lines_[(opn & (sets_ - 1)) * ways_];
-        Line *line = find(opn);
-        if (line != nullptr) {
-            res.hit = true;
-        } else {
-            line = &set[0];
-            for (unsigned w = 0; w < ways_; ++w) {
-                if (!set[w].valid) {
-                    line = &set[w];
-                    break;
-                }
-                if (set[w].stamp < line->stamp)
-                    line = &set[w];
-            }
-            if (line->valid && line->modified) {
-                res.needsWriteback = true;
-                res.writebackOpn = line->opn;
-            }
-            *line = Line{true, false, opn, 0};
-        }
-        line->stamp = ++counter_;
-        line->modified = line->modified || modify;
-        return res;
-    }
-
-    bool
-    invalidate(Opn opn)
-    {
-        Line *line = find(opn);
-        if (line == nullptr)
-            return false;
-        bool was_modified = line->modified;
-        line->valid = line->modified = false;
-        return was_modified;
-    }
-
-  private:
-    struct Line
-    {
-        bool valid = false;
-        bool modified = false;
-        Opn opn = 0;
-        std::uint64_t stamp = 0;
-    };
-
-    Line *
-    find(Opn opn)
-    {
-        Line *set = &lines_[(opn & (sets_ - 1)) * ways_];
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (set[w].valid && set[w].opn == opn)
-                return &set[w];
-        }
-        return nullptr;
-    }
-
-    unsigned ways_;
-    Opn sets_;
-    std::vector<Line> lines_;
-    std::uint64_t counter_ = 0;
-};
-
 TEST(OmtCache, VictimMatchesReferenceLoop)
 {
-    for (auto [entries, ways] : {std::pair{16u, 4u}, std::pair{8u, 8u},
-                                 std::pair{64u, 16u}}) {
+    // 4 and 8 ways scan at a compile-time width; the rest at run time.
+    for (unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u, 64u}) {
+        const unsigned entries = 4 * ways; // four sets
         OmtCacheParams params;
         params.entries = entries;
         params.associativity = ways;
         OmtCache cache("omtc", params);
-        RefOmtCache ref(entries, ways);
+        test::RefLru ref(entries, ways);
+        std::vector<bool> modified(entries, false);
         Rng rng(entries + ways);
+        unsigned writebacks = 0;
         for (unsigned step = 0; step < 8000; ++step) {
-            Opn opn = rng.below(3 * entries);
-            switch (rng.below(4)) {
-              case 0:
+            const Opn opn = rng.below(3 * entries);
+            switch (rng.below(5)) {
+              case 0: {
                 // Invalidations leave invalid ways mid-set.
-                ASSERT_EQ(cache.invalidate(opn), ref.invalidate(opn))
+                bool was_modified = false;
+                if (const int w = ref.erase(opn); w >= 0) {
+                    was_modified = modified[std::size_t(w)];
+                    modified[std::size_t(w)] = false;
+                }
+                ASSERT_EQ(cache.invalidate(opn), was_modified)
                     << ways << " ways, step " << step;
                 break;
+              }
+              case 1:
+                cache.markModified(opn);
+                if (const int w = ref.find(opn); w >= 0)
+                    modified[std::size_t(w)] = true;
+                break;
               default: {
-                bool modify = rng.below(2) != 0;
-                auto got = modify ? cache.lookupAllocateModify(opn)
-                                  : cache.lookupAllocate(opn);
-                auto want = ref.lookupAllocate(opn, modify);
-                ASSERT_EQ(got.hit, want.hit) << ways << " ways, step " << step;
-                ASSERT_EQ(got.needsWriteback, want.needsWriteback)
+                const bool modify = rng.below(2) != 0;
+                const auto got = modify ? cache.lookupAllocateModify(opn)
+                                        : cache.lookupAllocate(opn);
+                const test::RefLru::Claim c = ref.claim(opn);
+                const bool writeback = !c.hit &&
+                                       c.displaced != test::RefLru::kEmpty &&
+                                       modified[c.way];
+                modified[c.way] = (c.hit && modified[c.way]) || modify;
+                writebacks += writeback;
+                ASSERT_EQ(got.hit, c.hit) << ways << " ways, step " << step;
+                ASSERT_EQ(got.needsWriteback, writeback)
                     << ways << " ways, step " << step;
-                if (want.needsWriteback) {
-                    ASSERT_EQ(got.writebackOpn, want.writebackOpn)
+                if (writeback) {
+                    ASSERT_EQ(got.writebackOpn, c.displaced)
                         << ways << " ways, step " << step;
                 }
                 break;
               }
             }
+            if (step % 64 == 0) {
+                for (Opn o = 0; o < 3 * entries; ++o) {
+                    ASSERT_EQ(cache.isPresent(o), ref.find(o) >= 0)
+                        << ways << " ways, step " << step << ", opn " << o;
+                }
+            }
         }
+        EXPECT_GT(writebacks, 100u) << ways << " ways";
     }
 }
 

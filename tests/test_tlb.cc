@@ -13,6 +13,8 @@
 #include "sim/snapshot.hh"
 #include "tlb/tlb.hh"
 
+#include "ref_lru.hh"
+
 namespace ovl
 {
 namespace
@@ -176,102 +178,35 @@ TEST(TwoLevelTlb, FillMatchesInsertThenLookup)
     EXPECT_EQ(fused.l1().misses(), unfused.l1().misses());
 }
 
-/**
- * Reference model of a one-set TLB: keys and recency stamps per way,
- * with the victim chosen by a plain loop — the first empty way, else
- * the first way holding the smallest stamp.
- */
-struct RefTlbSet
-{
-    explicit RefTlbSet(unsigned ways) : vpns(ways, kEmpty), stamps(ways, 0)
-    {
-    }
-
-    static constexpr Addr kEmpty = ~Addr(0);
-
-    int
-    find(Addr vpn) const
-    {
-        for (unsigned w = 0; w < vpns.size(); ++w) {
-            if (vpns[w] == vpn)
-                return int(w);
-        }
-        return -1;
-    }
-
-    unsigned
-    victim() const
-    {
-        unsigned v = 0;
-        for (unsigned w = 0; w < vpns.size(); ++w) {
-            if (vpns[w] == kEmpty)
-                return w;
-            if (stamps[w] < stamps[v])
-                v = w;
-        }
-        return v;
-    }
-
-    bool
-    lookup(Addr vpn)
-    {
-        int w = find(vpn);
-        if (w >= 0)
-            stamps[unsigned(w)] = ++counter;
-        return w >= 0;
-    }
-
-    void
-    insert(Addr vpn)
-    {
-        int found = find(vpn);
-        unsigned w = found >= 0 ? unsigned(found) : victim();
-        vpns[w] = vpn;
-        stamps[w] = ++counter;
-    }
-
-    void
-    invalidate(Addr vpn)
-    {
-        int w = find(vpn);
-        if (w >= 0)
-            vpns[unsigned(w)] = kEmpty;
-    }
-
-    std::vector<Addr> vpns;
-    std::vector<std::uint64_t> stamps;
-    std::uint64_t counter = 0;
-};
-
 TEST(Tlb, VictimMatchesReferenceLoop)
 {
     // 4 and 8 ways scan at a compile-time width; the rest at run time.
     for (unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u, 64u}) {
         Tlb tlb("tlb", TlbParams{ways, ways, 1}); // one set
-        RefTlbSet ref(ways);
+        test::RefLru ref(ways, ways);
         Rng rng(ways);
         unsigned fills_with_empty = 0, fills_when_full = 0;
         for (unsigned step = 0; step < 6000; ++step) {
             Addr vpn = rng.below(3 * ways);
             switch (rng.below(4)) {
               case 0:
-                ASSERT_EQ(tlb.lookup(1, vpn) != nullptr, ref.lookup(vpn))
+                ASSERT_EQ(tlb.lookup(1, vpn) != nullptr, ref.lookup(vpn) >= 0)
                     << ways << " ways, step " << step;
                 break;
               case 1:
                 // Invalidations leave empty ways mid-set.
                 tlb.invalidate(1, vpn);
-                ref.invalidate(vpn);
+                ref.erase(vpn);
                 break;
-              default:
-                if (ref.find(vpn) < 0) {
-                    bool has_empty = ref.find(RefTlbSet::kEmpty) >= 0;
-                    fills_with_empty += has_empty;
-                    fills_when_full += !has_empty;
-                }
+              default: {
                 tlb.insert(1, vpn, entry(vpn));
-                ref.insert(vpn);
+                const test::RefLru::Claim c = ref.claim(vpn);
+                if (!c.hit) {
+                    fills_with_empty += c.displaced == test::RefLru::kEmpty;
+                    fills_when_full += c.displaced != test::RefLru::kEmpty;
+                }
                 break;
+              }
             }
             for (Addr v = 0; v < 3 * ways; ++v) {
                 ASSERT_EQ(tlb.probe(1, v) != nullptr, ref.find(v) >= 0)
