@@ -28,6 +28,9 @@ constexpr unsigned kAsidBits = 15;
 constexpr Addr kVaddrMask = (Addr(1) << kVaddrBits) - 1;
 constexpr Addr kOverlayBit = Addr(1) << 63;
 
+/** Bits of an overlay page number: the overlay address above the page. */
+constexpr unsigned kOpnBits = 64 - kPageShift;
+
 /** Maximum process count supported by the concatenation scheme: 2^15. */
 constexpr unsigned kMaxProcesses = 1u << kAsidBits;
 
