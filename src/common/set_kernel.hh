@@ -1,11 +1,12 @@
 /**
  * @file
  * The set kernel: way scan, first-empty pick and victim choice shared by
- * the set-associative structures (caches, TLBs, the prefetcher's stream
- * table; the OMT cache uses the packed LRU keys). Every function is
- * templated on a compile-time associativity W, so the way loops of the
- * Table 2 shapes have a constant trip count the compiler unrolls; W = 0
- * reads the width from the `ways` argument instead (DESIGN.md §13.3).
+ * the set-associative structures (the caches and the prefetcher's stream
+ * table, and through LruTable the TLBs and the OMT cache). Every
+ * function is templated on a compile-time associativity W, so the way
+ * loops of the Table 2 shapes have a constant trip count the compiler
+ * unrolls; W = 0 reads the width from the `ways` argument instead
+ * (DESIGN.md §13.3).
  *
  * Victim choices are branch-free. An LRU victim is a minimum over packed
  * keys (stamp << 6) | way, so equal stamps pick the lowest way. An RRIP
