@@ -163,6 +163,16 @@ TEST_F(OmsAllocatorTest, OsRefillWhenExhausted)
     EXPECT_EQ(alloc.freeCount(SegClass::Seg4KB), 3u);
 }
 
+TEST_F(OmsAllocatorTest, OsBytesProvidedSurvivesAStatsReset)
+{
+    // The OS pages stay with the OMS when a phase boundary zeroes the
+    // statistics (System::resetStats), so their byte count must too.
+    for (int i = 0; i < 5; ++i)
+        alloc.allocate(SegClass::Seg4KB); // the fifth triggers a refill
+    alloc.resetStats();
+    EXPECT_EQ(alloc.osBytesProvided(), 8 * kPageSize);
+}
+
 TEST(OmsAllocatorCoalesce, BuddiesMergeBackUp)
 {
     Addr next = 0;
