@@ -47,7 +47,7 @@ class SnapshotError : public std::runtime_error
 constexpr std::uint64_t kFileMagic = 0x0A50414E534C564Full;
 
 /** Bump on any incompatible change to the serialized layout. */
-constexpr std::uint32_t kFormatVersion = 4;
+constexpr std::uint32_t kFormatVersion = 5;
 
 /** Longest varint: ceil(64 / 7) bytes. */
 constexpr std::size_t kMaxVarintBytes = 10;
