@@ -67,12 +67,15 @@ main(int argc, char **argv)
         });
 
     double compact_mb = 0;
+    double full_page_mb = 0;
     for (std::size_t i = 0; i < std::size(variants); ++i) {
         const Variant &v = variants[i];
         const ForkBenchResult &res = results[i];
         std::printf("%-28s %10.3f %12.2fMB\n", v.name, res.cpi,
                     res.additionalMemoryMB);
-        if (!v.full_page && !v.coalesce)
+        if (v.full_page)
+            full_page_mb = res.additionalMemoryMB;
+        else if (!v.coalesce)
             compact_mb = res.additionalMemoryMB;
     }
 
@@ -83,6 +86,6 @@ main(int argc, char **argv)
     std::printf("\nFull-page overlays keep the work-reduction benefit but"
                 " not the capacity one\n(%.2f MB vs %.2f MB compact);"
                 " the segmented OMS delivers both (§4.4).\n",
-                cow.additionalMemoryMB, compact_mb);
+                full_page_mb, compact_mb);
     return 0;
 }
